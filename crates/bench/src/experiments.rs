@@ -2499,7 +2499,7 @@ impl E21Pass {
             ("session", m.session_turns),
             ("degraded", m.degraded),
             ("refused", m.refused),
-            ("shed", m.shed_full + m.shed_cost + m.shed_overload),
+            ("shed", m.shed_full + m.shed_overload),
             ("deadline", m.shed_deadline),
         ];
         for (name, want) in expect {
@@ -2713,7 +2713,7 @@ pub fn e21_windowed_slo(seed: u64) -> Table {
 
         let m = &first.metrics;
         let served = m.answered + m.session_turns + m.degraded;
-        let bad = m.refused + m.shed_full + m.shed_cost + m.shed_overload + m.shed_deadline;
+        let bad = m.refused + m.shed_full + m.shed_overload + m.shed_deadline;
         let (fired, cleared) = first.events;
         match label {
             "clean" => {

@@ -7,10 +7,9 @@
 //! counters at a fixed seed) that `scripts/check_perf_drift.py`
 //! byte-compares against `scripts/perf_baseline_seed42.txt`; the
 //! `soak` binary drives the [`soak`] regimes open-loop and appends the
-//! tracked throughput/latency trajectory to `BENCH_soak.json`; the
-//! Criterion benches under `benches/` reuse [`workloads`] for the
-//! latency measurements (B1–B5) and drive the serving runtime for the
-//! throughput-scaling bench (B6).
+//! tracked throughput/latency trajectory to `BENCH_soak.json`.
+//! Wall-clock timing lives in the separate `perfbench/` package (see
+//! `perfbench/README.md`), which builds its stacks from [`workloads`].
 
 pub mod experiments;
 pub mod soak;

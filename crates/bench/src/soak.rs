@@ -84,14 +84,13 @@ impl SoakOutcome {
     /// byte-compares exactly this across paired runs.
     pub fn summary_line(&self) -> String {
         let mut line = format!(
-            "{}: {} shed_overload={} entered={} recovered={} shed_full={} shed_cost={}",
+            "{}: {} shed_overload={} entered={} recovered={} shed_full={}",
             self.shape,
             self.report.summary_line(),
             self.metrics.shed_overload,
             self.metrics.overload_entered,
             self.metrics.overload_recovered,
             self.metrics.shed_full,
-            self.metrics.shed_cost,
         );
         if let Some((stored, sampled_out)) = self.spans {
             line.push_str(&format!(" spans={stored} sampled_out={sampled_out}"));

@@ -34,6 +34,7 @@ impl Default for MlpConfig {
     }
 }
 
+#[derive(Clone)]
 struct Dense {
     w: Matrix, // out × in
     b: Vec<f64>,
@@ -57,6 +58,7 @@ impl Dense {
 }
 
 /// A (0- or 1-hidden-layer) perceptron classifier.
+#[derive(Clone)]
 pub struct Mlp {
     hidden: Option<Dense>,
     output: Dense,

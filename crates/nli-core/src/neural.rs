@@ -214,6 +214,7 @@ fn collect_conjuncts(e: &Expr, out: &mut Vec<(String, usize, Literal)>) -> bool 
 }
 
 /// The trained model.
+#[derive(Clone)]
 struct Model {
     table_scorer: BilinearScorer,
     agg: Mlp,
@@ -228,6 +229,7 @@ struct Model {
 
 /// SQLNet-class interpreter. Untrained instances produce no
 /// interpretations (they have no model to fill the sketch with).
+#[derive(Clone)]
 pub struct NeuralInterpreter {
     model: Option<Model>,
 }
@@ -575,13 +577,20 @@ impl Interpreter for NeuralInterpreter {
             }
             Some(AggFunc::Count) => SelectItem::expr(Expr::count_star()),
             Some(func) => {
-                if cols.is_empty() {
+                // Type-aware column choice (TypeSQL-style): SUM and AVG
+                // score only numeric columns; MIN and MAX take any.
+                let candidates: Vec<usize> = (0..cols.len())
+                    .filter(|&i| {
+                        !matches!(func, AggFunc::Sum | AggFunc::Avg) || numeric_col(&cols[i])
+                    })
+                    .collect();
+                if candidates.is_empty() {
                     return Vec::new();
                 }
-                let ci = model
+                let k = model
                     .sel_col
-                    .best(&qf, colfeats.iter().map(|f| f.as_slice()));
-                SelectItem::expr(Expr::agg(func, Expr::col(cols[ci].clone())))
+                    .best(&qf, candidates.iter().map(|&i| colfeats[i].as_slice()));
+                SelectItem::expr(Expr::agg(func, Expr::col(cols[candidates[k]].clone())))
             }
         };
 

@@ -174,20 +174,10 @@ impl NliPipeline {
         &self.db
     }
 
-    /// Train the neural (and the hybrid's embedded neural) model.
+    /// Train the neural model once; the hybrid embeds a copy.
     pub fn train_neural(&mut self, examples: &[TrainingExample], seed: u64) {
         self.neural = NeuralInterpreter::train(examples, &self.ctx, seed);
-        self.hybrid
-            .set_neural(NeuralInterpreter::train(examples, &self.ctx, seed));
-    }
-
-    /// Builder-style counterpart of [`NliPipeline::train_neural`]:
-    /// consume, train, return. Separates the mutable training phase
-    /// from the immutable serving phase — after this the pipeline can
-    /// go straight behind an `Arc` with no `&mut` access left.
-    pub fn into_trained(mut self, examples: &[TrainingExample], seed: u64) -> NliPipeline {
-        self.train_neural(examples, seed);
-        self
+        self.hybrid.set_neural(self.neural.clone());
     }
 
     /// Interpreter by family.

@@ -54,16 +54,12 @@
 //!   error-budget burn rates over short+long window pairs, firing and
 //!   clearing [`HealthEvent`]s that replay byte-identically and
 //!   travel as ordinary traces (root span `health`) in the sink.
-//! * [`reservoir`] — a seeded fixed-capacity [`ReservoirSampler`]
-//!   giving exact-percentile spot checks of the sketch's documented
-//!   2× bucket-resolution bound.
 
 pub mod clock;
 pub mod export;
 pub mod jsonl;
 pub mod metrics;
 pub mod profile;
-pub mod reservoir;
 pub mod sink;
 pub mod slo;
 pub mod span;
@@ -80,7 +76,6 @@ pub use profile::{
     attr_cost_breakdown, critical_path, critical_path_cost, tail_attribution, AttrBucket, Profile,
     ProfileDiff, StageDelta, StageProfile, TailAttribution,
 };
-pub use reservoir::ReservoirSampler;
 pub use sink::TraceSink;
 pub use slo::{
     BurnSample, HealthEvent, HealthEventKind, SloEngine, SloKind, SloPolicy, HEALTH_TRACE_BASE,

@@ -651,25 +651,53 @@ mod tests {
         }
     }
 
+    /// SplitMix64 step, for seeded streams without a `rand`
+    /// dependency.
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
     #[test]
     fn sketch_percentile_overestimates_by_less_than_two_x() {
-        let s = SketchHistogram::new();
-        let values = [1u64, 3, 7, 9, 20, 150, 151, 1000, 40_000, 1 << 33];
-        for &v in &values {
-            s.observe(v);
-        }
-        assert_eq!(s.count(), values.len() as u64);
-        assert_eq!(s.sum(), values.iter().sum::<u64>());
-        for p in [0.0, 10.0, 50.0, 90.0, 95.0, 99.0, 100.0] {
-            // Nearest-rank exact percentile over the sorted values.
-            let rank = ((p / 100.0 * values.len() as f64).ceil() as usize).max(1);
-            let exact = values[rank - 1];
-            let sketched = s.percentile(p).unwrap();
-            assert!(sketched >= exact, "p{p}: {sketched} >= {exact}");
-            assert!(
-                sketched < exact.saturating_mul(2).max(1),
-                "p{p}: {sketched} < 2×{exact}"
+        // A hand-picked stream, then three seeded soak-scale (10⁵)
+        // streams spread log-uniformly over 1..2^40, the regime log₂
+        // buckets are built for.
+        let mut streams = vec![vec![1u64, 3, 7, 9, 20, 150, 151, 1000, 40_000, 1 << 33]];
+        for seed in [42u64, 7, 1234] {
+            let mut state = seed;
+            streams.push(
+                (0..100_000)
+                    .map(|_| {
+                        let r = splitmix64(&mut state);
+                        let shift = (r >> 58) % 40;
+                        1 + ((r & 0xffff_ffff) >> (32u64.saturating_sub(shift).min(31)))
+                    })
+                    .collect(),
             );
+        }
+        for mut values in streams {
+            let s = SketchHistogram::new();
+            for &v in &values {
+                s.observe(v);
+            }
+            assert_eq!(s.count(), values.len() as u64);
+            assert_eq!(s.sum(), values.iter().sum::<u64>());
+            values.sort_unstable();
+            for p in [0.0, 10.0, 50.0, 90.0, 95.0, 99.0, 99.9, 100.0] {
+                // Nearest-rank exact percentile over the sorted values.
+                let rank = ((p / 100.0 * values.len() as f64).ceil() as usize).max(1);
+                let exact = values[rank - 1];
+                let sketched = s.percentile(p).unwrap();
+                assert!(sketched >= exact, "p{p}: {sketched} >= {exact}");
+                assert!(
+                    sketched < exact.saturating_mul(2).max(1),
+                    "p{p}: {sketched} < 2×{exact}"
+                );
+            }
         }
     }
 

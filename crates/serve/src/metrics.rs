@@ -25,11 +25,6 @@ pub struct ServeMetrics {
     /// Requests refused because the tenant's admission budget was
     /// exhausted (always 0 for tenants without a budget).
     pub quota_refused: AtomicU64,
-    /// Requests shed at admission by the cost-aware policy: their
-    /// learned plan cost exceeded the configured threshold while the
-    /// target queue was under pressure (always 0 with cost-aware
-    /// shedding off — the default).
-    pub shed_cost: AtomicU64,
     /// Requests shed by the overload controller while the runtime was
     /// above its high watermark: standalone repeats whose learned plan
     /// cost exceeded the policy threshold, or standalone traffic from
@@ -126,7 +121,6 @@ impl ServeMetrics {
             shed_full: AtomicU64::new(0),
             shed_deadline: AtomicU64::new(0),
             quota_refused: AtomicU64::new(0),
-            shed_cost: AtomicU64::new(0),
             shed_overload: AtomicU64::new(0),
             overload_entered: AtomicU64::new(0),
             overload_entered_early: AtomicU64::new(0),
@@ -170,7 +164,6 @@ impl ServeMetrics {
             shed_full: self.shed_full.load(Ordering::Relaxed),
             shed_deadline: self.shed_deadline.load(Ordering::Relaxed),
             quota_refused: self.quota_refused.load(Ordering::Relaxed),
-            shed_cost: self.shed_cost.load(Ordering::Relaxed),
             shed_overload: self.shed_overload.load(Ordering::Relaxed),
             overload_entered: self.overload_entered.load(Ordering::Relaxed),
             overload_entered_early: self.overload_entered_early.load(Ordering::Relaxed),
@@ -257,8 +250,6 @@ pub struct MetricsSnapshot {
     pub shed_deadline: u64,
     /// See [`ServeMetrics::quota_refused`].
     pub quota_refused: u64,
-    /// See [`ServeMetrics::shed_cost`].
-    pub shed_cost: u64,
     /// See [`ServeMetrics::shed_overload`].
     pub shed_overload: u64,
     /// See [`ServeMetrics::overload_entered`].
@@ -336,13 +327,12 @@ impl MetricsSnapshot {
     }
 
     /// Every scalar counter as `(bare_name, value)`, in export order.
-    fn scalar_fields(&self) -> [(&'static str, u64); 30] {
+    fn scalar_fields(&self) -> [(&'static str, u64); 29] {
         [
             ("submitted", self.submitted),
             ("admitted", self.admitted),
             ("shed_full", self.shed_full),
             ("shed_deadline", self.shed_deadline),
-            ("shed_cost", self.shed_cost),
             ("shed_overload", self.shed_overload),
             ("overload_entered", self.overload_entered),
             ("overload_recovered", self.overload_recovered),
@@ -405,12 +395,11 @@ impl fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "submitted {}  admitted {}  shed(full) {}  shed(deadline) {}  shed(cost) {}  quota-refused {}  cost-refused {}",
+            "submitted {}  admitted {}  shed(full) {}  shed(deadline) {}  quota-refused {}  cost-refused {}",
             self.submitted,
             self.admitted,
             self.shed_full,
             self.shed_deadline,
-            self.shed_cost,
             self.quota_refused,
             self.cost_refused
         )?;

@@ -58,7 +58,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
@@ -81,10 +81,9 @@ use crate::tenant::{TenantPolicy, TenantRegistry};
 
 /// Per-request work hook, consulted by the owning worker before every
 /// pipeline attempt. Returning `Some` injects that fault into the
-/// attempt; returning `None` lets it proceed. Benches also use it to
-/// add a simulated I/O stall (do the stall, return `None`) — either
-/// way this crate never touches a wall clock. Hooks must be pure
-/// functions of the [`HookCtx`] for runs to replay deterministically.
+/// attempt; returning `None` lets it proceed. This crate never
+/// touches a wall clock. Hooks must be pure functions of the
+/// [`HookCtx`] for runs to replay deterministically.
 pub type RequestHook = Box<dyn Fn(&HookCtx) -> Option<InjectedFault> + Send + Sync>;
 
 /// Serving knobs. All bounds are per worker.
@@ -106,14 +105,6 @@ pub struct ServerConfig {
     pub retry: RetryPolicy,
     /// Per-(worker, interpreter-family) circuit-breaker thresholds.
     pub breaker: BreakerPolicy,
-    /// Cost-aware load shedding (`None` = off, the default — leaving
-    /// admission byte-identical to the pre-cost runtime). When set,
-    /// the submitter remembers the estimated plan cost of every
-    /// answered standalone question; once a target queue is under
-    /// pressure, repeat questions whose learned cost exceeds the
-    /// threshold are shed *before* the queue fills — expensive plans
-    /// go first, cheap ones keep flowing.
-    pub cost_shed: Option<CostShedPolicy>,
     /// High/low-watermark overload control (`None` = off, the default
     /// — leaving admission byte-identical to the pre-overload
     /// runtime). When set, the submitter watches the credit ledger's
@@ -135,18 +126,6 @@ pub struct ServerConfig {
     /// the classic pick-first path byte-identical to the pre-candidate
     /// runtime. Dialogue turns are unaffected either way.
     pub approved_mode: bool,
-}
-
-/// Knobs for cost-aware shedding (see [`ServerConfig::cost_shed`]).
-/// Both the engagement point and the decision are submitter-owned
-/// state, so cost sheds are as deterministic as every other admission
-/// outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CostShedPolicy {
-    /// Queue depth at/above which the policy engages (0 = always).
-    pub pressure_depth: usize,
-    /// Learned plan cost above which an engaged request is shed.
-    pub cost_threshold: u64,
 }
 
 /// Knobs for the high/low-watermark overload controller (see
@@ -188,7 +167,6 @@ impl Default for ServerConfig {
             service_estimate: 1,
             retry: RetryPolicy::default(),
             breaker: BreakerPolicy::default(),
-            cost_shed: None,
             overload: None,
             approved_mode: false,
         }
@@ -370,12 +348,39 @@ enum Work {
     Turn { session: u64, utterance: String },
 }
 
+impl Work {
+    /// The session id, for dialogue turns.
+    fn session(&self) -> Option<u64> {
+        match self {
+            Work::Turn { session, .. } => Some(*session),
+            Work::Single { .. } => None,
+        }
+    }
+}
+
 /// What a worker sends back on the completion channel: a finished
 /// request, or a job bounced off a dead worker for the submitter to
 /// re-admit during the current drain.
 enum Delivery {
     Done(Completion),
     Bounce { worker: usize, job: Job },
+}
+
+/// Why admission turned a request away, in the order
+/// [`Server::submit_for`] checks. Each maps to its own counter, trace
+/// outcome and [`Disposition`] in [`Server::reject`].
+enum Reject {
+    /// Every worker has died.
+    NoLiveWorker,
+    /// The tenant's admission budget is spent.
+    Quota,
+    /// The deadline has passed or cannot be met.
+    Deadline,
+    /// Shed by the open overload episode; carries the request's
+    /// learned plan cost, if any.
+    Overload(Option<u64>),
+    /// The target worker's queue is full.
+    QueueFull,
 }
 
 /// Everything the runtime holds for one tenant, frozen at server
@@ -484,9 +489,10 @@ pub struct Server {
     /// credit ledger, so quota refusals are deterministic.
     admitted_per_tenant: Vec<u64>,
     /// Learned plan cost per (tenant, normalized question), fed from
-    /// completions at drain time; the memory cost-aware shedding
-    /// consults. Maintained only when [`ServerConfig::cost_shed`] is
-    /// set. Submitter-owned, like the credit ledger.
+    /// completions at drain time; the memory the overload controller's
+    /// cost axis consults. Maintained only when
+    /// [`ServerConfig::overload`] is set. Submitter-owned, like the
+    /// credit ledger.
     plan_costs: HashMap<(usize, String), u64>,
     /// Admitted standalone questions awaiting cost learning at the
     /// next drain: request id → (tenant, normalized question).
@@ -658,15 +664,19 @@ impl Server {
     /// before the worker modulus (salt 0 for tenant 0, so the public
     /// single-tenant `route` is unchanged).
     pub(crate) fn route_for(&self, tenant: usize, spec: &RequestSpec) -> usize {
-        let salt = tenant_salt(tenant);
-        let base = match spec.session {
-            Some(id) => ((id ^ salt) % self.config.workers as u64) as usize,
-            None => {
-                let key = normalize_question(&spec.question);
-                ((fnv1a(key.as_bytes()) ^ salt) % self.config.workers as u64) as usize
-            }
-        };
+        let base = self.home_worker(tenant, spec.session, &spec.question);
         self.live_worker_from(base).unwrap_or(base)
+    }
+
+    /// The content-addressed home worker, dead or alive: a session id,
+    /// or else the normalized question's FNV-1a hash, XORed with the
+    /// tenant's salt, modulo the pool size.
+    fn home_worker(&self, tenant: usize, session: Option<u64>, question: &str) -> usize {
+        let address = match session {
+            Some(id) => id,
+            None => fnv1a(normalize_question(question).as_bytes()),
+        };
+        ((address ^ tenant_salt(tenant)) % self.config.workers as u64) as usize
     }
 
     /// First live worker at or after `base`, wrapping; `None` when the
@@ -675,13 +685,6 @@ impl Server {
     fn live_worker_from(&self, base: usize) -> Option<usize> {
         let n = self.config.workers;
         (0..n).map(|k| (base + k) % n).find(|&w| !self.dead[w])
-    }
-
-    /// Whether the submitter learns plan costs from completions — both
-    /// the cost-aware shedder and the overload controller consume the
-    /// learned map.
-    fn learn_costs(&self) -> bool {
-        self.config.cost_shed.is_some() || self.config.overload.is_some()
     }
 
     /// Whether an overload episode is currently open. Submitter state:
@@ -761,33 +764,11 @@ impl Server {
             }
         }
         if self.dead.iter().all(|&d| d) {
-            metrics.add(|m| &m.refused, 1);
-            self.trace_reject(tenant, id, spec, 0, "refused");
-            self.rejected.push(Completion {
-                id,
-                worker: None,
-                session: spec.session,
-                plan_cost: None,
-                disposition: Disposition::Refused {
-                    reason: "no live workers".to_string(),
-                },
-            });
-            return Admission::Refused { id };
+            return self.reject(tenant, id, spec, 0, Reject::NoLiveWorker);
         }
         if let Some(budget) = shared.tenants[tenant].admission_budget {
             if self.admitted_per_tenant[tenant] >= budget {
-                metrics.add(|m| &m.quota_refused, 1);
-                self.trace_reject(tenant, id, spec, 0, "quota_refused");
-                self.rejected.push(Completion {
-                    id,
-                    worker: None,
-                    session: spec.session,
-                    plan_cost: None,
-                    disposition: Disposition::Refused {
-                        reason: "tenant admission budget exhausted".to_string(),
-                    },
-                });
-                return Admission::Refused { id };
+                return self.reject(tenant, id, spec, 0, Reject::Quota);
             }
         }
         let worker = self.route_for(tenant, spec);
@@ -797,16 +778,7 @@ impl Server {
         if let Some(deadline) = spec.deadline {
             let projected = now + (depth as u64 + 1) * self.config.service_estimate;
             if now > deadline || projected > deadline {
-                metrics.add(|m| &m.shed_deadline, 1);
-                self.trace_reject(tenant, id, spec, depth, "deadline_exceeded");
-                self.rejected.push(Completion {
-                    id,
-                    worker: None,
-                    session: spec.session,
-                    plan_cost: None,
-                    disposition: Disposition::DeadlineExceeded,
-                });
-                return Admission::DeadlineExceeded { id };
+                return self.reject(tenant, id, spec, depth, Reject::Deadline);
             }
         }
         // Overload shedding: while an episode is open, standalone work
@@ -818,11 +790,11 @@ impl Server {
         // sightings have no learned cost and pass the cost axis.
         if self.overloaded && spec.session.is_none() {
             let policy = self.config.overload.expect("overloaded implies a policy");
-            let key = (tenant, normalize_question(&spec.question));
-            let expensive = self
+            let learned = self
                 .plan_costs
-                .get(&key)
-                .is_some_and(|&c| c > policy.cost_threshold);
+                .get(&(tenant, normalize_question(&spec.question)))
+                .copied();
+            let expensive = learned.is_some_and(|c| c > policy.cost_threshold);
             // Fair share with slack: tenant t is over when its episode
             // admissions exceed (total + N) / N — impossible for a
             // single tenant, where admissions equal the total.
@@ -830,55 +802,11 @@ impl Server {
             let over_share =
                 self.episode_admitted[tenant] * tenant_count > self.episode_total + tenant_count;
             if expensive || over_share {
-                metrics.add(|m| &m.shed_overload, 1);
-                self.trace_reject(tenant, id, spec, depth, "shed_overload");
-                self.rejected.push(Completion {
-                    id,
-                    worker: None,
-                    session: None,
-                    plan_cost: self.plan_costs.get(&key).copied(),
-                    disposition: Disposition::Shed,
-                });
-                return Admission::Shed { id };
-            }
-        }
-        // Cost-aware shedding: under pressure, a standalone question
-        // whose *learned* plan cost exceeds the threshold is shed
-        // before the queue fills — expensive plans go first. First
-        // sightings have no learned cost and pass through; dialogue
-        // turns are never cost-shed (session state must advance).
-        if let Some(policy) = self.config.cost_shed {
-            if depth >= policy.pressure_depth && spec.session.is_none() {
-                let key = (tenant, normalize_question(&spec.question));
-                if self
-                    .plan_costs
-                    .get(&key)
-                    .is_some_and(|&c| c > policy.cost_threshold)
-                {
-                    metrics.add(|m| &m.shed_cost, 1);
-                    self.trace_reject(tenant, id, spec, depth, "shed_cost");
-                    self.rejected.push(Completion {
-                        id,
-                        worker: None,
-                        session: None,
-                        plan_cost: self.plan_costs.get(&key).copied(),
-                        disposition: Disposition::Shed,
-                    });
-                    return Admission::Shed { id };
-                }
+                return self.reject(tenant, id, spec, depth, Reject::Overload(learned));
             }
         }
         if depth >= self.config.queue_capacity {
-            metrics.add(|m| &m.shed_full, 1);
-            self.trace_reject(tenant, id, spec, depth, "shed");
-            self.rejected.push(Completion {
-                id,
-                worker: None,
-                session: spec.session,
-                plan_cost: None,
-                disposition: Disposition::Shed,
-            });
-            return Admission::Shed { id };
+            return self.reject(tenant, id, spec, depth, Reject::QueueFull);
         }
 
         let job = Job {
@@ -902,7 +830,7 @@ impl Server {
         self.senders[worker]
             .send(job)
             .expect("worker alive while server running");
-        if self.learn_costs() && spec.session.is_none() {
+        if self.config.overload.is_some() && spec.session.is_none() {
             self.pending_costs
                 .insert(id, (tenant, normalize_question(&spec.question)));
         }
@@ -940,6 +868,70 @@ impl Server {
             },
         });
         Admission::Refused { id }
+    }
+
+    /// The one exit for an admission-time reject: count it in the
+    /// tenant's and the global scope, trace it, queue its completion
+    /// for the next drain, and return its [`Admission`].
+    fn reject(
+        &mut self,
+        tenant: usize,
+        id: u64,
+        spec: &RequestSpec,
+        depth: usize,
+        why: Reject,
+    ) -> Admission {
+        let (counter, outcome, plan_cost, disposition): (fn(&ServeMetrics) -> &AtomicU64, _, _, _) =
+            match why {
+                Reject::NoLiveWorker => (
+                    |m| &m.refused,
+                    "refused",
+                    None,
+                    Disposition::Refused {
+                        reason: "no live workers".to_string(),
+                    },
+                ),
+                Reject::Quota => (
+                    |m| &m.quota_refused,
+                    "quota_refused",
+                    None,
+                    Disposition::Refused {
+                        reason: "tenant admission budget exhausted".to_string(),
+                    },
+                ),
+                Reject::Deadline => (
+                    |m| &m.shed_deadline,
+                    "deadline_exceeded",
+                    None,
+                    Disposition::DeadlineExceeded,
+                ),
+                Reject::Overload(learned) => (
+                    |m| &m.shed_overload,
+                    "shed_overload",
+                    learned,
+                    Disposition::Shed,
+                ),
+                Reject::QueueFull => (|m| &m.shed_full, "shed", None, Disposition::Shed),
+            };
+        ScopedMetrics {
+            global: &self.shared.metrics,
+            tenant: &self.shared.tenants[tenant].metrics,
+        }
+        .add(counter, 1);
+        self.trace_reject(tenant, id, spec, depth, outcome);
+        let admission = match disposition {
+            Disposition::Refused { .. } => Admission::Refused { id },
+            Disposition::DeadlineExceeded => Admission::DeadlineExceeded { id },
+            _ => Admission::Shed { id },
+        };
+        self.rejected.push(Completion {
+            id,
+            worker: None,
+            session: spec.session,
+            plan_cost,
+            disposition,
+        });
+        admission
     }
 
     /// Record an admission-time reject as a two-span trace (the
@@ -1030,11 +1022,10 @@ impl Server {
         }
         out.append(&mut self.rejected);
         out.sort_by_key(|c| c.id);
-        // Learn plan costs for the cost-aware shedder and the overload
-        // controller. Requests that finished without a cost (refusals,
-        // bounces) still clear their pending entry so the map never
-        // grows unbounded.
-        if self.learn_costs() {
+        // Learn plan costs for the overload controller. Requests that
+        // finished without a cost (refusals, bounces) still clear their
+        // pending entry so the map never grows unbounded.
+        if self.config.overload.is_some() {
             for c in &out {
                 if let Some(key) = self.pending_costs.remove(&c.id) {
                     if let Some(cost) = c.plan_cost {
@@ -1075,135 +1066,84 @@ impl Server {
     /// check: the request already paid for its slot at original
     /// admission, and the drain is emptying every queue anyway.
     fn readmit(&mut self, from: usize, mut job: Job) -> Option<Completion> {
-        let shared = Arc::clone(&self.shared);
-        let metrics = ScopedMetrics {
-            global: &shared.metrics,
-            tenant: &shared.tenants[job.tenant].metrics,
-        };
-        let session = match &job.work {
-            Work::Turn { session, .. } => Some(*session),
-            Work::Single { .. } => None,
-        };
         job.redeliveries += 1;
         job.bounced_from = Some(from);
         // Redelivery rides the retry budget: a request does not get to
         // chase crashing workers forever.
         let budget = self.config.retry.max_retries.max(1);
         if job.redeliveries > budget {
-            metrics.add(|m| &m.readmit_refused, 1);
-            metrics.add(|m| &m.refused, 1);
-            self.trace_bounce(
-                job.tenant,
-                job.id,
-                session,
-                from,
-                job.redeliveries,
-                "refused",
+            let reason = format!(
+                "redelivery budget exhausted after {} bounces",
+                job.redeliveries
             );
-            return Some(Completion {
-                id: job.id,
-                worker: None,
-                session,
-                plan_cost: None,
-                disposition: Disposition::Refused {
-                    reason: format!(
-                        "redelivery budget exhausted after {} bounces",
-                        job.redeliveries
-                    ),
-                },
-            });
+            return Some(self.readmit_failed(from, &job, Disposition::Refused { reason }));
         }
         if let Some(deadline) = job.deadline {
-            let projected = shared.clock.now() + self.config.service_estimate;
-            if projected > deadline {
-                metrics.add(|m| &m.readmit_refused, 1);
-                metrics.add(|m| &m.shed_deadline, 1);
-                self.trace_bounce(
-                    job.tenant,
-                    job.id,
-                    session,
-                    from,
-                    job.redeliveries,
-                    "deadline_exceeded",
-                );
-                return Some(Completion {
-                    id: job.id,
-                    worker: None,
-                    session,
-                    plan_cost: None,
-                    disposition: Disposition::DeadlineExceeded,
-                });
+            if self.shared.clock.now() + self.config.service_estimate > deadline {
+                return Some(self.readmit_failed(from, &job, Disposition::DeadlineExceeded));
             }
         }
-        let salt = tenant_salt(job.tenant);
-        let base = match &job.work {
-            Work::Turn { session, .. } => ((*session ^ salt) % self.config.workers as u64) as usize,
-            Work::Single { question } => {
-                ((fnv1a(normalize_question(question).as_bytes()) ^ salt)
-                    % self.config.workers as u64) as usize
-            }
+        let (session, question) = match &job.work {
+            Work::Turn { session, utterance } => (Some(*session), utterance),
+            Work::Single { question } => (None, question),
         };
-        match self.live_worker_from(base) {
-            Some(target) => {
-                metrics.add(|m| &m.readmitted, 1);
-                self.senders[target]
-                    .send(job)
-                    .expect("live worker while draining");
-                None
-            }
-            None => {
-                metrics.add(|m| &m.readmit_refused, 1);
-                metrics.add(|m| &m.refused, 1);
-                self.trace_bounce(
-                    job.tenant,
-                    job.id,
-                    session,
-                    from,
-                    job.redeliveries,
-                    "refused",
-                );
-                Some(Completion {
-                    id: job.id,
-                    worker: None,
-                    session,
-                    plan_cost: None,
-                    disposition: Disposition::Refused {
-                        reason: "no live workers".to_string(),
-                    },
-                })
-            }
+        let base = self.home_worker(job.tenant, session, question);
+        let Some(target) = self.live_worker_from(base) else {
+            let reason = "no live workers".to_string();
+            return Some(self.readmit_failed(from, &job, Disposition::Refused { reason }));
+        };
+        ScopedMetrics {
+            global: &self.shared.metrics,
+            tenant: &self.shared.tenants[job.tenant].metrics,
         }
+        .add(|m| &m.readmitted, 1);
+        self.senders[target]
+            .send(job)
+            .expect("live worker while draining");
+        None
     }
 
-    /// Record a terminal re-admission failure as a one-span trace (the
-    /// bounced request never reaches another worker, so the submitter
-    /// is the only place this evidence exists).
-    fn trace_bounce(
-        &self,
-        tenant: usize,
-        id: u64,
-        session: Option<u64>,
-        from: usize,
-        redeliveries: u32,
-        outcome: &str,
-    ) {
-        let Some(obs) = &self.shared.obs else { return };
-        let mut tb = TraceBuilder::new(id, Arc::clone(&self.shared.clock));
-        let root = tb.open("request");
-        tb.annotate(root, "id", id.to_string());
-        tb.annotate(
-            root,
-            "kind",
-            if session.is_some() { "turn" } else { "single" },
-        );
-        if self.shared.label_tenants {
-            tb.annotate(root, "tenant", self.shared.tenants[tenant].name.clone());
+    /// The one exit for a terminal re-admission failure: count it as a
+    /// refused re-admission and by its disposition (`shed_deadline` or
+    /// `refused`), record it as a one-span trace (the bounced request
+    /// never reaches another worker, so the submitter is the only place
+    /// this evidence exists), and build its completion.
+    fn readmit_failed(&self, from: usize, job: &Job, disposition: Disposition) -> Completion {
+        let metrics = ScopedMetrics {
+            global: &self.shared.metrics,
+            tenant: &self.shared.tenants[job.tenant].metrics,
+        };
+        metrics.add(|m| &m.readmit_refused, 1);
+        match disposition {
+            Disposition::DeadlineExceeded => metrics.add(|m| &m.shed_deadline, 1),
+            _ => metrics.add(|m| &m.refused, 1),
         }
-        tb.annotate(root, "outcome", outcome);
-        tb.annotate(root, "redeliveries", redeliveries.to_string());
-        tb.annotate(root, "bounced_from", from.to_string());
-        tb.close(root);
-        obs.record(tb.finish());
+        let session = job.work.session();
+        if let Some(obs) = &self.shared.obs {
+            let mut tb = TraceBuilder::new(job.id, Arc::clone(&self.shared.clock));
+            let root = tb.open("request");
+            tb.annotate(root, "id", job.id.to_string());
+            tb.annotate(
+                root,
+                "kind",
+                if session.is_some() { "turn" } else { "single" },
+            );
+            if self.shared.label_tenants {
+                tb.annotate(root, "tenant", self.shared.tenants[job.tenant].name.clone());
+            }
+            tb.annotate(root, "outcome", disposition_label(&disposition));
+            tb.annotate(root, "redeliveries", job.redeliveries.to_string());
+            tb.annotate(root, "bounced_from", from.to_string());
+            tb.close(root);
+            obs.record(tb.finish());
+        }
+        Completion {
+            id: job.id,
+            worker: None,
+            session,
+            plan_cost: None,
+            disposition,
+        }
     }
 
     /// The write-ahead session journal (one entry per committed
@@ -1626,10 +1566,7 @@ fn worker_loop(
         let journal = &rt.journal;
         let (id, submit_tick, queued_behind) = (job.id, job.submit_tick, job.queued_behind);
         let (redeliveries, bounced_from) = (job.redeliveries, job.bounced_from);
-        let session = match &job.work {
-            Work::Turn { session, .. } => Some(*session),
-            Work::Single { .. } => None,
-        };
+        let session = job.work.session();
         let kind_label = if session.is_some() { "turn" } else { "single" };
         // One trace per request: root `request` span, an `admission`
         // span stamped at the submitter-recorded tick, and a `queued`
@@ -2054,47 +1991,6 @@ mod tests {
     }
 
     #[test]
-    fn cost_aware_shedding_drops_expensive_repeats_under_pressure() {
-        let p = pipeline();
-        let clock = Arc::new(ManualClock::new());
-        let cfg = ServerConfig {
-            workers: 1,
-            cost_shed: Some(CostShedPolicy {
-                pressure_depth: 1,
-                cost_threshold: 0,
-            }),
-            ..ServerConfig::default()
-        };
-        let mut srv = Server::start(Arc::clone(&p), cfg, clock as Arc<dyn Clock>);
-        let q = RequestSpec::single("how many customers are there");
-        // Learn the question's plan cost on an unpressured first pass.
-        srv.submit(&q);
-        let first = srv.drain();
-        let learned = first[0].plan_cost.expect("answered questions carry cost");
-        assert!(learned > 0);
-        // Depth 0: below the pressure point, admitted even though the
-        // cost is known. Depth 1: pressure — the known-expensive
-        // repeat is shed while an unlearned question still flows.
-        assert!(matches!(srv.submit(&q), Admission::Admitted { .. }));
-        assert!(matches!(srv.submit(&q), Admission::Shed { .. }));
-        let fresh = RequestSpec::single("show all customers");
-        assert!(matches!(srv.submit(&fresh), Admission::Admitted { .. }));
-        let done = srv.drain();
-        assert_eq!(done.len(), 3);
-        // The cache hit replays the exact cost the miss computed.
-        assert_eq!(done[0].plan_cost, Some(learned));
-        assert!(matches!(done[1].disposition, Disposition::Shed));
-        assert_eq!(
-            done[1].plan_cost,
-            Some(learned),
-            "shed quotes the learned cost"
-        );
-        let m = srv.shutdown();
-        assert_eq!(m.shed_cost, 1);
-        assert_eq!(m.shed_full, 0);
-    }
-
-    #[test]
     fn approved_mode_journals_an_audit_trail_and_matches_pick_first() {
         let p = pipeline();
         let questions = ["how many customers are there", "show all products"];
@@ -2149,14 +2045,16 @@ mod tests {
     }
 
     #[test]
-    fn cache_hit_replay_teaches_the_cost_shedder() {
+    fn cache_hit_replay_teaches_the_overload_controller() {
         let p = pipeline();
         let clock = Arc::new(ManualClock::new());
         let cfg = ServerConfig {
             workers: 1,
-            cost_shed: Some(CostShedPolicy {
-                pressure_depth: 1,
+            overload: Some(OverloadPolicy {
+                high_watermark: 1,
+                low_watermark: 0,
                 cost_threshold: 0,
+                early_warning: None,
             }),
             ..ServerConfig::default()
         };
@@ -2165,7 +2063,7 @@ mod tests {
         srv.submit(&q);
         let first = srv.drain();
         let learned = first[0].plan_cost.expect("miss computes the cost");
-        assert_eq!(srv.plan_costs.len(), 1, "the miss taught the shedder");
+        assert_eq!(srv.plan_costs.len(), 1, "the miss taught the controller");
         // Forget the miss's lesson while the worker cache stays warm —
         // the next drain's only possible teacher is the cache hit.
         srv.plan_costs.clear();
@@ -2185,62 +2083,22 @@ mod tests {
             vec![learned],
             "re-learned from the cache-hit completion alone"
         );
-        // And the replay-learned cost is live policy input: pressure
-        // sheds the repeat exactly as an execution-learned cost would.
+        assert!(
+            !srv.is_overloaded(),
+            "one request at a time never crosses high=1"
+        );
+        // And the replay-learned cost is live policy input: the offer
+        // that finds pressure 1 opens the next episode and is shed as
+        // learned-expensive, exactly as an execution-learned cost would.
         assert!(matches!(srv.submit(&q), Admission::Admitted { .. }));
         assert!(matches!(srv.submit(&q), Admission::Shed { .. }));
+        assert!(srv.is_overloaded());
         let done = srv.drain();
         assert!(matches!(done[1].disposition, Disposition::Shed));
-        assert_eq!(done[1].plan_cost, Some(learned));
+        assert_eq!(done[1].plan_cost, Some(learned), "the shed quotes the cost");
         let m = srv.shutdown();
-        assert_eq!(m.shed_cost, 1);
-    }
-
-    #[test]
-    fn equal_learned_costs_shed_deterministically() {
-        // Two distinct questions with byte-equal learned plan cost:
-        // shedding is per-request (no comparative ranking), so under
-        // pressure the tie resolves purely by submission order — the
-        // depth-0 submission flows, every engaged repeat sheds — and
-        // two identical runs agree byte-for-byte.
-        let run = || {
-            let p = pipeline();
-            let clock = Arc::new(ManualClock::new());
-            let cfg = ServerConfig {
-                workers: 1,
-                cost_shed: Some(CostShedPolicy {
-                    pressure_depth: 1,
-                    cost_threshold: 0,
-                }),
-                ..ServerConfig::default()
-            };
-            let mut srv = Server::start(Arc::clone(&p), cfg, clock as Arc<dyn Clock>);
-            let a = RequestSpec::single("show all customers");
-            let b = RequestSpec::single("list all customers");
-            srv.submit(&a);
-            srv.submit(&b);
-            let first = srv.drain();
-            let (ca, cb) = (
-                first[0].plan_cost.expect("answered"),
-                first[1].plan_cost.expect("answered"),
-            );
-            assert_eq!(ca, cb, "the two questions must tie on learned cost");
-            let admissions: Vec<bool> = [&a, &b, &a, &b]
-                .iter()
-                .map(|q| matches!(srv.submit(q), Admission::Admitted { .. }))
-                .collect();
-            let signatures: Vec<String> = srv.drain().iter().map(Completion::signature).collect();
-            let m = srv.shutdown();
-            (admissions, signatures, m.shed_cost)
-        };
-        let (r1, r2) = (run(), run());
-        assert_eq!(r1, r2, "identical runs shed identically");
-        assert_eq!(
-            r1.0,
-            vec![true, false, false, false],
-            "depth 0 flows; every engaged equal-cost repeat sheds"
-        );
-        assert_eq!(r1.2, 3);
+        assert_eq!(m.shed_overload, 1);
+        assert_eq!(m.overload_entered, 1);
     }
 
     #[test]

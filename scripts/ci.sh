@@ -4,9 +4,9 @@
 #   scripts/ci.sh
 #
 # Mirrors the acceptance bar for every PR: release build, full test
-# suite, clippy at zero warnings, rustfmt check. The workspace vendors
-# its three dependencies (crates/compat/*), so everything runs with
-# --offline and no registry access.
+# suite, the perfbench self-test, clippy at zero warnings, rustfmt
+# check. The workspace vendors its two dependencies (crates/compat/*),
+# so everything runs with --offline and no registry access.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,6 +15,13 @@ cargo build --release --workspace --offline
 
 echo "== cargo test =="
 cargo test -q --workspace --offline
+
+# perfbench is a workspace of its own, so the steps above never compile
+# it; a library API change could otherwise break the benchmark silently.
+# --locked and the target dir leave perfbench/ untouched.
+echo "== perfbench self-test =="
+CARGO_TARGET_DIR=target/perfbench cargo test --release --offline --locked \
+  --manifest-path perfbench/Cargo.toml
 
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
