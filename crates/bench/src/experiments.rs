@@ -2239,7 +2239,10 @@ pub fn e19_candidate_validation(seed: u64) -> Table {
                 let t = tally.entry(kind).or_default();
                 for pair in &suite {
                     t.questions += 1;
-                    match setup.pipeline.ask_approved(&pair.question, kind) {
+                    match setup
+                        .pipeline
+                        .ask_approved(&pair.question, kind, None, None)
+                    {
                         Ok(ap) => {
                             let ok = execution_match(&setup.db, &pair.sql, &ap.answer.query);
                             a.record(true, ok);

@@ -1,10 +1,8 @@
 //! Dialogue-act detection: what does this turn *do* to the running
 //! query?
 
-use nlidb_core::linking::{link_mentions, LinkedMention};
-use nlidb_core::pipeline::SchemaContext;
+use nlidb_core::linking::{LinkedMention, PreparedQuestion};
 use nlidb_core::signals;
-use nlidb_nlp::tokenize;
 
 /// The acts a data-exploration turn can perform.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,13 +56,12 @@ impl DialogueAct {
     }
 }
 
-/// Classify one turn against the running context. `has_context` is
-/// false on the first turn — everything then is a new query (or
-/// unknown).
-pub fn detect_act(utterance: &str, ctx: &SchemaContext, has_context: bool) -> DialogueAct {
-    let tokens = tokenize(utterance);
+/// Classify one prepared turn against the running context.
+/// `has_context` is false on the first turn — everything then is a new
+/// query (or unknown).
+pub fn detect_act(utterance: &PreparedQuestion, has_context: bool) -> DialogueAct {
+    let (tokens, mentions) = (&utterance.tokens, &utterance.mentions);
     let norms: Vec<&str> = tokens.iter().map(|t| t.norm.as_str()).collect();
-    let mentions = link_mentions(&tokens, ctx);
 
     if !has_context {
         return if mentions.is_empty() {
@@ -129,7 +126,7 @@ pub fn detect_act(utterance: &str, ctx: &SchemaContext, has_context: bool) -> Di
     }
 
     // Top-N fragments: short, anchored on a top cue.
-    if let Some(_top) = signals::find_top_cue(&tokens) {
+    if let Some(_top) = signals::find_top_cue(tokens) {
         let short = tokens.len() <= 6;
         if short && mentions.iter().all(|m| !m.is_concept()) {
             return DialogueAct::SetTopN;
@@ -137,13 +134,13 @@ pub fn detect_act(utterance: &str, ctx: &SchemaContext, has_context: bool) -> Di
     }
 
     // Ordering fragments.
-    if signals::find_order_cue(&tokens).is_some() && tokens.len() <= 6 {
+    if signals::find_order_cue(tokens).is_some() && tokens.len() <= 6 {
         return DialogueAct::SetOrder;
     }
 
     // Aggregation fragments: "how many of those", "what is the average
     // amount", "total amount".
-    if let Some(_cue) = signals::find_agg_cue(&tokens) {
+    if let Some(_cue) = signals::find_agg_cue(tokens) {
         let anaphoric = contains("those") || contains("them") || contains("that");
         let no_new_concept = mentions.iter().all(|m| !m.is_concept());
         if anaphoric || (no_new_concept && tokens.len() <= 6) {
@@ -156,13 +153,13 @@ pub fn detect_act(utterance: &str, ctx: &SchemaContext, has_context: bool) -> Di
     let narrowing_head =
         starts_with(&["only"]) || starts_with(&["just"]) || contains("those") || contains("them");
     if narrowing_head
-        && (!signals::find_comparisons(&tokens).is_empty() || mentions.iter().any(|m| m.is_value()))
+        && (!signals::find_comparisons(tokens).is_empty() || mentions.iter().any(|m| m.is_value()))
     {
         return DialogueAct::AddFilter;
     }
 
     // Bare comparison fragment: "with amount over 50".
-    if !signals::find_comparisons(&tokens).is_empty()
+    if !signals::find_comparisons(tokens).is_empty()
         && mentions.iter().all(|m| !m.is_concept())
         && tokens.len() <= 7
     {
@@ -186,7 +183,12 @@ pub fn detect_act(utterance: &str, ctx: &SchemaContext, has_context: bool) -> Di
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nlidb_core::pipeline::SchemaContext;
     use nlidb_engine::{ColumnType, Database, TableSchema, Value};
+
+    fn detect(utterance: &str, ctx: &SchemaContext, has_context: bool) -> DialogueAct {
+        detect_act(&PreparedQuestion::new(utterance, ctx), has_context)
+    }
 
     fn ctx() -> SchemaContext {
         let mut db = Database::new("d");
@@ -221,16 +223,16 @@ mod tests {
     fn first_turn_is_new_query() {
         let ctx = ctx();
         assert_eq!(
-            detect_act("show customers in Austin", &ctx, false),
+            detect("show customers in Austin", &ctx, false),
             DialogueAct::NewQuery
         );
-        assert_eq!(detect_act("blah blah", &ctx, false), DialogueAct::Unknown);
+        assert_eq!(detect("blah blah", &ctx, false), DialogueAct::Unknown);
     }
 
     #[test]
     fn what_about_value_is_replace() {
         let ctx = ctx();
-        match detect_act("what about Boston", &ctx, true) {
+        match detect("what about Boston", &ctx, true) {
             DialogueAct::ReplaceValue { mention } => assert_eq!(mention.text, "boston"),
             other => panic!("got {other:?}"),
         }
@@ -239,7 +241,7 @@ mod tests {
     #[test]
     fn what_about_concept_is_switch() {
         let ctx = ctx();
-        match detect_act("what about orders", &ctx, true) {
+        match detect("what about orders", &ctx, true) {
             DialogueAct::SwitchFocus { concept } => assert_eq!(concept, "order"),
             other => panic!("got {other:?}"),
         }
@@ -249,11 +251,11 @@ mod tests {
     fn only_with_comparison_is_add_filter() {
         let ctx = ctx();
         assert_eq!(
-            detect_act("only those with amount over 50", &ctx, true),
+            detect("only those with amount over 50", &ctx, true),
             DialogueAct::AddFilter
         );
         assert_eq!(
-            detect_act("with amount over 50", &ctx, true),
+            detect("with amount over 50", &ctx, true),
             DialogueAct::AddFilter
         );
     }
@@ -262,7 +264,7 @@ mod tests {
     fn how_many_of_those_is_aggregation() {
         let ctx = ctx();
         assert_eq!(
-            detect_act("how many of those are there", &ctx, true),
+            detect("how many of those are there", &ctx, true),
             DialogueAct::SetAggregation
         );
     }
@@ -270,7 +272,7 @@ mod tests {
     #[test]
     fn break_down_by_is_group() {
         let ctx = ctx();
-        match detect_act("break that down by city", &ctx, true) {
+        match detect("break that down by city", &ctx, true) {
             DialogueAct::SetGroup { mention } => assert_eq!(mention.text, "city"),
             other => panic!("got {other:?}"),
         }
@@ -279,17 +281,14 @@ mod tests {
     #[test]
     fn top_fragment_is_top_n() {
         let ctx = ctx();
-        assert_eq!(
-            detect_act("just the top 5", &ctx, true),
-            DialogueAct::SetTopN
-        );
+        assert_eq!(detect("just the top 5", &ctx, true), DialogueAct::SetTopN);
     }
 
     #[test]
     fn remove_filters_detected() {
         let ctx = ctx();
         assert_eq!(
-            detect_act("remove the filters please", &ctx, true),
+            detect("remove the filters please", &ctx, true),
             DialogueAct::RemoveFilters
         );
     }
@@ -298,7 +297,7 @@ mod tests {
     fn full_question_with_context_is_new_query() {
         let ctx = ctx();
         assert_eq!(
-            detect_act("show all customers in Boston with their names", &ctx, true),
+            detect("show all customers in Boston with their names", &ctx, true),
             DialogueAct::NewQuery
         );
     }

@@ -1,5 +1,6 @@
 //! A multi-turn conversation session over a database.
 
+use nlidb_core::linking::PreparedQuestion;
 use nlidb_core::pipeline::SchemaContext;
 use nlidb_engine::{execute, Database, ResultSet};
 use nlidb_sqlir::Query;
@@ -120,15 +121,17 @@ impl<'a> ConversationSession<'a> {
         }
     }
 
-    /// Process one user turn.
+    /// Process one user turn, prepared once for act detection and
+    /// application.
     pub fn turn(&mut self, utterance: &str) -> TurnResult {
-        let act = detect_act(utterance, self.ctx, self.state.has_context());
+        let prepared = PreparedQuestion::new(utterance, self.ctx);
+        let act = detect_act(&prepared, self.state.has_context());
         let label = act.label();
         let accepted = self
             .manager
             .accepts(&act, self.state.has_context(), self.script_stage);
 
-        let applied = accepted && self.state.apply(&act, utterance, self.ctx);
+        let applied = accepted && self.state.apply(&act, &prepared, self.ctx);
         self.state.history.push(TurnRecord {
             utterance: utterance.to_string(),
             act_label: label,

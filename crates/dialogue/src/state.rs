@@ -9,11 +9,10 @@
 //! transplanted to the entity-based representation).
 
 use nlidb_core::entity::{build_oql, Capabilities};
-use nlidb_core::linking::{LinkKind, LinkedMention};
+use nlidb_core::linking::{LinkKind, LinkedMention, PreparedQuestion};
 use nlidb_core::oql::{Oql, OqlExpr, OqlOrder, OqlPredicate, PropRef};
 use nlidb_core::pipeline::SchemaContext;
 use nlidb_core::signals;
-use nlidb_nlp::tokenize;
 use nlidb_ontology::PropertyRole;
 use nlidb_sqlir::ast::{AggFunc, Literal};
 
@@ -82,9 +81,15 @@ impl DialogueState {
         fnv1a(acc.as_bytes())
     }
 
-    /// Apply an accepted act to the state. Returns false when the act
-    /// could not be applied (e.g. nothing to anchor a replacement on).
-    pub fn apply(&mut self, act: &DialogueAct, utterance: &str, ctx: &SchemaContext) -> bool {
+    /// Apply an accepted act of a prepared turn to the state. Returns
+    /// false when the act could not be applied (e.g. nothing to anchor
+    /// a replacement on).
+    pub fn apply(
+        &mut self,
+        act: &DialogueAct,
+        utterance: &PreparedQuestion,
+        ctx: &SchemaContext,
+    ) -> bool {
         match act {
             DialogueAct::NewQuery => match build_oql(utterance, ctx, Capabilities::full()) {
                 Some(build) => {
@@ -98,7 +103,7 @@ impl DialogueState {
             DialogueAct::SetAggregation => self.set_aggregation(utterance, ctx),
             DialogueAct::SetGroup { mention } => self.set_group(mention),
             DialogueAct::SetTopN => self.set_top_n(utterance, ctx),
-            DialogueAct::SetOrder => self.set_order(utterance, ctx),
+            DialogueAct::SetOrder => self.set_order(utterance),
             DialogueAct::RemoveFilters => match &mut self.oql {
                 Some(oql) => {
                     oql.predicates.clear();
@@ -135,33 +140,24 @@ impl DialogueState {
             } = p
             {
                 if prop.concept == *concept && prop.property == *property {
-                    same_prop = get_or(same_prop, i);
+                    same_prop = same_prop.or(Some(i));
                 }
-                any_str_eq = get_or(any_str_eq, i);
+                any_str_eq = any_str_eq.or(Some(i));
             }
         }
-        let target = same_prop.or(any_str_eq);
-        match target {
-            Some(i) => {
-                oql.predicates[i] = OqlPredicate::Compare {
-                    prop: PropRef::new(concept.clone(), property.clone()),
-                    op: nlidb_sqlir::ast::BinOp::Eq,
-                    value: Literal::Str(value.clone()),
-                };
-                true
-            }
-            None => {
-                oql.predicates.push(OqlPredicate::Compare {
-                    prop: PropRef::new(concept.clone(), property.clone()),
-                    op: nlidb_sqlir::ast::BinOp::Eq,
-                    value: Literal::Str(value.clone()),
-                });
-                true
-            }
+        let pred = OqlPredicate::Compare {
+            prop: PropRef::new(concept.clone(), property.clone()),
+            op: nlidb_sqlir::ast::BinOp::Eq,
+            value: Literal::Str(value.clone()),
+        };
+        match same_prop.or(any_str_eq) {
+            Some(i) => oql.predicates[i] = pred,
+            None => oql.predicates.push(pred),
         }
+        true
     }
 
-    fn add_filter(&mut self, utterance: &str, ctx: &SchemaContext) -> bool {
+    fn add_filter(&mut self, utterance: &PreparedQuestion, ctx: &SchemaContext) -> bool {
         let Some(oql) = &mut self.oql else {
             return false;
         };
@@ -174,8 +170,7 @@ impl DialogueState {
             }
         }
         // Fallback: bare comparisons against the focus's sole measure.
-        let tokens = tokenize(utterance);
-        let comps = signals::find_comparisons(&tokens);
+        let comps = signals::find_comparisons(&utterance.tokens);
         if comps.is_empty() {
             return false;
         }
@@ -197,18 +192,17 @@ impl DialogueState {
         true
     }
 
-    fn set_aggregation(&mut self, utterance: &str, ctx: &SchemaContext) -> bool {
+    fn set_aggregation(&mut self, utterance: &PreparedQuestion, ctx: &SchemaContext) -> bool {
         let Some(oql) = &mut self.oql else {
             return false;
         };
-        let tokens = tokenize(utterance);
-        let Some(cue) = signals::find_agg_cue(&tokens) else {
+        let Some(cue) = signals::find_agg_cue(&utterance.tokens) else {
             return false;
         };
         // Aggregate target: a measure property mentioned in the
         // fragment, else the focus's sole measure, else COUNT(*).
-        let mentions = nlidb_core::linking::link_mentions(&tokens, ctx);
-        let measure = mentions
+        let measure = utterance
+            .mentions
             .iter()
             .filter_map(|m| match &m.kind {
                 LinkKind::Property { concept, property } => {
@@ -261,12 +255,11 @@ impl DialogueState {
         true
     }
 
-    fn set_top_n(&mut self, utterance: &str, ctx: &SchemaContext) -> bool {
+    fn set_top_n(&mut self, utterance: &PreparedQuestion, ctx: &SchemaContext) -> bool {
         let Some(oql) = &mut self.oql else {
             return false;
         };
-        let tokens = tokenize(utterance);
-        let Some(top) = signals::find_top_cue(&tokens) else {
+        let Some(top) = signals::find_top_cue(&utterance.tokens) else {
             return false;
         };
         let order_expr = oql
@@ -288,16 +281,15 @@ impl DialogueState {
         true
     }
 
-    fn set_order(&mut self, utterance: &str, ctx: &SchemaContext) -> bool {
+    fn set_order(&mut self, utterance: &PreparedQuestion) -> bool {
         let Some(oql) = &mut self.oql else {
             return false;
         };
-        let tokens = tokenize(utterance);
-        let Some((idx, asc)) = signals::find_order_cue(&tokens) else {
+        let Some((idx, asc)) = signals::find_order_cue(&utterance.tokens) else {
             return false;
         };
-        let mentions = nlidb_core::linking::link_mentions(&tokens, ctx);
-        let prop = mentions
+        let prop = utterance
+            .mentions
             .iter()
             .filter(|m| m.start >= idx)
             .find_map(|m| match &m.kind {
@@ -348,10 +340,6 @@ impl DialogueState {
     }
 }
 
-fn get_or(slot: Option<usize>, i: usize) -> Option<usize> {
-    slot.or(Some(i))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,8 +383,9 @@ mod tests {
     fn state_after(turns: &[&str], ctx: &SchemaContext) -> DialogueState {
         let mut st = DialogueState::new();
         for t in turns {
-            let act = detect_act(t, ctx, st.has_context());
-            assert!(st.apply(&act, t, ctx), "failed to apply turn: {t}");
+            let q = PreparedQuestion::new(t, ctx);
+            let act = detect_act(&q, st.has_context());
+            assert!(st.apply(&act, &q, ctx), "failed to apply turn: {t}");
         }
         st
     }
@@ -490,14 +479,17 @@ mod tests {
     fn acts_fail_without_context() {
         let ctx = ctx();
         let mut st = DialogueState::new();
-        assert!(!st.apply(&DialogueAct::RemoveFilters, "remove filters", &ctx));
-        assert!(!st.apply(&DialogueAct::SetTopN, "top 5", &ctx));
+        let q = PreparedQuestion::new("remove filters", &ctx);
+        assert!(!st.apply(&DialogueAct::RemoveFilters, &q, &ctx));
+        let q = PreparedQuestion::new("top 5", &ctx);
+        assert!(!st.apply(&DialogueAct::SetTopN, &q, &ctx));
     }
 
     #[test]
     fn unknown_never_applies() {
         let ctx = ctx();
         let mut st = DialogueState::new();
-        assert!(!st.apply(&DialogueAct::Unknown, "gibberish", &ctx));
+        let q = PreparedQuestion::new("gibberish", &ctx);
+        assert!(!st.apply(&DialogueAct::Unknown, &q, &ctx));
     }
 }

@@ -7,8 +7,8 @@
 //! carries the SQL-IR and confidence it always had, plus
 //! **provenance**: which question tokens grounded which tables,
 //! columns, and values of *that specific candidate's* SQL. Provenance
-//! is derived deterministically by intersecting the linker's mention
-//! spans ([`crate::linking::link_mentions`]) with the schema references
+//! is derived deterministically by intersecting the prepared
+//! question's mention spans ([`PreparedQuestion`]) with the schema references
 //! the candidate's query actually makes, so two candidates from the
 //! same pool can ground the same token differently (or not at all).
 //!
@@ -21,7 +21,7 @@
 use nlidb_sqlir::Query;
 
 use crate::interpretation::{Interpretation, Interpreter, InterpreterKind};
-use crate::linking::{link_mentions, LinkKind};
+use crate::linking::{LinkKind, PreparedQuestion};
 use crate::pipeline::SchemaContext;
 
 /// Default candidate-set width: the top-k interpretations kept per
@@ -97,8 +97,6 @@ impl Candidate {
 /// A family's ranked top-k candidates for one question.
 #[derive(Debug, Clone)]
 pub struct CandidateSet {
-    /// The question the set answers.
-    pub question: String,
     /// The family that produced it.
     pub family: InterpreterKind,
     /// Candidates in the family's own confidence order, truncated to
@@ -125,23 +123,21 @@ impl CandidateSet {
 
 /// Build a family's [`CandidateSet`] for `question`: run the
 /// interpreter, keep its top `k`, and derive per-candidate provenance
-/// from the linker's mentions.
+/// from the question's linked mentions.
 pub fn gather(
     interp: &dyn Interpreter,
-    question: &str,
+    question: &PreparedQuestion,
     ctx: &SchemaContext,
     k: usize,
 ) -> CandidateSet {
     let family = interp.kind();
     let pool = interp.interpret(question, ctx);
-    let tokens = nlidb_nlp::tokenize(question);
-    let mentions = link_mentions(&tokens, ctx);
     let candidates = pool
         .into_iter()
         .take(k)
         .enumerate()
         .map(|(rank, interpretation)| {
-            let provenance = derive_provenance(&mentions, &interpretation.sql, ctx);
+            let provenance = derive_provenance(&question.mentions, &interpretation.sql, ctx);
             Candidate {
                 interpretation,
                 rank,
@@ -149,11 +145,7 @@ pub fn gather(
             }
         })
         .collect();
-    CandidateSet {
-        question: question.to_string(),
-        family,
-        candidates,
-    }
+    CandidateSet { family, candidates }
 }
 
 /// Intersect the linker's mentions with the schema elements `sql`
@@ -252,6 +244,12 @@ mod tests {
     use crate::pipeline::NliPipeline;
     use nlidb_engine::{ColumnType, Database, TableSchema, Value};
 
+    /// The entity family's top-`k` set for `q`.
+    fn entity_set(p: &NliPipeline, q: &str, k: usize) -> CandidateSet {
+        let (entity, ctx) = (p.interpreter(InterpreterKind::Entity), p.context());
+        gather(entity, &PreparedQuestion::new(q, ctx), ctx, k)
+    }
+
     fn db() -> Database {
         let mut db = Database::new("shop");
         db.create_table(
@@ -281,7 +279,7 @@ mod tests {
     #[test]
     fn gather_preserves_family_order_and_derives_provenance() {
         let p = NliPipeline::standard(&db());
-        let set = p.candidate_set("customers with city 'Austin'", InterpreterKind::Entity, 5);
+        let set = entity_set(&p, "customers with city 'Austin'", 5);
         assert_eq!(set.family, InterpreterKind::Entity);
         assert!(!set.is_empty(), "entity family should answer");
         let top = set.top().unwrap();
@@ -307,12 +305,12 @@ mod tests {
     #[test]
     fn provenance_digest_is_stable_and_discriminates() {
         let p = NliPipeline::standard(&db());
-        let a = p.candidate_set("customers in 'Austin'", InterpreterKind::Entity, 5);
-        let b = p.candidate_set("customers in 'Austin'", InterpreterKind::Entity, 5);
+        let a = entity_set(&p, "customers in 'Austin'", 5);
+        let b = entity_set(&p, "customers in 'Austin'", 5);
         let d1 = a.top().unwrap().provenance_digest();
         let d2 = b.top().unwrap().provenance_digest();
         assert_eq!(d1, d2, "same candidate -> same digest");
-        let other = p.candidate_set("customers in 'Boston'", InterpreterKind::Entity, 5);
+        let other = entity_set(&p, "customers in 'Boston'", 5);
         assert_ne!(
             d1,
             other.top().unwrap().provenance_digest(),
@@ -324,7 +322,7 @@ mod tests {
     fn top_k_truncates_the_pool() {
         let p = NliPipeline::standard(&db());
         let full = p.candidates("customers in 'Austin'", InterpreterKind::Entity);
-        let set = p.candidate_set("customers in 'Austin'", InterpreterKind::Entity, 1);
+        let set = entity_set(&p, "customers in 'Austin'", 1);
         assert_eq!(set.len(), full.len().min(1));
     }
 }

@@ -15,12 +15,11 @@
 //! separate code path, so the capability-matrix experiment measures
 //! exactly the constraint the survey describes.
 
-use nlidb_nlp::tokenize;
 use nlidb_ontology::PropertyRole;
 use nlidb_sqlir::ast::{AggFunc, BinOp, Literal};
 
 use crate::interpretation::{rank, Interpretation, Interpreter, InterpreterKind};
-use crate::linking::{link_mentions, LinkKind, LinkedMention};
+use crate::linking::{LinkKind, LinkedMention, PreparedQuestion};
 use crate::oql::{Oql, OqlExpr, OqlOrder, OqlPredicate, PropRef};
 use crate::pipeline::SchemaContext;
 use crate::signals;
@@ -149,7 +148,7 @@ pub struct OqlBuild {
 /// interpretations; empty when the question is outside the mask's
 /// reach or nothing links.
 pub fn interpret_with(
-    question: &str,
+    question: &PreparedQuestion,
     ctx: &SchemaContext,
     caps: Capabilities,
     kind: InterpreterKind,
@@ -162,9 +161,13 @@ pub fn interpret_with(
 
 /// Build the OQL reading of a question without lowering to SQL.
 /// Returns `None` when nothing links or the mask excludes the shape.
-pub fn build_oql(question: &str, ctx: &SchemaContext, caps: Capabilities) -> Option<OqlBuild> {
-    let tokens = tokenize(question);
-    let mut mentions = link_mentions(&tokens, ctx);
+pub fn build_oql(
+    question: &PreparedQuestion,
+    ctx: &SchemaContext,
+    caps: Capabilities,
+) -> Option<OqlBuild> {
+    let tokens = &question.tokens;
+    let mut mentions = question.mentions.clone();
     if mentions.is_empty() {
         return None;
     }
@@ -186,7 +189,7 @@ pub fn build_oql(question: &str, ctx: &SchemaContext, caps: Capabilities) -> Opt
     // set, before weaker families narrow their view: a negated related
     // concept makes the question inherently nested, so families
     // without nesting are out of scope entirely.
-    let negation_over_relation = signals::find_negation_cue(&tokens)
+    let negation_over_relation = signals::find_negation_cue(tokens)
         .map(|idx| {
             mentions
                 .iter()
@@ -220,7 +223,7 @@ pub fn build_oql(question: &str, ctx: &SchemaContext, caps: Capabilities) -> Opt
     let mut score_product: f64 = mentions.iter().map(|m| m.score).product();
 
     // --- Negation → anti-join (nested rung). ---
-    if let Some(neg_idx) = signals::find_negation_cue(&tokens) {
+    if let Some(neg_idx) = signals::find_negation_cue(tokens) {
         if let Some((i, other)) = mentions
             .iter()
             .enumerate()
@@ -239,7 +242,7 @@ pub fn build_oql(question: &str, ctx: &SchemaContext, caps: Capabilities) -> Opt
     }
 
     // --- Comparisons. ---
-    let comparisons = signals::find_comparisons(&tokens);
+    let comparisons = signals::find_comparisons(tokens);
     for comp in &comparisons {
         // Nearest property mention left of the cue, else right of the
         // value; prefer measures.
@@ -300,7 +303,7 @@ pub fn build_oql(question: &str, ctx: &SchemaContext, caps: Capabilities) -> Opt
     }
 
     // --- Against-average (nested rung). ---
-    if let Some(op) = signals::find_vs_average(&tokens) {
+    if let Some(op) = signals::find_vs_average(tokens) {
         if !caps.nested {
             return None;
         }
@@ -329,7 +332,7 @@ pub fn build_oql(question: &str, ctx: &SchemaContext, caps: Capabilities) -> Opt
     let mut signal_covered: Vec<usize> = Vec::new();
 
     // --- Date filter (with direction: "in", "before", "after"). ---
-    if let Some((date, date_at)) = signals::find_date(&tokens) {
+    if let Some((date, date_at)) = signals::find_date(tokens) {
         let temporal = mentions
             .iter()
             .enumerate()
@@ -485,13 +488,13 @@ pub fn build_oql(question: &str, ctx: &SchemaContext, caps: Capabilities) -> Opt
     // --- Aggregation. ---
     // "above/below average" is a nested comparison, not an AVG
     // projection — the against-average handler consumed it.
-    let vs_avg_consumed_avg = signals::find_vs_average(&tokens).is_some();
+    let vs_avg_consumed_avg = signals::find_vs_average(tokens).is_some();
     let agg_cue =
-        signals::find_agg_cue(&tokens).filter(|c| !(vs_avg_consumed_avg && c.func == AggFunc::Avg));
-    let mut group_idx = signals::find_group_cue(&tokens);
+        signals::find_agg_cue(tokens).filter(|c| !(vs_avg_consumed_avg && c.func == AggFunc::Avg));
+    let mut group_idx = signals::find_group_cue(tokens);
     // "top 5 products by price": without an aggregate, the "by X"
     // phrase names the sort key, not a grouping.
-    if signals::find_top_cue(&tokens).is_some() && agg_cue.is_none() {
+    if signals::find_top_cue(tokens).is_some() && agg_cue.is_none() {
         group_idx = None;
     }
     if (agg_cue.is_some() || group_idx.is_some()) && !caps.aggregation {
@@ -555,8 +558,8 @@ pub fn build_oql(question: &str, ctx: &SchemaContext, caps: Capabilities) -> Opt
     }
 
     // --- Ordering / top-N. ---
-    let top_cue = signals::find_top_cue(&tokens);
-    let order_cue = signals::find_order_cue(&tokens);
+    let top_cue = signals::find_top_cue(tokens);
+    let order_cue = signals::find_order_cue(tokens);
     if (top_cue.is_some() || order_cue.is_some()) && !caps.ordering {
         return None;
     }
@@ -634,7 +637,7 @@ pub fn build_oql(question: &str, ctx: &SchemaContext, caps: Capabilities) -> Opt
             }
         }
     }
-    if signals::find_distinct_cue(&tokens) && !oql.select.is_empty() {
+    if signals::find_distinct_cue(tokens) && !oql.select.is_empty() {
         oql.distinct = true;
     }
 
@@ -678,7 +681,7 @@ pub fn build_oql(question: &str, ctx: &SchemaContext, caps: Capabilities) -> Opt
 /// Lower an [`OqlBuild`] to ranked interpretations, generating
 /// alternative readings for ambiguous value mentions.
 fn lower_builds(
-    question: &str,
+    question: &PreparedQuestion,
     build: OqlBuild,
     ctx: &SchemaContext,
     caps: Capabilities,
@@ -691,8 +694,7 @@ fn lower_builds(
         explanation,
     } = build;
     let coverage_factor = 0.35 + 0.65 * coverage;
-    let tokens = tokenize(question);
-    let mut mentions = link_mentions(&tokens, ctx);
+    let mut mentions = question.mentions.clone();
     prefer_focus_values(&mut mentions, &oql.focus, ctx);
     prefer_context_properties(&mut mentions, &oql.focus, ctx);
 
@@ -943,7 +945,7 @@ impl Interpreter for EntityInterpreter {
         InterpreterKind::Entity
     }
 
-    fn interpret(&self, question: &str, ctx: &SchemaContext) -> Vec<Interpretation> {
+    fn interpret(&self, question: &PreparedQuestion, ctx: &SchemaContext) -> Vec<Interpretation> {
         interpret_with(question, ctx, Capabilities::full(), InterpreterKind::Entity)
     }
 }
@@ -1036,8 +1038,8 @@ mod tests {
                 .unwrap();
         }
         let ctx = SchemaContext::build(&db);
-        let set =
-            crate::candidates::gather(&EntityInterpreter::new(), "show visits in Austin", &ctx, 5);
+        let q = PreparedQuestion::new("show visits in Austin", &ctx);
+        let set = crate::candidates::gather(&EntityInterpreter::new(), &q, &ctx, 5);
         assert!(
             set.len() >= 2,
             "both readings expected: {:?}",
@@ -1160,8 +1162,8 @@ mod tests {
     fn no_mentions_no_interpretations() {
         let (_db, ctx) = setup();
         assert!(EntityInterpreter::new()
-            .interpret("quantum flux capacitors", &ctx)
-            .is_empty());
+            .best("quantum flux capacitors", &ctx)
+            .is_none());
     }
 
     #[test]
@@ -1170,7 +1172,7 @@ mod tests {
         // Single-table mask asked a join question: it should produce a
         // single-table (wrong or empty) reading, never a join.
         let out = interpret_with(
-            "total order amount by customer city",
+            &PreparedQuestion::new("total order amount by customer city", &ctx),
             &ctx,
             Capabilities::single_table_patterns(),
             InterpreterKind::Pattern,
@@ -1184,7 +1186,7 @@ mod tests {
     fn capability_mask_blocks_nested() {
         let (_db, ctx) = setup();
         let out = interpret_with(
-            "customers without orders",
+            &PreparedQuestion::new("customers without orders", &ctx),
             &ctx,
             Capabilities::single_table_patterns(),
             InterpreterKind::Pattern,

@@ -70,7 +70,7 @@ impl NliPipeline {
     ) -> Result<Degraded, InterpretError> {
         let mut skipped = Vec::new();
         for &kind in degradation_ladder(failed).iter().skip(1) {
-            match self.ask_with(question, kind) {
+            match self.ask_bounded(question, kind, None) {
                 Ok(answer) => {
                     return Ok(Degraded {
                         answer,

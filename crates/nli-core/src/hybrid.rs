@@ -22,6 +22,7 @@ use nlidb_sqlir::ast::{Expr, Literal, Query, SelectItem};
 
 use crate::entity::EntityInterpreter;
 use crate::interpretation::{rank, Interpretation, Interpreter, InterpreterKind};
+use crate::linking::PreparedQuestion;
 use crate::neural::{NeuralInterpreter, TrainingExample};
 use crate::pipeline::SchemaContext;
 
@@ -203,7 +204,7 @@ impl Interpreter for HybridInterpreter {
         InterpreterKind::Hybrid
     }
 
-    fn interpret(&self, question: &str, ctx: &SchemaContext) -> Vec<Interpretation> {
+    fn interpret(&self, question: &PreparedQuestion, ctx: &SchemaContext) -> Vec<Interpretation> {
         let mut entity = self.entity.interpret(question, ctx);
         let mut neural = self
             .neural
@@ -215,8 +216,7 @@ impl Interpreter for HybridInterpreter {
         // question the tagger finds informative but the entity linker
         // produced nothing for is a paraphrase-gap case → lean neural.
         if let Some(hmm) = &self.hmm {
-            let tokens = tokenize(question);
-            let norms: Vec<&str> = tokens.iter().map(|t| t.norm.as_str()).collect();
+            let norms: Vec<&str> = question.tokens.iter().map(|t| t.norm.as_str()).collect();
             let (path, _) = hmm.viterbi(&norms);
             let informative =
                 path.iter().filter(|&&s| s != TAG_SKIP).count() as f64 / path.len().max(1) as f64;
@@ -343,7 +343,8 @@ mod tests {
         let ctx = ctx();
         let mut h = HybridInterpreter::new();
         h.train(&training(), &ctx, 7);
-        let set = crate::candidates::gather(&h, "products in tools", &ctx, 5);
+        let q = PreparedQuestion::new("products in tools", &ctx);
+        let set = crate::candidates::gather(&h, &q, &ctx, 5);
         assert_eq!(set.family, InterpreterKind::Hybrid);
         assert!(!set.is_empty());
         for (i, c) in set.candidates.iter().enumerate() {
@@ -384,7 +385,7 @@ mod tests {
         assert!(h.has_neural());
         // "how many products" — both families can answer; merged pool
         // must contain the COUNT reading exactly once.
-        let out = h.interpret("how many products", &ctx);
+        let out = h.interpret(&PreparedQuestion::new("how many products", &ctx), &ctx);
         let count_readings: Vec<_> = out
             .iter()
             .filter(|i| i.sql.to_string() == "SELECT COUNT(*) FROM products")
@@ -397,16 +398,9 @@ mod tests {
         let ctx = ctx();
         let mut h = HybridInterpreter::new();
         h.train(&training(), &ctx, 11);
-        let hybrid_conf = h
-            .interpret("products in tools", &ctx)
-            .into_iter()
-            .next()
-            .unwrap()
-            .confidence;
+        let hybrid_conf = h.best("products in tools", &ctx).unwrap().confidence;
         let entity_conf = EntityInterpreter::new()
-            .interpret("products in tools", &ctx)
-            .into_iter()
-            .next()
+            .best("products in tools", &ctx)
             .unwrap()
             .confidence;
         assert!(
@@ -420,7 +414,8 @@ mod tests {
         let ctx = ctx();
         let mut h = HybridInterpreter::new();
         h.train(&training(), &ctx, 11);
-        for i in h.interpret("average price of products", &ctx) {
+        let q = PreparedQuestion::new("average price of products", &ctx);
+        for i in h.interpret(&q, &ctx) {
             assert_eq!(i.source, InterpreterKind::Hybrid);
         }
     }

@@ -2,6 +2,7 @@
 
 use nlidb_sqlir::Query;
 
+use crate::linking::PreparedQuestion;
 use crate::pipeline::SchemaContext;
 
 /// Which family produced an interpretation.
@@ -92,14 +93,17 @@ pub trait Interpreter: Send + Sync {
     /// Family identity.
     fn kind(&self) -> InterpreterKind;
 
-    /// Produce ranked candidate interpretations (best first). An empty
-    /// vector means the question is outside the family's competence —
-    /// exactly the behaviour the survey's capability matrix measures.
-    fn interpret(&self, question: &str, ctx: &SchemaContext) -> Vec<Interpretation>;
+    /// Produce ranked candidate interpretations (best first) of a
+    /// question prepared once against `ctx`. An empty vector means the
+    /// question is outside the family's competence — exactly the
+    /// behaviour the survey's capability matrix measures.
+    fn interpret(&self, question: &PreparedQuestion, ctx: &SchemaContext) -> Vec<Interpretation>;
 
-    /// Convenience: the single best interpretation.
+    /// Convenience: prepare `question` and keep the single best
+    /// interpretation.
     fn best(&self, question: &str, ctx: &SchemaContext) -> Option<Interpretation> {
-        self.interpret(question, ctx).into_iter().next()
+        let prepared = PreparedQuestion::new(question, ctx);
+        self.interpret(&prepared, ctx).into_iter().next()
     }
 }
 

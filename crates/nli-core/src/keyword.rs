@@ -9,6 +9,7 @@
 
 use crate::entity::{interpret_with, Capabilities};
 use crate::interpretation::{Interpretation, Interpreter, InterpreterKind};
+use crate::linking::PreparedQuestion;
 use crate::pipeline::SchemaContext;
 
 /// SODA-class keyword interpreter.
@@ -27,13 +28,8 @@ impl Interpreter for KeywordInterpreter {
         InterpreterKind::Keyword
     }
 
-    fn interpret(&self, question: &str, ctx: &SchemaContext) -> Vec<Interpretation> {
-        interpret_with(
-            question,
-            ctx,
-            Capabilities::selection_only(),
-            InterpreterKind::Keyword,
-        )
+    fn interpret(&self, question: &PreparedQuestion, ctx: &SchemaContext) -> Vec<Interpretation> {
+        interpret_with(question, ctx, Capabilities::of(self.kind()), self.kind())
     }
 }
 
@@ -76,8 +72,8 @@ mod tests {
     #[test]
     fn candidate_sets_carry_provenance_within_the_capability_ceiling() {
         let ctx = ctx();
-        let set =
-            crate::candidates::gather(&KeywordInterpreter::new(), "products in tools", &ctx, 5);
+        let q = PreparedQuestion::new("products in tools", &ctx);
+        let set = crate::candidates::gather(&KeywordInterpreter::new(), &q, &ctx, 5);
         assert_eq!(set.family, InterpreterKind::Keyword);
         assert!(!set.is_empty());
         let top = set.top().unwrap();
@@ -121,8 +117,8 @@ mod tests {
         let ctx = ctx();
         assert!(
             KeywordInterpreter::new()
-                .interpret("total price by category", &ctx)
-                .is_empty(),
+                .best("total price by category", &ctx)
+                .is_none(),
             "keyword systems cannot detect GROUP BY"
         );
     }
@@ -131,8 +127,8 @@ mod tests {
     fn ordering_out_of_scope() {
         let ctx = ctx();
         assert!(KeywordInterpreter::new()
-            .interpret("top 3 products by price", &ctx)
-            .is_empty());
+            .best("top 3 products by price", &ctx)
+            .is_none());
     }
 
     #[test]
@@ -145,7 +141,7 @@ mod tests {
             "show products",
         ];
         for q in questions {
-            for i in KeywordInterpreter::new().interpret(q, &ctx) {
+            for i in KeywordInterpreter::new().interpret(&PreparedQuestion::new(q, &ctx), &ctx) {
                 assert_eq!(
                     classify(&i.sql),
                     ComplexityClass::SingleTableSelection,

@@ -8,7 +8,8 @@
 //! sub-spans longest-first, consulting the metadata index before the
 //! value index, and never re-consumes a token.
 
-use nlidb_nlp::{is_stopword, Token, TokenKind};
+use nlidb_nlp::{is_stopword, tokenize, Token, TokenKind};
+use nlidb_obs::TraceBuilder;
 use nlidb_vindex::MetaKind;
 
 use crate::pipeline::SchemaContext;
@@ -268,12 +269,58 @@ pub fn link_mentions(tokens: &[Token], ctx: &SchemaContext) -> Vec<LinkedMention
     out
 }
 
+/// A question tokenized and linked once — the front half every
+/// family, the candidate gatherer, `suggest` and a dialogue turn read
+/// instead of re-deriving it (Affolter et al.'s shared preprocessing
+/// stage). Families that edit mentions clone them locally.
+#[derive(Debug, Clone)]
+pub struct PreparedQuestion {
+    /// The question as asked.
+    pub text: String,
+    /// Its tokens.
+    pub tokens: Vec<Token>,
+    /// Its linked mentions, by span start.
+    pub mentions: Vec<LinkedMention>,
+}
+
+impl PreparedQuestion {
+    /// Tokenize and link `text` against `ctx`.
+    pub fn new(text: &str, ctx: &SchemaContext) -> PreparedQuestion {
+        Self::traced(text, ctx, None)
+    }
+
+    /// [`PreparedQuestion::new`], wrapping each step in a `tokenize` /
+    /// `link` span of `tb` when one is given.
+    pub(crate) fn traced(
+        text: &str,
+        ctx: &SchemaContext,
+        mut tb: Option<&mut TraceBuilder>,
+    ) -> PreparedQuestion {
+        let span = tb.as_deref_mut().map(|t| t.open("tokenize"));
+        let tokens = tokenize(text);
+        if let (Some(t), Some(s)) = (tb.as_deref_mut(), span) {
+            t.annotate(s, "tokens", tokens.len().to_string());
+            t.close(s);
+        }
+        let span = tb.as_deref_mut().map(|t| t.open("link"));
+        let mentions = link_mentions(&tokens, ctx);
+        if let (Some(t), Some(s)) = (tb, span) {
+            t.annotate(s, "mentions", mentions.len().to_string());
+            t.close(s);
+        }
+        PreparedQuestion {
+            text: text.to_string(),
+            tokens,
+            mentions,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::SchemaContext;
     use nlidb_engine::{ColumnType, Database, TableSchema, Value};
-    use nlidb_nlp::tokenize;
 
     fn ctx() -> (Database, SchemaContext) {
         let mut db = Database::new("shop");

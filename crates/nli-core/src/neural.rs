@@ -36,6 +36,7 @@ use nlidb_nlp::{is_stopword, porter_stem, tokenize, Token, TokenKind};
 use nlidb_sqlir::ast::{AggFunc, BinOp, ColumnRef, Expr, Literal, Query, SelectItem, TableSource};
 
 use crate::interpretation::{Interpretation, Interpreter, InterpreterKind};
+use crate::linking::PreparedQuestion;
 use crate::pipeline::SchemaContext;
 
 /// Question feature dimensionality (hashed bag-of-words).
@@ -81,8 +82,7 @@ fn hash_bow(words: impl Iterator<Item = String>, dim: usize) -> Vec<f64> {
     v
 }
 
-fn question_features(question: &str) -> Vec<f64> {
-    let tokens = tokenize(question);
+fn question_features(tokens: &[Token]) -> Vec<f64> {
     let words = tokens
         .iter()
         .filter(|t| t.kind == TokenKind::Word)
@@ -296,7 +296,7 @@ impl NeuralInterpreter {
         // Assemble training sets.
         let mut qfeats: Vec<Vec<f64>> = Vec::with_capacity(sketches.len());
         for (q, _) in &sketches {
-            qfeats.push(question_features(q));
+            qfeats.push(question_features(&tokenize(q)));
         }
         let agg_labels: Vec<usize> = sketches.iter().map(|(_, s)| s.agg).collect();
         let shape_labels: Vec<usize> = sketches
@@ -447,7 +447,7 @@ impl NearestNeighborBaseline {
         NearestNeighborBaseline {
             memory: examples
                 .iter()
-                .map(|ex| (question_features(&ex.question), ex.sql.clone()))
+                .map(|ex| (question_features(&tokenize(&ex.question)), ex.sql.clone()))
                 .collect(),
         }
     }
@@ -466,7 +466,7 @@ impl NearestNeighborBaseline {
     /// the same hashed features the sketch model uses). Returns the
     /// similarity as the confidence.
     pub fn predict(&self, question: &str) -> Option<(Query, f64)> {
-        let qf = question_features(question);
+        let qf = question_features(&tokenize(question));
         let mut best: Option<(&Query, f64)> = None;
         for (f, sql) in &self.memory {
             let sim: f64 = qf.iter().zip(f).map(|(a, b)| a * b).sum();
@@ -483,7 +483,7 @@ impl Interpreter for NeuralInterpreter {
         InterpreterKind::Neural
     }
 
-    fn interpret(&self, question: &str, ctx: &SchemaContext) -> Vec<Interpretation> {
+    fn interpret(&self, question: &PreparedQuestion, ctx: &SchemaContext) -> Vec<Interpretation> {
         let Some(model) = &self.model else {
             return Vec::new();
         };
@@ -509,8 +509,8 @@ impl Interpreter for NeuralInterpreter {
         if tables.is_empty() {
             return Vec::new();
         }
-        let qf = question_features(question);
-        let tokens = tokenize(question);
+        let tokens = &question.tokens;
+        let qf = question_features(tokens);
 
         // 1. Table.
         let tfeats: Vec<Vec<f64>> = tables
@@ -620,7 +620,7 @@ impl Interpreter for NeuralInterpreter {
             let op = OP_CLASSES[nlidb_ml::matrix::argmax(&op_proba)];
             let is_num = numeric_col(&cols[ci]);
             let Some(value) =
-                ground_value(&tokens, table, &cols[ci], is_num, &mut used_numbers, ctx)
+                ground_value(tokens, table, &cols[ci], is_num, &mut used_numbers, ctx)
             else {
                 continue;
             };
@@ -778,8 +778,8 @@ mod tests {
     fn untrained_interprets_nothing() {
         let ctx = ctx();
         assert!(NeuralInterpreter::untrained()
-            .interpret("how many products", &ctx)
-            .is_empty());
+            .best("how many products", &ctx)
+            .is_none());
         assert!(!NeuralInterpreter::untrained().is_trained());
     }
 
@@ -841,7 +841,8 @@ mod tests {
         // A quoted value with no index hit is copied into the SQL
         // verbatim — the candidate *parses* but can only return an
         // empty answer. The validation layer catches exactly this.
-        let set = crate::candidates::gather(&n, "show products in 'gadgets'", &ctx, 5);
+        let q = PreparedQuestion::new("show products in 'gadgets'", &ctx);
+        let set = crate::candidates::gather(&n, &q, &ctx, 5);
         assert!(!set.is_empty(), "sketch should still fire");
         let top = set.top().unwrap();
         assert!(
@@ -925,7 +926,7 @@ mod tests {
             "products without orders",
             "customers with more than 5 orders",
         ] {
-            for i in n.interpret(q, &ctx) {
+            for i in n.interpret(&PreparedQuestion::new(q, &ctx), &ctx) {
                 assert!(i.sql.joins.is_empty());
                 assert!(!i.sql.has_subquery());
                 assert!(i.sql.group_by.is_empty());

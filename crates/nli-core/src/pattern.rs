@@ -8,6 +8,7 @@
 
 use crate::entity::{interpret_with, Capabilities};
 use crate::interpretation::{Interpretation, Interpreter, InterpreterKind};
+use crate::linking::PreparedQuestion;
 use crate::pipeline::SchemaContext;
 
 /// SQAK-class pattern interpreter.
@@ -26,13 +27,8 @@ impl Interpreter for PatternInterpreter {
         InterpreterKind::Pattern
     }
 
-    fn interpret(&self, question: &str, ctx: &SchemaContext) -> Vec<Interpretation> {
-        interpret_with(
-            question,
-            ctx,
-            Capabilities::single_table_patterns(),
-            InterpreterKind::Pattern,
-        )
+    fn interpret(&self, question: &PreparedQuestion, ctx: &SchemaContext) -> Vec<Interpretation> {
+        interpret_with(question, ctx, Capabilities::of(self.kind()), self.kind())
     }
 }
 
@@ -73,12 +69,8 @@ mod tests {
     #[test]
     fn candidate_sets_ground_aggregation_columns() {
         let ctx = ctx();
-        let set = crate::candidates::gather(
-            &PatternInterpreter::new(),
-            "total revenue by region",
-            &ctx,
-            5,
-        );
+        let q = PreparedQuestion::new("total revenue by region", &ctx);
+        let set = crate::candidates::gather(&PatternInterpreter::new(), &q, &ctx, 5);
         assert_eq!(set.family, InterpreterKind::Pattern);
         let top = set.top().unwrap();
         assert_eq!(top.rank, 0);
@@ -156,7 +148,8 @@ mod tests {
     #[test]
     fn joins_out_of_scope() {
         let ctx = ctx();
-        for i in PatternInterpreter::new().interpret("revenue of sales with stores", &ctx) {
+        let q = PreparedQuestion::new("revenue of sales with stores", &ctx);
+        for i in PatternInterpreter::new().interpret(&q, &ctx) {
             assert!(i.sql.joins.is_empty());
             assert!(!i.sql.has_subquery());
         }
@@ -166,8 +159,8 @@ mod tests {
     fn nested_out_of_scope() {
         let ctx = ctx();
         assert!(PatternInterpreter::new()
-            .interpret("sales without stores", &ctx)
-            .is_empty());
+            .best("sales without stores", &ctx)
+            .is_none());
     }
 
     #[test]
@@ -180,7 +173,7 @@ mod tests {
             "count of sales",
         ];
         for q in qs {
-            for i in PatternInterpreter::new().interpret(q, &ctx) {
+            for i in PatternInterpreter::new().interpret(&PreparedQuestion::new(q, &ctx), &ctx) {
                 assert!(
                     classify(&i.sql) <= ComplexityClass::SingleTableAggregation,
                     "{q} produced {}",

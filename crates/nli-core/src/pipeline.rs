@@ -13,6 +13,7 @@ use crate::error::InterpretError;
 use crate::hybrid::HybridInterpreter;
 use crate::interpretation::{Interpretation, Interpreter, InterpreterKind};
 use crate::keyword::KeywordInterpreter;
+use crate::linking::PreparedQuestion;
 use crate::neural::{NeuralInterpreter, TrainingExample};
 use crate::pattern::PatternInterpreter;
 
@@ -90,6 +91,20 @@ impl RejectedCandidate {
         self.reasons
             .iter()
             .any(|r| !matches!(r, crate::validate::Rejection::AmbiguousWithTop { .. }))
+    }
+
+    /// Its rejection labels joined by `+`, in validation order.
+    pub fn labels(&self) -> String {
+        let labels: Vec<&str> = self.reasons.iter().map(|r| r.label()).collect();
+        labels.join("+")
+    }
+}
+
+/// `#rank label+label` — the one rendering refusal reasons and audit
+/// records share.
+impl std::fmt::Display for RejectedCandidate {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "#{} {}", self.rank, self.labels())
     }
 }
 
@@ -191,99 +206,182 @@ impl NliPipeline {
         }
     }
 
+    /// All candidate interpretations from one family (for clarification
+    /// flows and experiments).
+    pub fn candidates(&self, question: &str, kind: InterpreterKind) -> Vec<Interpretation> {
+        let prepared = PreparedQuestion::new(question, &self.ctx);
+        self.interpreter(kind).interpret(&prepared, &self.ctx)
+    }
+
     /// Ask with the default (hybrid) interpreter and execute.
     pub fn ask(&self, question: &str) -> Result<Answer, InterpretError> {
-        self.ask_with(question, InterpreterKind::Hybrid)
+        self.ask_bounded(question, InterpreterKind::Hybrid, None)
     }
 
-    /// Ask with a specific family and execute the best interpretation.
-    pub fn ask_with(
-        &self,
-        question: &str,
-        kind: InterpreterKind,
-    ) -> Result<Answer, InterpretError> {
-        self.ask_inner(question, kind, None, None)
-    }
-
-    /// [`NliPipeline::ask_with`], recording per-stage spans into `tb`:
-    /// `tokenize` → `link` → `interpret` → `sqlgen` → `execute`, under
-    /// one `pipeline` span annotated with the family and the outcome.
-    /// The traced path returns exactly what the untraced path returns —
-    /// tracing observes the pipeline, it never steers it.
-    pub fn ask_with_trace(
-        &self,
-        question: &str,
-        kind: InterpreterKind,
-        tb: &mut TraceBuilder,
-    ) -> Result<Answer, InterpretError> {
-        self.ask_inner(question, kind, Some(tb), None)
-    }
-
-    /// [`NliPipeline::ask_with`] under a logical-cost ceiling: when
-    /// the winning plan's estimated cost exceeds `cost_ceiling`, the
-    /// query is refused with [`InterpretError::CostExceeded`] *before*
-    /// execution — the per-tenant admission hook the serving runtime
-    /// enforces.
+    /// Ask a specific family and execute its best interpretation. When
+    /// the plan's estimated cost exceeds `cost_ceiling`, the query is
+    /// refused with [`InterpretError::CostExceeded`] *before* execution
+    /// — the per-tenant admission hook the serving runtime enforces.
     pub fn ask_bounded(
         &self,
         question: &str,
         kind: InterpreterKind,
         cost_ceiling: Option<u64>,
     ) -> Result<Answer, InterpretError> {
-        self.ask_inner(question, kind, None, cost_ceiling)
+        self.ask_classic(question, kind, cost_ceiling, None)
     }
 
-    /// [`NliPipeline::ask_bounded`], recording per-stage spans into
-    /// `tb` like [`NliPipeline::ask_with_trace`].
-    pub fn ask_with_trace_bounded(
+    /// The classic pick-first ask: [`NliPipeline::ask_bounded`],
+    /// recording per-stage spans into `tb` when one is given:
+    /// `tokenize` → `link` → `interpret` → `sqlgen` → `execute`, under
+    /// one `pipeline` span annotated with the family and the outcome.
+    /// The traced path returns exactly what the untraced path returns —
+    /// tracing observes the pipeline, it never steers it.
+    pub fn ask_classic(
         &self,
         question: &str,
         kind: InterpreterKind,
-        tb: &mut TraceBuilder,
         cost_ceiling: Option<u64>,
+        tb: Option<&mut TraceBuilder>,
     ) -> Result<Answer, InterpretError> {
-        self.ask_inner(question, kind, Some(tb), cost_ceiling)
+        self.ask_body(question, kind, cost_ceiling, tb, false)
+            .map(|(answer, _)| answer)
     }
 
-    /// The one interpretation-and-execution path; `ask_with` passes no
-    /// tracer, `ask_with_trace` passes one. The tokenize and link
-    /// stages re-run the interpreter's own front half purely to
-    /// measure it (interpreters tokenize internally), so they exist
-    /// only on the traced path — the untraced path does zero extra
-    /// work.
-    fn ask_inner(
+    /// Ask with guardrails (Ask → Plan → Approve): gather the family's
+    /// candidate set, rerank by confidence then provenance coverage,
+    /// validate each candidate *before* execution, and execute the
+    /// first survivor. The cost ceiling is one validation check among
+    /// the others ([`crate::validate::validate_candidate`]), so a
+    /// too-expensive top candidate can lose to a cheaper lower-ranked
+    /// one instead of refusing outright. Refusal semantics are
+    /// preserved: when *no* candidate survives and the best-reranked
+    /// candidate was vetoed on cost, the error is
+    /// [`InterpretError::CostExceeded`] exactly as the classic path
+    /// would have raised; otherwise
+    /// [`InterpretError::AllCandidatesRejected`] lists every reason.
+    /// Traced like [`NliPipeline::ask_classic`], plus candidate-level
+    /// attributes (`candidates`, `rejected`, `chosen_rank`, rejection
+    /// labels) on the pipeline span.
+    pub fn ask_approved(
         &self,
         question: &str,
         kind: InterpreterKind,
+        cost_ceiling: Option<u64>,
+        tb: Option<&mut TraceBuilder>,
+    ) -> Result<ApprovedAnswer, InterpretError> {
+        let (answer, report) = self.ask_body(question, kind, cost_ceiling, tb, true)?;
+        let report = report.expect("the approved mode always reports");
+        Ok(ApprovedAnswer { answer, report })
+    }
+
+    /// The one ask body: open the `pipeline` span, prepare the question
+    /// once (inside the `tokenize` and `link` spans when traced),
+    /// choose a reading — pick-first, or Ask → Plan → Approve when
+    /// `approved` — then explain, gate on cost, execute, and seal the
+    /// span with the outcome. The report is `Some` exactly when
+    /// `approved`.
+    fn ask_body(
+        &self,
+        question: &str,
+        kind: InterpreterKind,
+        cost_ceiling: Option<u64>,
         mut tb: Option<&mut TraceBuilder>,
-        cost_ceiling: Option<u64>,
-    ) -> Result<Answer, InterpretError> {
-        let pipeline_span = tb.as_deref_mut().map(|t| {
+        approved: bool,
+    ) -> Result<(Answer, Option<ValidationReport>), InterpretError> {
+        let span = tb.as_deref_mut().map(|t| {
             let s = t.open("pipeline");
             t.annotate(s, "family", kind.label());
-            // Stage spans the interpreters perform internally,
-            // re-run here so the trace shows where linking evidence
-            // came from (Affolter-style stage attribution).
-            let tok = t.open("tokenize");
-            let tokens = nlidb_nlp::tokenize(question);
-            t.annotate(tok, "tokens", tokens.len().to_string());
-            t.close(tok);
-            let link = t.open("link");
-            let mentions = crate::linking::link_mentions(&tokens, &self.ctx);
-            t.annotate(link, "mentions", mentions.len().to_string());
-            t.close(link);
+            if approved {
+                t.annotate(s, "mode", "approved");
+            }
             s
         });
-        let seal = |tb: Option<&mut TraceBuilder>, outcome: &str| {
-            if let (Some(t), Some(s)) = (tb, pipeline_span) {
-                t.annotate(s, "outcome", outcome);
+        let mut run = || {
+            let prepared = PreparedQuestion::traced(question, &self.ctx, tb.as_deref_mut());
+            let (interp, report) = if approved {
+                let (interp, report) =
+                    self.approve(&prepared, kind, cost_ceiling, tb.as_deref_mut())?;
+                (interp, Some(report))
+            } else {
+                (self.pick_first(&prepared, kind, tb.as_deref_mut())?, None)
+            };
+
+            let sql = interp.sql.to_string();
+            if let Some(t) = tb.as_deref_mut() {
+                let s = t.open("sqlgen");
+                t.annotate(s, "sql", sql.as_str());
+                t.close(s);
+                if let (Some(ps), Some(r)) = (span, &report) {
+                    t.annotate(ps, "candidates", r.candidate_count.to_string());
+                    t.annotate(ps, "rejected", r.vetoed_count().to_string());
+                    t.annotate(ps, "chosen_rank", r.chosen_rank.to_string());
+                    for c in &r.rejected {
+                        t.annotate(ps, &format!("reject_{}", c.rank), c.labels());
+                    }
+                }
+            }
+
+            // Pre-execution plan estimate: recorded on the execute span
+            // (annotations never change span costs) and gated by the
+            // validation layer's single cost-ceiling enforcement point
+            // (an approved winner has already passed it).
+            let plan = explain(&self.db, &interp.sql);
+            crate::validate::cost_gate(&plan, cost_ceiling)?;
+            let exec_span = tb.as_deref_mut().map(|t| {
+                let s = t.open("execute");
+                t.annotate(s, "plan_shape", plan.shape.as_str());
+                t.annotate(s, "est_cost", plan.est_cost.to_string());
+                t.annotate(s, "est_rows", plan.est_rows.to_string());
+                s
+            });
+            let result = execute(&self.db, &interp.sql);
+            if let (Some(t), Some(s)) = (tb.as_deref_mut(), exec_span) {
+                match &result {
+                    Ok(r) => t.annotate(s, "rows", r.rows.len().to_string()),
+                    Err(e) => t.annotate(s, "error", e.to_string()),
+                }
                 t.close(s);
             }
+            let result = result.map_err(|e| InterpretError::Execution(e.to_string()))?;
+            let answer = Answer {
+                sql,
+                query: interp.sql.clone(),
+                result,
+                interpretation: interp,
+                explain: plan,
+            };
+            Ok((answer, report))
         };
+        let asked = run();
+        if let (Some(t), Some(s)) = (tb, span) {
+            let outcome = match &asked {
+                Ok(_) => "answered",
+                Err(InterpretError::NoInterpretation(_)) => "no_interpretation",
+                Err(InterpretError::CostExceeded { .. }) => "cost_exceeded",
+                Err(InterpretError::AllCandidatesRejected { .. }) => "all_candidates_rejected",
+                Err(_) => "execution_error",
+            };
+            t.annotate(s, "outcome", outcome);
+            t.close(s);
+        }
+        asked
+    }
 
-        let interp_span = tb.as_deref_mut().map(|t| t.open("interpret"));
-        let interp = self.interpreter(kind).best(question, &self.ctx);
-        if let (Some(t), Some(s)) = (tb.as_deref_mut(), interp_span) {
+    /// The classic choice: the family's best interpretation.
+    fn pick_first(
+        &self,
+        question: &PreparedQuestion,
+        kind: InterpreterKind,
+        mut tb: Option<&mut TraceBuilder>,
+    ) -> Result<Interpretation, InterpretError> {
+        let span = tb.as_deref_mut().map(|t| t.open("interpret"));
+        let interp = self
+            .interpreter(kind)
+            .interpret(question, &self.ctx)
+            .into_iter()
+            .next();
+        if let (Some(t), Some(s)) = (tb, span) {
             match &interp {
                 Some(i) => {
                     t.annotate(s, "confidence", format!("{:.3}", i.confidence));
@@ -293,169 +391,28 @@ impl NliPipeline {
             }
             t.close(s);
         }
-        let Some(interp) = interp else {
-            seal(tb, "no_interpretation");
-            return Err(InterpretError::NoInterpretation(question.to_string()));
-        };
-
-        let sql_text = interp.sql.to_string();
-        if let Some(t) = tb.as_deref_mut() {
-            let s = t.open("sqlgen");
-            t.annotate(s, "sql", sql_text.as_str());
-            t.close(s);
-        }
-
-        // Pre-execution plan estimate: recorded on the execute span
-        // (annotations never change span costs) and gated by the
-        // validation layer's single cost-ceiling enforcement point.
-        let plan = explain(&self.db, &interp.sql);
-        if let Err(e) = crate::validate::cost_gate(&plan, cost_ceiling) {
-            seal(tb, "cost_exceeded");
-            return Err(e);
-        }
-
-        let exec_span = tb.as_deref_mut().map(|t| {
-            let s = t.open("execute");
-            t.annotate(s, "plan_shape", plan.shape.as_str());
-            t.annotate(s, "est_cost", plan.est_cost.to_string());
-            t.annotate(s, "est_rows", plan.est_rows.to_string());
-            s
-        });
-        let result = execute(&self.db, &interp.sql);
-        if let (Some(t), Some(s)) = (tb.as_deref_mut(), exec_span) {
-            match &result {
-                Ok(r) => t.annotate(s, "rows", r.rows.len().to_string()),
-                Err(e) => t.annotate(s, "error", e.to_string()),
-            }
-            t.close(s);
-        }
-        match result {
-            Ok(result) => {
-                seal(tb, "answered");
-                Ok(Answer {
-                    sql: sql_text,
-                    query: interp.sql.clone(),
-                    result,
-                    interpretation: interp,
-                    explain: plan,
-                })
-            }
-            Err(e) => {
-                seal(tb, "execution_error");
-                Err(InterpretError::Execution(e.to_string()))
-            }
-        }
+        interp.ok_or_else(|| InterpretError::NoInterpretation(question.text.clone()))
     }
 
-    /// All candidate interpretations from one family (for clarification
-    /// flows and experiments).
-    pub fn candidates(&self, question: &str, kind: InterpreterKind) -> Vec<Interpretation> {
-        self.interpreter(kind).interpret(question, &self.ctx)
-    }
-
-    /// A family's ranked top-`k` [`crate::candidates::CandidateSet`]
-    /// with token-level provenance — the "Ask" step of
-    /// Ask → Plan → Approve.
-    pub fn candidate_set(
+    /// The Ask → Plan → Approve choice: gather the whole candidate set
+    /// in the interpret stage, then validate in rerank order and keep
+    /// the first survivor. Everything is deterministic: rerank ties
+    /// break on provenance coverage then rendered SQL.
+    fn approve(
         &self,
-        question: &str,
-        kind: InterpreterKind,
-        k: usize,
-    ) -> crate::candidates::CandidateSet {
-        crate::candidates::gather(self.interpreter(kind), question, &self.ctx, k)
-    }
-
-    /// Ask with guardrails: gather the family's candidate set, rerank
-    /// by confidence then provenance coverage, validate each candidate
-    /// *before* execution, and execute the first survivor. See
-    /// [`NliPipeline::ask_approved_bounded`] for the full contract.
-    pub fn ask_approved(
-        &self,
-        question: &str,
-        kind: InterpreterKind,
-    ) -> Result<ApprovedAnswer, InterpretError> {
-        self.ask_approved_inner(question, kind, None, None)
-    }
-
-    /// [`NliPipeline::ask_approved`] under a logical-cost ceiling: the
-    /// ceiling is one validation check among the others
-    /// ([`crate::validate::validate_candidate`]), so a too-expensive
-    /// top candidate can lose to a cheaper lower-ranked one instead of
-    /// refusing outright. Refusal semantics are preserved: when *no*
-    /// candidate survives and the best-reranked candidate was vetoed
-    /// on cost, the error is [`InterpretError::CostExceeded`] exactly
-    /// as the plain bounded path would have raised; otherwise
-    /// [`InterpretError::AllCandidatesRejected`] lists every reason.
-    pub fn ask_approved_bounded(
-        &self,
-        question: &str,
+        question: &PreparedQuestion,
         kind: InterpreterKind,
         cost_ceiling: Option<u64>,
-    ) -> Result<ApprovedAnswer, InterpretError> {
-        self.ask_approved_inner(question, kind, None, cost_ceiling)
-    }
-
-    /// [`NliPipeline::ask_approved`], recording per-stage spans like
-    /// [`NliPipeline::ask_with_trace`] plus candidate-level attributes
-    /// (`candidates`, `rejected`, `chosen_rank`, rejection labels) on
-    /// the pipeline span.
-    pub fn ask_approved_with_trace(
-        &self,
-        question: &str,
-        kind: InterpreterKind,
-        tb: &mut TraceBuilder,
-    ) -> Result<ApprovedAnswer, InterpretError> {
-        self.ask_approved_inner(question, kind, Some(tb), None)
-    }
-
-    /// [`NliPipeline::ask_approved_bounded`] with tracing.
-    pub fn ask_approved_with_trace_bounded(
-        &self,
-        question: &str,
-        kind: InterpreterKind,
-        tb: &mut TraceBuilder,
-        cost_ceiling: Option<u64>,
-    ) -> Result<ApprovedAnswer, InterpretError> {
-        self.ask_approved_inner(question, kind, Some(tb), cost_ceiling)
-    }
-
-    /// The Ask → Plan → Approve path. Stages mirror [`Self::ask_inner`]
-    /// (`pipeline` > `tokenize`/`link`/`interpret`/`sqlgen`/`execute`)
-    /// so traces stay comparable; the interpret stage gathers the whole
-    /// candidate set, and a validation loop sits between sqlgen and
-    /// execute. Everything is deterministic: rerank ties break on
-    /// provenance coverage then rendered SQL.
-    fn ask_approved_inner(
-        &self,
-        question: &str,
-        kind: InterpreterKind,
         mut tb: Option<&mut TraceBuilder>,
-        cost_ceiling: Option<u64>,
-    ) -> Result<ApprovedAnswer, InterpretError> {
-        let pipeline_span = tb.as_deref_mut().map(|t| {
-            let s = t.open("pipeline");
-            t.annotate(s, "family", kind.label());
-            t.annotate(s, "mode", "approved");
-            let tok = t.open("tokenize");
-            let tokens = nlidb_nlp::tokenize(question);
-            t.annotate(tok, "tokens", tokens.len().to_string());
-            t.close(tok);
-            let link = t.open("link");
-            let mentions = crate::linking::link_mentions(&tokens, &self.ctx);
-            t.annotate(link, "mentions", mentions.len().to_string());
-            t.close(link);
-            s
-        });
-        let seal = |tb: Option<&mut TraceBuilder>, outcome: &str| {
-            if let (Some(t), Some(s)) = (tb, pipeline_span) {
-                t.annotate(s, "outcome", outcome);
-                t.close(s);
-            }
-        };
-
-        let interp_span = tb.as_deref_mut().map(|t| t.open("interpret"));
-        let set = self.candidate_set(question, kind, crate::candidates::DEFAULT_TOP_K);
-        if let (Some(t), Some(s)) = (tb.as_deref_mut(), interp_span) {
+    ) -> Result<(Interpretation, ValidationReport), InterpretError> {
+        let span = tb.as_deref_mut().map(|t| t.open("interpret"));
+        let set = crate::candidates::gather(
+            self.interpreter(kind),
+            question,
+            &self.ctx,
+            crate::candidates::DEFAULT_TOP_K,
+        );
+        if let (Some(t), Some(s)) = (tb, span) {
             if set.is_empty() {
                 t.annotate(s, "result", "no_interpretation");
             } else {
@@ -469,8 +426,7 @@ impl NliPipeline {
             t.close(s);
         }
         if set.is_empty() {
-            seal(tb, "no_interpretation");
-            return Err(InterpretError::NoInterpretation(question.to_string()));
+            return Err(InterpretError::NoInterpretation(question.text.clone()));
         }
 
         // Rerank: confidence first (the pool is already in that
@@ -555,21 +511,12 @@ impl NliPipeline {
                     })
                 });
             if let Some((estimated, ceiling)) = first_cost {
-                seal(tb, "cost_exceeded");
                 return Err(InterpretError::CostExceeded { estimated, ceiling });
             }
-            let reasons = rejected
-                .iter()
-                .map(|r| {
-                    let labels: Vec<&str> = r.reasons.iter().map(|x| x.label()).collect();
-                    format!("#{} {}", r.rank, labels.join("+"))
-                })
-                .collect::<Vec<_>>()
-                .join("; ");
-            seal(tb, "all_candidates_rejected");
+            let reasons: Vec<String> = rejected.iter().map(ToString::to_string).collect();
             return Err(InterpretError::AllCandidatesRejected {
                 count: set.len(),
-                reasons,
+                reasons: reasons.join("; "),
             });
         };
 
@@ -581,59 +528,7 @@ impl NliPipeline {
             rejected,
             provenance_digest: chosen.provenance_digest(),
         };
-
-        let sql_text = sqls[winner].clone();
-        if let Some(t) = tb.as_deref_mut() {
-            let s = t.open("sqlgen");
-            t.annotate(s, "sql", sql_text.as_str());
-            t.close(s);
-            if let Some(ps) = pipeline_span {
-                t.annotate(ps, "candidates", report.candidate_count.to_string());
-                t.annotate(ps, "rejected", report.vetoed_count().to_string());
-                t.annotate(ps, "chosen_rank", report.chosen_rank.to_string());
-                for r in &report.rejected {
-                    let labels: Vec<&str> = r.reasons.iter().map(|x| x.label()).collect();
-                    let key = format!("reject_{}", r.rank);
-                    t.annotate(ps, key.as_str(), labels.join("+"));
-                }
-            }
-        }
-
-        let plan = explain(&self.db, &chosen.interpretation.sql);
-        let exec_span = tb.as_deref_mut().map(|t| {
-            let s = t.open("execute");
-            t.annotate(s, "plan_shape", plan.shape.as_str());
-            t.annotate(s, "est_cost", plan.est_cost.to_string());
-            t.annotate(s, "est_rows", plan.est_rows.to_string());
-            s
-        });
-        let result = execute(&self.db, &chosen.interpretation.sql);
-        if let (Some(t), Some(s)) = (tb.as_deref_mut(), exec_span) {
-            match &result {
-                Ok(r) => t.annotate(s, "rows", r.rows.len().to_string()),
-                Err(e) => t.annotate(s, "error", e.to_string()),
-            }
-            t.close(s);
-        }
-        match result {
-            Ok(result) => {
-                seal(tb, "answered");
-                Ok(ApprovedAnswer {
-                    answer: Answer {
-                        sql: sql_text,
-                        query: chosen.interpretation.sql.clone(),
-                        result,
-                        interpretation: chosen.interpretation.clone(),
-                        explain: plan,
-                    },
-                    report,
-                })
-            }
-            Err(e) => {
-                seal(tb, "execution_error");
-                Err(InterpretError::Execution(e.to_string()))
-            }
-        }
+        Ok((chosen.interpretation.clone(), report))
     }
 
     /// "Did you mean" suggestions for an unanswerable question: for
@@ -642,11 +537,10 @@ impl NliPipeline {
     /// survey's enterprise-adaption challenge asks for — silence with
     /// guidance beats a wrong answer.
     pub fn suggest(&self, question: &str) -> Vec<(String, Vec<String>)> {
-        use nlidb_nlp::{is_stopword, mention_score, tokenize, TokenKind};
-        let tokens = tokenize(question);
-        let linked = crate::linking::link_mentions(&tokens, &self.ctx);
-        let mut covered = vec![false; tokens.len()];
-        for m in &linked {
+        use nlidb_nlp::{is_stopword, mention_score, TokenKind};
+        let q = PreparedQuestion::new(question, &self.ctx);
+        let mut covered = vec![false; q.tokens.len()];
+        for m in &q.mentions {
             for c in covered.iter_mut().skip(m.start).take(m.len) {
                 *c = true;
             }
@@ -667,7 +561,7 @@ impl NliPipeline {
                 .map(|p| p.label.as_str()),
         );
         let mut out = Vec::new();
-        for (i, t) in tokens.iter().enumerate() {
+        for (i, t) in q.tokens.iter().enumerate() {
             if covered[i]
                 || t.kind != TokenKind::Word
                 || is_stopword(&t.norm)
@@ -766,18 +660,18 @@ mod tests {
     }
 
     #[test]
-    fn ask_with_specific_families() {
+    fn ask_bounded_serves_specific_families() {
         let db = db();
         let nli = NliPipeline::standard(&db);
         let a = nli
-            .ask_with("show products in tools", InterpreterKind::Keyword)
+            .ask_bounded("show products in tools", InterpreterKind::Keyword, None)
             .unwrap();
         assert_eq!(a.sql, "SELECT * FROM products WHERE category = 'tools'");
         assert!(nli
-            .ask_with("total price by category", InterpreterKind::Keyword)
+            .ask_bounded("total price by category", InterpreterKind::Keyword, None)
             .is_err());
         assert!(nli
-            .ask_with("total price by category", InterpreterKind::Pattern)
+            .ask_bounded("total price by category", InterpreterKind::Pattern, None)
             .is_ok());
     }
 
@@ -797,10 +691,15 @@ mod tests {
         let db = db();
         let nli = NliPipeline::standard(&db);
         let plain = nli
-            .ask_with("show products in tools", InterpreterKind::Entity)
+            .ask_bounded("show products in tools", InterpreterKind::Entity, None)
             .unwrap();
         let approved = nli
-            .ask_approved("show products in tools", InterpreterKind::Entity)
+            .ask_approved(
+                "show products in tools",
+                InterpreterKind::Entity,
+                None,
+                None,
+            )
             .unwrap();
         assert_eq!(approved.answer.sql, plain.sql);
         assert_eq!(approved.answer.result, plain.result);
@@ -885,7 +784,7 @@ mod tests {
             Err(InterpretError::CostExceeded { .. })
         ));
         let approved = nli
-            .ask_approved_bounded(q, InterpreterKind::Entity, Some(admissible))
+            .ask_approved(q, InterpreterKind::Entity, Some(admissible), None)
             .unwrap();
         assert!(approved.report.chosen_rank > 0, "a lower candidate won");
         assert!(approved.report.vetoed_count() >= 1);
@@ -901,7 +800,12 @@ mod tests {
         let db = db();
         let nli = NliPipeline::standard(&db);
         let err = nli
-            .ask_approved_bounded("show products in tools", InterpreterKind::Entity, Some(0))
+            .ask_approved(
+                "show products in tools",
+                InterpreterKind::Entity,
+                Some(0),
+                None,
+            )
             .unwrap_err();
         let InterpretError::CostExceeded { estimated, ceiling } = err else {
             panic!("expected CostExceeded, got {err:?}");
@@ -923,7 +827,9 @@ mod tests {
         let q = "show products in tools";
         let pool = nli.candidates(q, InterpreterKind::Entity);
         let close = crate::clarify::close_competitors(&pool, CLARIFY_MARGIN);
-        let approved = nli.ask_approved(q, InterpreterKind::Entity).unwrap();
+        let approved = nli
+            .ask_approved(q, InterpreterKind::Entity, None, None)
+            .unwrap();
         if crate::clarify::needs_clarification(&pool, CLARIFY_MARGIN) {
             for i in close {
                 if i == approved.report.chosen_rank {
@@ -954,10 +860,20 @@ mod tests {
         let clock = Arc::new(ManualClock::new());
         let mut tb = TraceBuilder::new(0, clock.clone() as Arc<dyn Clock>);
         let traced = nli
-            .ask_approved_with_trace("show products in tools", InterpreterKind::Entity, &mut tb)
+            .ask_approved(
+                "show products in tools",
+                InterpreterKind::Entity,
+                None,
+                Some(&mut tb),
+            )
             .unwrap();
         let plain = nli
-            .ask_approved("show products in tools", InterpreterKind::Entity)
+            .ask_approved(
+                "show products in tools",
+                InterpreterKind::Entity,
+                None,
+                None,
+            )
             .unwrap();
         assert_eq!(traced.answer.sql, plain.answer.sql);
         assert_eq!(
@@ -1006,10 +922,15 @@ mod tests {
         let clock = Arc::new(ManualClock::new());
         let mut tb = TraceBuilder::new(0, clock.clone() as Arc<dyn Clock>);
         let traced = nli
-            .ask_with_trace("show products in tools", InterpreterKind::Entity, &mut tb)
+            .ask_classic(
+                "show products in tools",
+                InterpreterKind::Entity,
+                None,
+                Some(&mut tb),
+            )
             .unwrap();
         let plain = nli
-            .ask_with("show products in tools", InterpreterKind::Entity)
+            .ask_bounded("show products in tools", InterpreterKind::Entity, None)
             .unwrap();
         assert_eq!(traced.sql, plain.sql, "tracing never steers the pipeline");
         assert_eq!(traced.result, plain.result);
@@ -1035,7 +956,12 @@ mod tests {
         // A refusal is traced too, with the failing stage attributed.
         let mut tb = TraceBuilder::new(1, clock as Arc<dyn Clock>);
         assert!(nli
-            .ask_with_trace("colorless green ideas", InterpreterKind::Entity, &mut tb)
+            .ask_classic(
+                "colorless green ideas",
+                InterpreterKind::Entity,
+                None,
+                Some(&mut tb)
+            )
             .is_err());
         let t = tb.finish();
         assert_eq!(t.root().unwrap().attr("outcome"), Some("no_interpretation"));
@@ -1053,11 +979,11 @@ mod tests {
         // A generous ceiling admits; the execute span carries the plan.
         let mut tb = TraceBuilder::new(0, clock.clone() as Arc<dyn Clock>);
         let a = nli
-            .ask_with_trace_bounded(
+            .ask_classic(
                 "show products in tools",
                 InterpreterKind::Entity,
-                &mut tb,
                 Some(u64::MAX),
+                Some(&mut tb),
             )
             .unwrap();
         assert_eq!(a.explain.shape, a.query.shape());
@@ -1072,11 +998,11 @@ mod tests {
         // Ceiling zero refuses every plan, before the execute span.
         let mut tb = TraceBuilder::new(1, clock as Arc<dyn Clock>);
         let err = nli
-            .ask_with_trace_bounded(
+            .ask_classic(
                 "show products in tools",
                 InterpreterKind::Entity,
-                &mut tb,
                 Some(0),
+                Some(&mut tb),
             )
             .unwrap_err();
         assert!(matches!(err, InterpretError::CostExceeded { .. }));

@@ -118,7 +118,7 @@ pub struct ServerConfig {
     /// DESIGN.md soak & overload model for why that is deliberate).
     pub overload: Option<OverloadPolicy>,
     /// Answer standalone questions through the Ask → Plan → Approve
-    /// path ([`NliPipeline::ask_approved_bounded`]): gather the
+    /// path ([`NliPipeline::ask_approved`]): gather the
     /// family's candidate set, validate each candidate before
     /// execution, execute the first survivor, and journal the approved
     /// plan with its provenance digest as an audit record (see
@@ -1382,15 +1382,11 @@ fn interpret_single(
             seal(&mut tracer, "fault", "fatal");
             continue;
         }
+        let tb = tracer.as_deref_mut();
         let asked = match audit {
-            Some(journal) => {
-                let approved = match tracer.as_deref_mut() {
-                    Some(tb) => {
-                        pipeline.ask_approved_with_trace_bounded(question, kind, tb, cost_ceiling)
-                    }
-                    None => pipeline.ask_approved_bounded(question, kind, cost_ceiling),
-                };
-                approved.map(|a| {
+            Some(journal) => pipeline
+                .ask_approved(question, kind, cost_ceiling, tb)
+                .map(|a| {
                     metrics.add(|m| &m.candidates_rejected, a.report.vetoed_count() as u64);
                     // Write-ahead: the audit record is visible before
                     // the completion, like every journal commit.
@@ -1400,16 +1396,12 @@ fn interpret_single(
                         sql: a.answer.sql.clone(),
                         candidate_count: a.report.candidate_count,
                         chosen_rank: a.report.chosen_rank,
-                        rejections: a.report.rejected.iter().map(render_rejection).collect(),
+                        rejections: a.report.rejected.iter().map(ToString::to_string).collect(),
                         provenance_digest: a.report.provenance_digest,
                     });
                     a.answer
-                })
-            }
-            None => match tracer.as_deref_mut() {
-                Some(tb) => pipeline.ask_with_trace_bounded(question, kind, tb, cost_ceiling),
-                None => pipeline.ask_bounded(question, kind, cost_ceiling),
-            },
+                }),
+            None => pipeline.ask_classic(question, kind, cost_ceiling, tb),
         };
         match asked {
             Ok(answer) => {
@@ -1474,14 +1466,6 @@ fn interpret_single(
         None => "no interpreter family available (all rungs faulted or circuit-broken)".to_string(),
     };
     (Disposition::Refused { reason }, None)
-}
-
-/// Render one losing candidate for the audit trail: `#rank` plus its
-/// rejection labels joined by `+`, matching the
-/// [`nlidb_core::InterpretError::AllCandidatesRejected`] reason form.
-fn render_rejection(r: &nlidb_core::pipeline::RejectedCandidate) -> String {
-    let labels: Vec<&str> = r.reasons.iter().map(|x| x.label()).collect();
-    format!("#{} {}", r.rank, labels.join("+"))
 }
 
 /// Map a rung's terminal annotation to its `outcome` value, so every

@@ -29,14 +29,14 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
-echo "== experiment smoke (E12–E19, E21 @ seed 42 vs EXPERIMENTS.md) =="
-cargo run --release --offline -q -p nlidb-bench --bin experiments -- \
-  --exp e12 --seed 42 > target/serve-smoke.txt
-for exp in e13 e14 e15 e16 e17 e18 e19 e21; do
+# E7 is hand-kept (the drift check skips it) and E20 has its own step.
+echo "== experiment smoke (E1–E6, E8–E19, E21 @ seed 42 vs EXPERIMENTS.md) =="
+rm -f target/experiment-smoke.txt
+for exp in e1 e2 e3 e4 e5 e6 e8 e9 e10 e11 e12 e13 e14 e15 e16 e17 e18 e19 e21; do
   cargo run --release --offline -q -p nlidb-bench --bin experiments -- \
-    --exp "$exp" --seed 42 >> target/serve-smoke.txt
+    --exp "$exp" --seed 42 >> target/experiment-smoke.txt
 done
-python3 scripts/check_experiment_drift.py target/serve-smoke.txt
+python3 scripts/check_experiment_drift.py target/experiment-smoke.txt
 
 echo "== soak smoke (E20 @ 10^4 + BENCH_soak.json schema) =="
 cargo run --release --offline -q -p nlidb-bench --bin experiments -- \

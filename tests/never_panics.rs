@@ -8,14 +8,53 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use nlidb_benchdata::retail_database;
+use nlidb_core::hybrid::HybridInterpreter;
+use nlidb_core::neural::TrainingExample;
 use nlidb_core::pipeline::NliPipeline;
+use nlidb_core::{Interpreter, InterpreterKind};
 use nlidb_dialogue::{ConversationSession, ManagerKind};
 
-/// One shared pipeline: building it is the expensive part, and the
-/// property under test is about inputs, not construction.
+/// A few hand-written pairs over the retail schema: enough to switch
+/// on the learned paths an untrained pipeline never runs.
+fn training() -> Vec<TrainingExample> {
+    [
+        ("how many customers", "SELECT COUNT(*) FROM customers"),
+        ("count the orders", "SELECT COUNT(*) FROM orders"),
+        ("show all products", "SELECT * FROM products"),
+        (
+            "average price of products",
+            "SELECT AVG(price) FROM products",
+        ),
+        ("orders over 100", "SELECT * FROM orders WHERE amount > 100"),
+    ]
+    .iter()
+    .map(|(q, sql)| TrainingExample {
+        question: q.to_string(),
+        sql: nlidb_sqlir::parse_query(sql).unwrap(),
+    })
+    .collect()
+}
+
+/// One shared, trained pipeline: building it is the expensive part,
+/// and the property under test is about inputs, not construction.
 fn pipeline() -> &'static NliPipeline {
     static PIPE: OnceLock<NliPipeline> = OnceLock::new();
-    PIPE.get_or_init(|| NliPipeline::standard(&retail_database(7)))
+    PIPE.get_or_init(|| {
+        let mut p = NliPipeline::standard(&retail_database(7));
+        p.train_neural(&training(), 7);
+        p
+    })
+}
+
+/// A hybrid trained with its HMM tagger as well: the pipeline's hybrid
+/// embeds only the neural model, so the tagger is fuzzed here.
+fn tagged_hybrid() -> &'static HybridInterpreter {
+    static HYBRID: OnceLock<HybridInterpreter> = OnceLock::new();
+    HYBRID.get_or_init(|| {
+        let mut h = HybridInterpreter::new();
+        h.train(&training(), pipeline().context(), 7);
+        h
+    })
 }
 
 /// Arbitrary Unicode scalar values (surrogate range excluded), joined
@@ -31,8 +70,15 @@ proptest! {
 
     #[test]
     fn ask_never_panics_on_arbitrary_utf8(input in arbitrary_utf8()) {
-        // Ok and Err are both acceptable; unwinding is not.
-        let _ = pipeline().ask(&input);
+        // Ok and Err are both acceptable; unwinding is not. Every
+        // family, classic and approved, plus `suggest` and the tagger.
+        let p = pipeline();
+        for kind in InterpreterKind::all() {
+            let _ = p.ask_bounded(&input, kind, None);
+            let _ = p.ask_approved(&input, kind, None, None);
+        }
+        let _ = p.suggest(&input);
+        let _ = tagged_hybrid().best(&input, p.context());
     }
 
     #[test]
