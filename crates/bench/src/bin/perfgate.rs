@@ -15,9 +15,10 @@
 use std::env;
 use std::process::exit;
 
-use nlidb_bench::experiments::{engine_corpus_pass, faulted_regime_plan, traced_serve_run};
+use nlidb_bench::experiments::{engine_corpus_pass, faulted_regime_plan, retail_serve_run};
 use nlidb_benchdata::FaultPlan;
 use nlidb_obs::{attr_cost_breakdown, Profile, ProfileDiff};
+use nlidb_serve::ServeObs;
 use nlidb_sqlir::ComplexityClass;
 
 const N: usize = 120;
@@ -37,8 +38,9 @@ fn main() {
     };
 
     let plan = faulted_regime_plan(seed, N);
-    let (_, c_m, c_obs) = traced_serve_run(seed, N, FaultPlan::none());
-    let (_, f_m, f_obs) = traced_serve_run(seed, N, plan);
+    let (c_obs, f_obs) = (ServeObs::new(N), ServeObs::new(N));
+    let (_, c_m) = retail_serve_run(seed, N, 1, FaultPlan::none(), Some(c_obs.clone()));
+    let (_, f_m) = retail_serve_run(seed, N, 1, plan, Some(f_obs.clone()));
     let clean = Profile::from_traces(&c_obs.sink.traces());
     let faulted = Profile::from_traces(&f_obs.sink.traces());
     c_m.export_into(&c_obs.registry);

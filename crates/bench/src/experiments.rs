@@ -856,7 +856,7 @@ fn e12_serve_run(
         stream = with_deadlines(stream, period, budget, batch);
     }
     let clock = Arc::new(ManualClock::new());
-    let mut server = Server::start(
+    let mut server = Server::start_observed(
         pipeline,
         ServerConfig {
             workers,
@@ -866,6 +866,8 @@ fn e12_serve_run(
             ..ServerConfig::default()
         },
         clock.clone() as Arc<dyn Clock>,
+        None,
+        None,
     );
     let mut sigs = Vec::with_capacity(n * passes);
     for _ in 0..passes {
@@ -976,53 +978,61 @@ pub fn e12_serving_runtime(seed: u64) -> Table {
     t
 }
 
-/// One E13 serving pass over the retail domain under `plan`: the same
-/// seeded mixed stream E12 replays, through a 2-worker server with the
-/// plan threaded in as the request hook. Returns (signatures, ids of
-/// requests answered fresh — i.e. requests that actually reached the
-/// fault hook — and final metrics).
-fn e13_serve_run(
+/// The retail serving pass E13–E16 and E21 replay and `perfgate`
+/// renders: E12's seeded mixed stream (`n` requests, a quarter of them
+/// dialogue turns), submitted `copies` times back to back in
+/// closed-loop batches of 16, through a 2-worker server with `plan` as
+/// its request hook and `obs`, when given, attached. Returns the run's
+/// report and final metrics.
+pub fn retail_serve_run(
     seed: u64,
     n: usize,
+    copies: usize,
     plan: nlidb_benchdata::FaultPlan,
-) -> (Vec<String>, Vec<u64>, nlidb_serve::MetricsSnapshot) {
+    obs: Option<nlidb_serve::ServeObs>,
+) -> (nlidb_serve::LoadReport, nlidb_serve::MetricsSnapshot) {
     use nlidb_core::pipeline::NliPipeline;
-    use nlidb_serve::{
-        fault_plan_hook, run_closed_loop, Clock, Disposition, ManualClock, Server, ServerConfig,
-    };
+    use nlidb_serve::{fault_plan_hook, run_closed_loop, Clock, ManualClock, Server, ServerConfig};
     use std::sync::Arc;
 
     let db = nlidb_benchdata::domain_database("retail", seed);
     let slots = derive_slots(&db);
     let pipeline = Arc::new(NliPipeline::standard(&db));
     let stream = nlidb_benchdata::request_stream(&slots, seed, n, 0.25);
+    let stream: Vec<_> = std::iter::repeat_n(stream, copies).flatten().collect();
     let clock = Arc::new(ManualClock::new());
-    let mut server = Server::start_with_hook(
+    let mut server = Server::start_observed(
         pipeline,
         ServerConfig {
             workers: 2,
-            queue_capacity: n,
+            queue_capacity: stream.len(),
             ..ServerConfig::default()
         },
         clock.clone() as Arc<dyn Clock>,
         Some(fault_plan_hook(plan)),
+        obs,
     );
     let report = run_closed_loop(&mut server, &clock, &stream, 16);
-    let fresh = report
+    (report, server.shutdown())
+}
+
+/// Ids of the requests a run answered fresh — not from cache — i.e.
+/// the requests that actually reached the fault hook.
+fn fresh_answers(report: &nlidb_serve::LoadReport) -> Vec<u64> {
+    report
         .completions
         .iter()
         .filter(|c| {
             matches!(
                 c.disposition,
-                Disposition::Answered {
+                nlidb_serve::Disposition::Answered {
                     from_cache: false,
                     ..
                 }
             )
         })
         .map(|c| c.id)
-        .collect();
-    (report.signatures(), fresh, server.shutdown())
+        .collect()
 }
 
 /// E13 — deterministic fault injection & graceful degradation: the §4
@@ -1059,7 +1069,8 @@ pub fn e13_fault_injection(seed: u64) -> Table {
     // assertion hold at *any* seed — a faulted run's cache contents
     // are always a subset of the clean run's (faults only ever prevent
     // caching), so a clean-run fresh single stays fresh under faults.
-    let (clean_sigs, fresh, clean_m) = e13_serve_run(seed, N, FaultPlan::none());
+    let (clean, clean_m) = retail_serve_run(seed, N, 1, FaultPlan::none(), None);
+    let (clean_sigs, fresh) = (clean.signatures(), fresh_answers(&clean));
     assert!(
         fresh.len() >= 14,
         "E13 needs fresh singles to pin faults on ({} found)",
@@ -1107,10 +1118,12 @@ pub fn e13_fault_injection(seed: u64) -> Table {
         ),
     ];
     for (label, plan) in regimes {
-        let (sigs, _, m) = e13_serve_run(seed, N, plan.clone());
-        let (sigs2, _, m2) = e13_serve_run(seed, N, plan);
+        let (run, m) = retail_serve_run(seed, N, 1, plan.clone(), None);
+        let (run2, m2) = retail_serve_run(seed, N, 1, plan, None);
+        let sigs = run.signatures();
         assert_eq!(
-            sigs, sigs2,
+            sigs,
+            run2.signatures(),
             "E13 {label}: signature stream must replay bit-identically"
         );
         assert_eq!(
@@ -1161,46 +1174,6 @@ pub fn e13_fault_injection(seed: u64) -> Table {
     t
 }
 
-/// One traced serving pass: exactly the E13 stream and server config,
-/// with a [`nlidb_serve::ServeObs`] attached. Returns (signatures,
-/// final metrics, the obs handles). Public because E14, E16, and the
-/// `perfgate` drift-baseline binary all measure this exact run.
-pub fn traced_serve_run(
-    seed: u64,
-    n: usize,
-    plan: nlidb_benchdata::FaultPlan,
-) -> (
-    Vec<String>,
-    nlidb_serve::MetricsSnapshot,
-    nlidb_serve::ServeObs,
-) {
-    use nlidb_core::pipeline::NliPipeline;
-    use nlidb_serve::{
-        fault_plan_hook, run_closed_loop, Clock, ManualClock, ServeObs, Server, ServerConfig,
-    };
-    use std::sync::Arc;
-
-    let db = nlidb_benchdata::domain_database("retail", seed);
-    let slots = derive_slots(&db);
-    let pipeline = Arc::new(NliPipeline::standard(&db));
-    let stream = nlidb_benchdata::request_stream(&slots, seed, n, 0.25);
-    let clock = Arc::new(ManualClock::new());
-    let obs = ServeObs::new(n);
-    let mut server = Server::start_observed(
-        pipeline,
-        ServerConfig {
-            workers: 2,
-            queue_capacity: n,
-            ..ServerConfig::default()
-        },
-        clock.clone() as Arc<dyn Clock>,
-        Some(fault_plan_hook(plan)),
-        Some(obs.clone()),
-    );
-    let report = run_closed_loop(&mut server, &clock, &stream, 16);
-    (report.signatures(), server.shutdown(), obs)
-}
-
 /// E14 — deterministic observability: the open "explain yourself"
 /// challenge (§7) made a measurable property of the serving path.
 /// Every request — including E13's faulted ones — finishes as a span
@@ -1211,21 +1184,18 @@ pub fn traced_serve_run(
 /// reports per-stage cost (in trace ticks — span-event sequence
 /// deltas, a deterministic work proxy) under the faulted regime.
 pub fn e14_observability(seed: u64) -> Table {
-    use nlidb_benchdata::{FaultKind, FaultPlan, FaultRates};
+    use nlidb_benchdata::FaultPlan;
     const N: usize = 120;
-    // Fresh ids from a clean pass, exactly as in E13: faults are only
-    // consulted on cache misses, so the guarantee-carrying fatal
-    // window must land on fresh singles to fault at any seed.
-    let (clean_sigs, fresh, _clean_m) = e13_serve_run(seed, N, FaultPlan::none());
-    assert!(
-        fresh.len() >= 12,
-        "E14 needs fresh singles to pin faults on ({} found)",
-        fresh.len()
-    );
+    let traced = |plan| {
+        let obs = nlidb_serve::ServeObs::new(N);
+        let (report, m) = retail_serve_run(seed, N, 1, plan, Some(obs.clone()));
+        (report.signatures(), m, obs)
+    };
+    let (clean, _) = retail_serve_run(seed, N, 1, FaultPlan::none(), None);
 
     // Clean regime: tracing is invisible and bit-reproducible.
-    let (t_sigs, t_m, t_obs) = traced_serve_run(seed, N, FaultPlan::none());
-    let (t_sigs2, t_m2, t_obs2) = traced_serve_run(seed, N, FaultPlan::none());
+    let (t_sigs, t_m, t_obs) = traced(FaultPlan::none());
+    let (t_sigs2, t_m2, t_obs2) = traced(FaultPlan::none());
     assert_eq!(t_sigs, t_sigs2, "E14: traced stream must replay");
     assert_eq!(t_m, t_m2, "E14: traced metrics must replay");
     assert_eq!(
@@ -1234,7 +1204,8 @@ pub fn e14_observability(seed: u64) -> Table {
         "E14: clean trace export must be byte-identical run over run"
     );
     assert_eq!(
-        t_sigs, clean_sigs,
+        t_sigs,
+        clean.signatures(),
         "E14: tracing must not perturb the answer stream"
     );
 
@@ -1242,23 +1213,9 @@ pub fn e14_observability(seed: u64) -> Table {
     // window, traced. The export must still be byte-identical, and
     // the span trees must account for every piece of fault evidence
     // the metrics counted.
-    let plan = || {
-        let mut p = FaultPlan::seeded(
-            seed,
-            N as u64,
-            &FaultRates {
-                transient: 0.2,
-                fatal: 0.0,
-                ..FaultRates::default()
-            },
-        );
-        for id in fresh[0]..=fresh[11] {
-            p = p.with(id, FaultKind::Fatal { depth: 1 });
-        }
-        p
-    };
-    let (f_sigs, f_m, f_obs) = traced_serve_run(seed, N, plan());
-    let (f_sigs2, f_m2, f_obs2) = traced_serve_run(seed, N, plan());
+    let plan = faulted_regime_plan(seed, N);
+    let (f_sigs, f_m, f_obs) = traced(plan.clone());
+    let (f_sigs2, f_m2, f_obs2) = traced(plan);
     assert_eq!(f_sigs, f_sigs2, "E14: faulted stream must replay");
     assert_eq!(f_m, f_m2, "E14: faulted metrics must replay");
     assert_eq!(
@@ -1322,37 +1279,6 @@ pub fn e14_observability(seed: u64) -> Table {
     t
 }
 
-/// One E15 serving pass: the E13 stream and server config, returning
-/// the *full* completion list (E15 compares per-id, not just the
-/// concatenated signature stream) and final metrics.
-fn e15_serve_run(
-    seed: u64,
-    n: usize,
-    plan: nlidb_benchdata::FaultPlan,
-) -> (Vec<nlidb_serve::Completion>, nlidb_serve::MetricsSnapshot) {
-    use nlidb_core::pipeline::NliPipeline;
-    use nlidb_serve::{fault_plan_hook, run_closed_loop, Clock, ManualClock, Server, ServerConfig};
-    use std::sync::Arc;
-
-    let db = nlidb_benchdata::domain_database("retail", seed);
-    let slots = derive_slots(&db);
-    let pipeline = Arc::new(NliPipeline::standard(&db));
-    let stream = nlidb_benchdata::request_stream(&slots, seed, n, 0.25);
-    let clock = Arc::new(ManualClock::new());
-    let mut server = Server::start_with_hook(
-        pipeline,
-        ServerConfig {
-            workers: 2,
-            queue_capacity: n,
-            ..ServerConfig::default()
-        },
-        clock.clone() as Arc<dyn Clock>,
-        Some(fault_plan_hook(plan)),
-    );
-    let report = run_closed_loop(&mut server, &clock, &stream, 16);
-    (report.completions, server.shutdown())
-}
-
 /// E15 — deterministic crash recovery: no dialogue state dies with a
 /// worker. E13 showed a panic is *contained*; E15 shows it is
 /// *absorbed*: every committed dialogue turn is journaled before its
@@ -1414,11 +1340,12 @@ pub fn e15_crash_recovery(seed: u64) -> Table {
             "E15: a conversation whose first two turns are fault-free under the drawn schedule",
         );
     // A fresh single for the single-crash regime, found as in E13/E14.
-    let (_sigs, fresh, _m) = e13_serve_run(seed, N, FaultPlan::none());
+    let (clean, clean_m) = retail_serve_run(seed, N, 1, FaultPlan::none(), None);
+    let fresh = fresh_answers(&clean);
     assert!(!fresh.is_empty(), "E15 needs a fresh single to panic on");
-
-    let (clean, clean_m) = e15_serve_run(seed, N, FaultPlan::none());
-    let (mixed_base, mixed_base_m) = e15_serve_run(seed, N, mixed());
+    let clean = clean.completions;
+    let (mixed_base, mixed_base_m) = retail_serve_run(seed, N, 1, mixed(), None);
+    let mixed_base = mixed_base.completions;
     let sig = |cs: &[nlidb_serve::Completion]| -> Vec<String> {
         cs.iter().map(|c| c.signature()).collect()
     };
@@ -1446,8 +1373,9 @@ pub fn e15_crash_recovery(seed: u64) -> Table {
         ),
     ];
     for (label, plan, baseline, whole_stream) in regimes {
-        let (done, m) = e15_serve_run(seed, N, plan.clone());
-        let (done2, m2) = e15_serve_run(seed, N, plan);
+        let (done, m) = retail_serve_run(seed, N, 1, plan.clone(), None);
+        let (done2, m2) = retail_serve_run(seed, N, 1, plan, None);
+        let (done, done2) = (done.completions, done2.completions);
         assert_eq!(
             sig(&done),
             sig(&done2),
@@ -1534,7 +1462,7 @@ pub fn e15_crash_recovery(seed: u64) -> Table {
 /// asserts on.
 pub fn faulted_regime_plan(seed: u64, n: usize) -> nlidb_benchdata::FaultPlan {
     use nlidb_benchdata::{FaultKind, FaultPlan, FaultRates};
-    let (_sigs, fresh, _m) = e13_serve_run(seed, n, FaultPlan::none());
+    let fresh = fresh_answers(&retail_serve_run(seed, n, 1, FaultPlan::none(), None).0);
     assert!(
         fresh.len() >= 12,
         "the faulted regime needs fresh singles to pin faults on ({} found)",
@@ -1575,10 +1503,15 @@ pub fn e16_trace_profile(seed: u64) -> Table {
     const N: usize = 120;
     let plan = faulted_regime_plan(seed, N);
 
-    let (_, _, c_obs) = traced_serve_run(seed, N, FaultPlan::none());
-    let (_, _, c_obs2) = traced_serve_run(seed, N, FaultPlan::none());
-    let (_, f_m, f_obs) = traced_serve_run(seed, N, plan.clone());
-    let (_, _, f_obs2) = traced_serve_run(seed, N, plan);
+    let traced = |plan| {
+        let obs = nlidb_serve::ServeObs::new(N);
+        let (_, m) = retail_serve_run(seed, N, 1, plan, Some(obs.clone()));
+        (m, obs)
+    };
+    let (_, c_obs) = traced(FaultPlan::none());
+    let (_, c_obs2) = traced(FaultPlan::none());
+    let (f_m, f_obs) = traced(plan.clone());
+    let (_, f_obs2) = traced(plan);
     for (a, b, label) in [(&c_obs, &c_obs2, "clean"), (&f_obs, &f_obs2, "faulted")] {
         let (ta, tb) = (a.sink.traces(), b.sink.traces());
         assert_eq!(
@@ -1757,13 +1690,13 @@ const E17_BATCH: usize = 16;
 /// One multi-tenant serving pass: the first `tenants` benchdata
 /// domains registered over one shared join-path cache, their seeded
 /// streams interleaved deterministically, driven closed-loop through a
-/// single [`nlidb_serve::TenantServer`]. `budgets[i]` (where present)
+/// single [`nlidb_serve::Server`]. `budgets[i]` (where present)
 /// becomes tenant i's admission budget.
 fn e17_multi_run(seed: u64, tenants: usize, budgets: &[Option<u64>]) -> E17Run {
     use nlidb_ontology::JoinPathCache;
     use nlidb_serve::{
-        run_closed_loop_tenants, tenant_pipeline, Clock, ManualClock, ServerConfig, TenantPolicy,
-        TenantRegistry, TenantServer,
+        run_closed_loop_tenants, tenant_pipeline, Clock, ManualClock, Server, ServerConfig,
+        TenantPolicy, TenantRegistry,
     };
     use std::sync::Arc;
 
@@ -1800,7 +1733,7 @@ fn e17_multi_run(seed: u64, tenants: usize, budgets: &[Option<u64>]) -> E17Run {
         .map(|(fp, _)| fps.iter().position(|f| f == fp).expect("registered"))
         .collect();
     let clock = Arc::new(ManualClock::new());
-    let mut server = TenantServer::start(
+    let mut server = Server::start_tenants(
         &registry,
         ServerConfig {
             workers: E17_WORKERS,
@@ -1810,6 +1743,8 @@ fn e17_multi_run(seed: u64, tenants: usize, budgets: &[Option<u64>]) -> E17Run {
             ..ServerConfig::default()
         },
         clock.clone() as Arc<dyn Clock>,
+        None,
+        None,
     );
     let sigs = run_closed_loop_tenants(&mut server, &clock, &interleaved, E17_BATCH).signatures();
     let per_tenant = fps
@@ -1819,7 +1754,7 @@ fn e17_multi_run(seed: u64, tenants: usize, budgets: &[Option<u64>]) -> E17Run {
     let journals = fps
         .iter()
         .map(|&fp| {
-            let j = server.journal(fp).expect("registered");
+            let j = server.tenant_journal(fp).expect("registered");
             j.sessions().iter().map(|&s| (s, j.turn_count(s))).collect()
         })
         .collect();
@@ -1858,7 +1793,7 @@ fn e17_isolated_run(
         0.25,
     );
     let clock = Arc::new(ManualClock::new());
-    let mut server = Server::start(
+    let mut server = Server::start_observed(
         pipeline,
         ServerConfig {
             workers: E17_WORKERS,
@@ -1868,6 +1803,8 @@ fn e17_isolated_run(
             ..ServerConfig::default()
         },
         clock.clone() as Arc<dyn Clock>,
+        None,
+        None,
     );
     let sigs = run_closed_loop(&mut server, &clock, &stream, E17_BATCH).signatures();
     let journal: Vec<(u64, usize)> = {
@@ -1918,7 +1855,7 @@ fn e17_scalars(m: &nlidb_serve::MetricsSnapshot) -> [u64; 22] {
 
 /// E17 — multi-tenant sharding isolation: the §7 enterprise challenge
 /// of one NLI runtime fronting many databases. A shared
-/// [`nlidb_serve::TenantServer`] over N benchdata domains must be
+/// [`nlidb_serve::Server`] over N benchdata domains must be
 /// *indistinguishable*, per tenant, from N isolated single-tenant
 /// servers: after rewriting global request ids to per-tenant ranks,
 /// every tenant's completion stream, placement-independent counters,
@@ -2578,18 +2515,14 @@ fn e21_clean_run(seed: u64) -> (E21Pass, u64) {
 /// fire *and* clear within the run, at any seed.
 fn e21_faulted_run(seed: u64) -> (E21Pass, u64) {
     use nlidb_benchdata::{FaultKind, FaultPlan};
-    use nlidb_core::pipeline::NliPipeline;
-    use nlidb_serve::{
-        fault_plan_hook, run_closed_loop, Clock, ManualClock, ServeObs, Server, ServerConfig,
-    };
-    use std::sync::Arc;
+    use nlidb_serve::ServeObs;
     const N: usize = 320;
 
     // The clean pass pins the fault window on ids that actually reach
     // the hook (fresh singles) — the same freshness-transfer argument
     // E13 documents: faults only ever prevent caching, so a clean-run
     // fresh single stays fresh under faults.
-    let (_, fresh, _) = e13_serve_run(seed, N, FaultPlan::none());
+    let fresh = fresh_answers(&retail_serve_run(seed, N, 1, FaultPlan::none(), None).0);
     assert!(
         fresh.len() >= 12,
         "E21 needs a dozen fresh singles to pin the outage on ({} found)",
@@ -2600,26 +2533,8 @@ fn e21_faulted_run(seed: u64) -> (E21Pass, u64) {
         plan = plan.with(id, FaultKind::Fatal { depth: 4 });
     }
 
-    let db = nlidb_benchdata::domain_database("retail", seed);
-    let slots = derive_slots(&db);
-    let pipeline = Arc::new(NliPipeline::standard(&db));
-    let stream = nlidb_benchdata::request_stream(&slots, seed, N, 0.25);
-    let doubled: Vec<_> = stream.iter().chain(stream.iter()).cloned().collect();
-    let clock = Arc::new(ManualClock::new());
     let obs = ServeObs::with_health(2 * N + 64, 1, e21_health_config());
-    let mut server = Server::start_observed(
-        pipeline,
-        ServerConfig {
-            workers: 2,
-            queue_capacity: 2 * N,
-            ..ServerConfig::default()
-        },
-        clock.clone() as Arc<dyn Clock>,
-        Some(fault_plan_hook(plan)),
-        Some(obs.clone()),
-    );
-    let report = run_closed_loop(&mut server, &clock, &doubled, 16);
-    let metrics = server.shutdown();
+    let (report, metrics) = retail_serve_run(seed, N, 2, plan, Some(obs.clone()));
     assert_eq!(report.completions.len(), 2 * N, "E21 faulted: all drained");
     (E21Pass::capture(obs, metrics), 2 * N as u64)
 }

@@ -17,9 +17,10 @@ use nlidb_benchdata::{derive_slots, domain_database, DOMAIN_NAMES};
 use nlidb_core::pipeline::NliPipeline;
 use nlidb_ontology::JoinPathCache;
 use nlidb_serve::{
-    run_open_loop, run_open_loop_tenants, tenant_pipeline, Clock, HealthConfig, ManualClock,
-    MetricsSnapshot, OpenLoopConfig, OverloadPolicy, ServeObs, Server, ServerConfig, SoakReport,
-    TenantPolicy, TenantRegistry, TenantServer, WindowSample,
+    fnv1a, open_loop, run_closed_loop, run_open_loop, run_open_loop_tenants, tenant_pipeline,
+    Clock, Disposition, HealthConfig, ManualClock, MetricsSnapshot, OpenLoopConfig, OverloadPolicy,
+    ServeObs, Server, ServerConfig, SoakReport, TenantPolicy, TenantRegistry, WindowSample,
+    FNV1A_OFFSET,
 };
 
 /// The soak shapes, in run order. `overload` is the robustness
@@ -287,7 +288,7 @@ pub fn run_soak_shape(shape: &str, seed: u64, n: usize) -> SoakOutcome {
                 ));
             }
             let clock = Arc::new(ManualClock::new());
-            let mut server = TenantServer::start_observed(
+            let mut server = Server::start_tenants(
                 &registry,
                 ServerConfig {
                     workers: 4,
@@ -361,9 +362,8 @@ pub fn overload_audit_observed(
     policy: OverloadPolicy,
     obs: Option<ServeObs>,
 ) -> (usize, usize, usize, MetricsSnapshot) {
-    use nlidb_serve::{run_closed_loop, Disposition};
-
     let stream: Vec<_> = nlidb_benchdata::zipfian_stream(retail_pool(seed), seed, n, 1.0).collect();
+    let digest = |signature: String| fnv1a(FNV1A_OFFSET, signature.as_bytes());
 
     // The oracle: every request answered, no overload policy.
     let (mut server, clock) = retail_server(seed, None, None);
@@ -377,58 +377,39 @@ pub fn overload_audit_observed(
             "oracle run must answer every request, got {}",
             c.signature()
         );
-        oracle_sig[c.id as usize] = sig_digest(&c.signature());
+        oracle_sig[c.id as usize] = digest(c.signature());
     }
 
     // The audit: the regime's schedule, drains inspected in place.
     let (mut server, clock) = retail_server(seed, Some(policy), obs);
-    let arrivals = OVERLOAD_SCHEDULE.arrivals_per_tick;
-    let drain_every = OVERLOAD_SCHEDULE.drain_every;
+    let fingerprint = server.fingerprint();
+    let arrivals = stream.into_iter().map(|spec| (fingerprint, spec));
     let (mut served, mut shed) = (0usize, 0usize);
-    let mut check = |completions: Vec<nlidb_serve::Completion>| {
-        for c in completions {
-            match c.disposition {
-                Disposition::Answered { .. } => {
-                    assert_eq!(
-                        sig_digest(&c.signature()),
-                        oracle_sig[c.id as usize],
-                        "request {} diverged from the unloaded oracle",
-                        c.id
-                    );
-                    served += 1;
+    open_loop(
+        &mut server,
+        &clock,
+        arrivals,
+        OVERLOAD_SCHEDULE,
+        |drained| {
+            for (c, _) in drained {
+                match c.disposition {
+                    Disposition::Answered { .. } => {
+                        assert_eq!(
+                            digest(c.signature()),
+                            oracle_sig[c.id as usize],
+                            "request {} diverged from the unloaded oracle",
+                            c.id
+                        );
+                        served += 1;
+                    }
+                    Disposition::Shed => shed += 1,
+                    ref other => panic!("unexpected disposition in audit: {other:?}"),
                 }
-                Disposition::Shed => shed += 1,
-                ref other => panic!("unexpected disposition in audit: {other:?}"),
             }
-        }
-    };
-    let mut next = 0usize;
-    let mut since_drain = 0u64;
-    while next < n {
-        for spec in stream.iter().skip(next).take(arrivals) {
-            server.submit(spec);
-        }
-        next += arrivals.min(n - next);
-        clock.advance(1);
-        since_drain += 1;
-        if since_drain >= drain_every {
-            check(server.drain());
-            since_drain = 0;
-        }
-    }
-    check(server.drain());
+        },
+    );
     let metrics = server.shutdown();
     assert_eq!(served + shed, n, "audit accounts for every request");
     assert!(shed > 0, "the overload schedule must actually shed");
     (served, shed, n, metrics)
-}
-
-/// FNV-1a of one signature string.
-fn sig_digest(signature: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in signature.as_bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
 }

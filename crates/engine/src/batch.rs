@@ -1,9 +1,9 @@
 //! Columnar (batch-vectorized) execution engine.
 //!
-//! The default [`execute`](crate::execute) entry point. Relations flow
-//! through the pipeline as [`Batch`]es — one [`ColumnVec`] per column —
-//! and predicates/projections evaluate column-at-a-time through
-//! [`eval_columns`]. Hash joins and hash aggregation key on vectorized
+//! The default [`execute`] entry point. Relations flow through the
+//! pipeline as `Batch`es — one [`ColumnVec`] per column — and
+//! predicates/projections evaluate column-at-a-time through
+//! `eval_columns`. Hash joins and hash aggregation key on vectorized
 //! per-column [`Value::group_key`] strings (held as `Vec<String>`,
 //! never concatenated — see the U+001F boundary-collision bug fixed in
 //! `exec.rs`).

@@ -19,9 +19,9 @@
 //! columnar engine ([`batch`]): relations flow as column vectors,
 //! predicates/projections evaluate column-at-a-time, and hash join /
 //! hash aggregation key on vectorized per-column strings. The original
-//! row-at-a-time volcano-lite engine survives as
-//! [`execute_rowwise`](exec::execute_rowwise) — the semantics oracle
-//! the batch engine is asserted row-identical to (experiment E18).
+//! row-at-a-time volcano-lite engine survives as [`execute_rowwise`]
+//! — the semantics oracle the batch engine is asserted row-identical
+//! to (experiment E18).
 //! Hash joins are used for equi-join conjuncts; anything else falls
 //! back to nested loops. [`cost`] estimates cardinality and logical
 //! cost per plan ([`explain`]), feeding cost-aware admission upstream.

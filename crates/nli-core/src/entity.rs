@@ -142,6 +142,10 @@ pub struct OqlBuild {
     pub coverage: f64,
     /// Derivation trace.
     pub explanation: Vec<String>,
+    /// The mentions the query was built from: narrowed to the focus
+    /// concept for families without joins, with value and property
+    /// mentions disambiguated toward the focus.
+    pub mentions: Vec<LinkedMention>,
 }
 
 /// Interpret a question under a capability mask. Returns ranked
@@ -156,7 +160,7 @@ pub fn interpret_with(
     let Some(build) = build_oql(question, ctx, caps) else {
         return Vec::new();
     };
-    lower_builds(question, build, ctx, caps, kind)
+    lower_builds(build, ctx, caps, kind)
 }
 
 /// Build the OQL reading of a question without lowering to SQL.
@@ -675,13 +679,13 @@ pub fn build_oql(
         score: score_product,
         coverage,
         explanation,
+        mentions,
     })
 }
 
 /// Lower an [`OqlBuild`] to ranked interpretations, generating
 /// alternative readings for ambiguous value mentions.
 fn lower_builds(
-    question: &PreparedQuestion,
     build: OqlBuild,
     ctx: &SchemaContext,
     caps: Capabilities,
@@ -692,11 +696,9 @@ fn lower_builds(
         score: score_product,
         coverage,
         explanation,
+        mentions,
     } = build;
     let coverage_factor = 0.35 + 0.65 * coverage;
-    let mut mentions = question.mentions.clone();
-    prefer_focus_values(&mut mentions, &oql.focus, ctx);
-    prefer_context_properties(&mut mentions, &oql.focus, ctx);
 
     // --- Lower to SQL. ---
     let mut out = Vec::new();

@@ -1,6 +1,7 @@
 //! Windowed time series over logical ticks.
 //!
-//! Everything else in this crate is *cumulative*: a [`Counter`] or
+//! Everything else in this crate is *cumulative*: a
+//! [`Counter`](crate::Counter) or
 //! [`SketchHistogram`](crate::SketchHistogram) answers "what happened
 //! since boot", never "what is happening now". This module adds the
 //! time dimension without giving up determinism or bounded memory:

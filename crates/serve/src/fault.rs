@@ -1,6 +1,6 @@
 //! Fault injection surface: the hook context, the injected fault
-//! vocabulary, and the adapter from a seeded
-//! [`FaultPlan`](nlidb_benchdata::FaultPlan) to a [`RequestHook`].
+//! vocabulary, and the adapter from a seeded [`FaultPlan`] to a
+//! [`RequestHook`].
 //!
 //! The worker consults the hook *before* every pipeline attempt —
 //! pre-processing, so a retried attempt has observed no side effects

@@ -18,8 +18,8 @@
 //! * **latency** — over served requests only: good = sojourn (drain
 //!   tick − submit tick) at or below the configured threshold.
 //!
-//! Unknown-tenant refusals ([`crate::TenantServer`] traffic naming no
-//! registered fingerprint) belong to no tenant scope and are not fed;
+//! Unknown-tenant refusals ([`crate::Server::submit_to`] traffic naming
+//! no registered fingerprint) belong to no tenant scope and are not fed;
 //! every other completion, including admission-time rejects, is.
 //!
 //! Lock discipline: the hub's interior `Mutex` exists only to make
@@ -118,7 +118,7 @@ pub struct WindowSample {
 }
 
 /// A point-in-time view of one tenant's health, for callers that
-/// should not hold the hub lock ([`crate::TenantServer::tenant_health`]).
+/// should not hold the hub lock ([`crate::Server::tenant_health`]).
 #[derive(Debug, Clone)]
 pub struct HealthReport {
     /// Canonical window-matrix rendering of the tenant's scope.

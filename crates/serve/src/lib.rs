@@ -10,13 +10,14 @@
 //! serving runtime that adds exactly the things a single-user pipeline
 //! lacks, while preserving the workspace's determinism invariant:
 //!
-//! * [`server`] — a fixed pool of `std::thread` workers behind
-//!   per-worker bounded queues; session-affinity routing keeps each
-//!   conversation's turns ordered on one thread, and content-hash
-//!   routing sends duplicate questions to the same worker-local cache.
-//!   Backpressure (admit / shed / deadline-reject) is decided entirely
-//!   at admission time from a credit ledger the single-threaded
-//!   submitter owns — so outcomes never depend on thread timing.
+//! * [`server`] — the one runtime type, [`Server`]: a fixed pool of
+//!   `std::thread` workers behind per-worker bounded queues;
+//!   session-affinity routing keeps each conversation's turns ordered
+//!   on one thread, and content-hash routing sends duplicate questions
+//!   to the same worker-local cache. Backpressure (admit / shed /
+//!   deadline-reject) is decided entirely at admission time from a
+//!   credit ledger the single-threaded submitter owns — so outcomes
+//!   never depend on thread timing.
 //! * [`lru`] — the O(1) LRU interpretation cache, keyed by
 //!   (normalized question, schema fingerprint), storing the fully
 //!   rendered answer so a hit skips interpretation *and* execution.
@@ -49,13 +50,14 @@
 //!   reply is released, a panicked worker's queued work bounces back
 //!   for deterministic re-admission, and its sessions are rebuilt on
 //!   live workers by exact replay of their journaled turns.
-//! * [`tenant`] / [`router`] — multi-tenant sharding: a
-//!   [`TenantRegistry`] maps schema fingerprints to (pipeline, policy,
-//!   journal namespace), and [`TenantServer`] routes fingerprints over
-//!   the same worker pool with per-(worker, tenant) caches and
-//!   sessions, per-tenant metrics/journals, deterministic admission
-//!   quotas, and tenant-scoped join-path caching. A single-tenant
-//!   registry is byte-identical to the plain [`Server`].
+//! * [`tenant`] — multi-tenant sharding: a [`TenantRegistry`] maps
+//!   schema fingerprints to (pipeline, policy, journal namespace), and
+//!   a [`Server`] started with [`Server::start_tenants`] routes
+//!   fingerprints ([`Server::submit_to`]) over one worker pool with
+//!   per-(worker, tenant) caches and sessions, per-tenant
+//!   metrics/journals, deterministic admission quotas, and
+//!   tenant-scoped join-path caching. [`Server::start_observed`] is
+//!   the one-tenant case, byte-identical to the pre-tenancy runtime.
 //! * [`health`] — windowed telemetry + SLO tracking: a [`HealthHub`]
 //!   (attached via [`ServeObs::with_health`](obs::ServeObs::with_health))
 //!   buckets every drained completion into per-tenant logical-tick
@@ -86,7 +88,6 @@ pub mod lru;
 pub mod metrics;
 pub mod obs;
 pub mod retry;
-pub mod router;
 pub mod server;
 pub mod tenant;
 
@@ -95,17 +96,16 @@ pub use fault::{fault_plan_hook, silence_worker_panics, HookCtx, InjectedFault};
 pub use health::{HealthConfig, HealthHub, HealthReport, WindowSample};
 pub use journal::{AuditRecord, JournalEntry, SessionJournal};
 pub use loadgen::{
-    run_closed_loop, run_closed_loop_tenants, run_open_loop, run_open_loop_tenants, with_deadlines,
-    LoadReport, OpenLoopConfig, SoakReport,
+    open_loop, run_closed_loop, run_closed_loop_tenants, run_open_loop, run_open_loop_tenants,
+    with_deadlines, LoadReport, OpenLoopConfig, SoakReport,
 };
 pub use lru::LruCache;
 pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use obs::ServeObs;
 pub use retry::{BreakerPolicy, CircuitBreaker, RetryPolicy};
-pub use router::TenantServer;
 pub use server::{
-    normalize_question, Admission, Completion, Disposition, OverloadPolicy, RequestHook, Server,
-    ServerConfig,
+    fnv1a, normalize_question, Admission, Completion, Disposition, OverloadPolicy, RequestHook,
+    Server, ServerConfig, FNV1A_OFFSET,
 };
 pub use tenant::{
     schema_fingerprint, schema_fingerprint_of, tenant_pipeline, TenantEntry, TenantPolicy,

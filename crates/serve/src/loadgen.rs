@@ -31,8 +31,7 @@ use nlidb_benchdata::RequestSpec;
 use nlidb_obs::SketchHistogram;
 
 use crate::clock::{Clock, ManualClock};
-use crate::router::TenantServer;
-use crate::server::{Completion, Disposition, Server};
+use crate::server::{fnv1a, Completion, Disposition, Server, FNV1A_OFFSET};
 
 /// Everything a closed-loop run produced.
 #[derive(Debug, Clone)]
@@ -59,25 +58,9 @@ pub fn run_closed_loop(
     stream: &[RequestSpec],
     batch: usize,
 ) -> LoadReport {
-    let batch = batch.max(1);
-    // Grown drain by drain — capacity stays chunk-bounded instead of
-    // preallocating the whole stream's length up front (the soak-scale
-    // hazard the open loop avoids entirely by never keeping
-    // completions at all).
-    let mut completions = Vec::new();
-    let mut batches = 0;
-    for chunk in stream.chunks(batch) {
-        for spec in chunk {
-            server.submit(spec);
-        }
-        completions.append(&mut server.drain());
-        clock.advance(1);
-        batches += 1;
-    }
-    LoadReport {
-        completions,
-        batches,
-    }
+    let fingerprint = server.fingerprint();
+    let stream = stream.iter().map(|spec| (fingerprint, spec));
+    closed_loop(server, clock, stream, batch)
 }
 
 /// [`run_closed_loop`] for a multi-tenant stream: each element of
@@ -85,17 +68,35 @@ pub fn run_closed_loop(
 /// [`nlidb_benchdata::interleave_streams`] produces), submitted to
 /// `server` under its owning tenant.
 pub fn run_closed_loop_tenants(
-    server: &mut TenantServer,
+    server: &mut Server,
     clock: &ManualClock,
     stream: &[(u64, RequestSpec)],
     batch: usize,
 ) -> LoadReport {
-    let batch = batch.max(1);
+    let stream = stream
+        .iter()
+        .map(|(fingerprint, spec)| (*fingerprint, spec));
+    closed_loop(server, clock, stream, batch)
+}
+
+/// The closed-loop schedule: submit a batch, drain it, advance the
+/// clock one tick, repeat.
+fn closed_loop<'a>(
+    server: &mut Server,
+    clock: &ManualClock,
+    stream: impl Iterator<Item = (u64, &'a RequestSpec)>,
+    batch: usize,
+) -> LoadReport {
+    // Grown drain by drain — capacity stays chunk-bounded instead of
+    // preallocating the whole stream's length up front (the soak-scale
+    // hazard the open loop avoids entirely by never keeping
+    // completions at all).
     let mut completions = Vec::new();
     let mut batches = 0;
-    for chunk in stream.chunks(batch) {
-        for (fingerprint, spec) in chunk {
-            server.submit(*fingerprint, spec);
+    let mut stream = stream.peekable();
+    while stream.peek().is_some() {
+        for (fingerprint, spec) in stream.by_ref().take(batch.max(1)) {
+            server.submit_to(fingerprint, spec);
         }
         completions.append(&mut server.drain());
         clock.advance(1);
@@ -127,18 +128,6 @@ impl Default for OpenLoopConfig {
     }
 }
 
-/// FNV-1a continuation: fold `bytes` into a running 64-bit hash.
-fn fnv1a_chain(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
-/// The FNV-1a offset basis — the rolling digest's initial value.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
 /// The streaming summary of an open-loop run: O(1) memory in the
 /// stream length. Completions fold in as they drain — disposition
 /// counters, a [`SketchHistogram`] of served sojourn ticks, and a
@@ -169,9 +158,6 @@ pub struct SoakReport {
     /// Sojourn ticks (submit → drain) of served requests, in a
     /// bounded-memory log₂-bucket sketch.
     pub latency: SketchHistogram,
-    /// Submit ticks of requests still awaiting their drain — bounded
-    /// by one drain window's arrivals, emptied by every drain.
-    pending: HashMap<u64, u64>,
     /// Rolling FNV-1a digest over completion signatures, folded in id
     /// order.
     digest: u64,
@@ -197,24 +183,14 @@ impl SoakReport {
             drains: 0,
             ticks: 0,
             latency: SketchHistogram::new(),
-            pending: HashMap::new(),
-            digest: FNV_OFFSET,
+            digest: FNV1A_OFFSET,
         }
     }
 
-    /// Note a submission: request `id` went in at `tick`.
-    fn note_submit(&mut self, id: u64, tick: u64) {
+    /// Fold one drained completion, `sojourn` ticks after its submit,
+    /// and drop it.
+    fn fold(&mut self, completion: &Completion, sojourn: u64) {
         self.requests += 1;
-        self.pending.insert(id, tick);
-    }
-
-    /// Fold one drained completion and drop it. `drain_tick` is the
-    /// clock tick of the drain that delivered it.
-    fn fold(&mut self, completion: &Completion, drain_tick: u64) {
-        let submitted = self
-            .pending
-            .remove(&completion.id)
-            .expect("completion for a noted submission");
         let served = match completion.disposition {
             Disposition::Answered { .. } => {
                 self.answered += 1;
@@ -242,10 +218,10 @@ impl SoakReport {
             }
         };
         if served {
-            self.latency.observe(drain_tick.saturating_sub(submitted));
+            self.latency.observe(sojourn);
         }
-        self.digest = fnv1a_chain(self.digest, completion.signature().as_bytes());
-        self.digest = fnv1a_chain(self.digest, b"\n");
+        self.digest = fnv1a(self.digest, completion.signature().as_bytes());
+        self.digest = fnv1a(self.digest, b"\n");
     }
 
     /// Requests served at some fidelity (answered + session replies +
@@ -298,59 +274,63 @@ pub fn run_open_loop(
     stream: impl IntoIterator<Item = RequestSpec>,
     config: OpenLoopConfig,
 ) -> SoakReport {
-    let arrivals = config.arrivals_per_tick.max(1);
-    let drain_every = config.drain_every.max(1);
-    let start = clock.now();
-    let mut report = SoakReport::new();
-    let mut stream = stream.into_iter();
-    let mut since_drain = 0u64;
-    let mut exhausted = false;
-    while !exhausted {
-        for _ in 0..arrivals {
-            match stream.next() {
-                Some(spec) => {
-                    let id = server.submit(&spec).id();
-                    report.note_submit(id, clock.now());
-                }
-                None => {
-                    exhausted = true;
-                    break;
-                }
-            }
-        }
-        clock.advance(1);
-        since_drain += 1;
-        if since_drain >= drain_every {
-            let tick = clock.now();
-            for c in server.drain() {
-                report.fold(&c, tick);
-            }
-            report.drains += 1;
-            since_drain = 0;
-        }
-    }
-    let tick = clock.now();
-    for c in server.drain() {
-        report.fold(&c, tick);
-    }
-    report.drains += 1;
-    report.ticks = clock.now() - start;
-    debug_assert!(report.pending.is_empty(), "final drain folds everything");
-    report
+    let fingerprint = server.fingerprint();
+    let stream = stream.into_iter().map(|spec| (fingerprint, spec));
+    run_open_loop_tenants(server, clock, stream, config)
 }
 
 /// [`run_open_loop`] for a multi-tenant stream of
-/// `(schema fingerprint, request)` pairs against a [`TenantServer`].
+/// `(schema fingerprint, request)` pairs.
 pub fn run_open_loop_tenants(
-    server: &mut TenantServer,
+    server: &mut Server,
     clock: &ManualClock,
     stream: impl IntoIterator<Item = (u64, RequestSpec)>,
     config: OpenLoopConfig,
 ) -> SoakReport {
-    let arrivals = config.arrivals_per_tick.max(1);
-    let drain_every = config.drain_every.max(1);
     let start = clock.now();
     let mut report = SoakReport::new();
+    open_loop(server, clock, stream, config, |drained| {
+        report.drains += 1;
+        for (completion, sojourn) in &drained {
+            report.fold(completion, *sojourn);
+        }
+    });
+    report.ticks = clock.now() - start;
+    report
+}
+
+/// The open-loop schedule (see the module docs): every tick, submit
+/// the next `arrivals_per_tick` `(schema fingerprint, request)` pairs
+/// of `stream` and advance `clock`; every `drain_every` ticks, and once
+/// more after the stream runs dry, drain `server` and hand `on_drain`
+/// that drain's completions, each paired with its sojourn (ticks from
+/// its submit to the drain). Nothing outlives a drain, so memory is
+/// bounded by one drain window's arrivals whatever the stream length.
+pub fn open_loop(
+    server: &mut Server,
+    clock: &ManualClock,
+    stream: impl IntoIterator<Item = (u64, RequestSpec)>,
+    config: OpenLoopConfig,
+    mut on_drain: impl FnMut(Vec<(Completion, u64)>),
+) {
+    let arrivals = config.arrivals_per_tick.max(1);
+    let drain_every = config.drain_every.max(1);
+    // Submit tick per request awaiting its drain.
+    let mut pending: HashMap<u64, u64> = HashMap::new();
+    let mut drain = |server: &mut Server, pending: &mut HashMap<u64, u64>| {
+        let tick = clock.now();
+        let drained = server
+            .drain()
+            .into_iter()
+            .map(|c| {
+                let submitted = pending
+                    .remove(&c.id)
+                    .expect("completion for a submitted request");
+                (c, tick.saturating_sub(submitted))
+            })
+            .collect();
+        on_drain(drained);
+    };
     let mut stream = stream.into_iter();
     let mut since_drain = 0u64;
     let mut exhausted = false;
@@ -358,8 +338,8 @@ pub fn run_open_loop_tenants(
         for _ in 0..arrivals {
             match stream.next() {
                 Some((fingerprint, spec)) => {
-                    let id = server.submit(fingerprint, &spec).id();
-                    report.note_submit(id, clock.now());
+                    let id = server.submit_to(fingerprint, &spec).id();
+                    pending.insert(id, clock.now());
                 }
                 None => {
                     exhausted = true;
@@ -370,22 +350,12 @@ pub fn run_open_loop_tenants(
         clock.advance(1);
         since_drain += 1;
         if since_drain >= drain_every {
-            let tick = clock.now();
-            for c in server.drain() {
-                report.fold(&c, tick);
-            }
-            report.drains += 1;
+            drain(server, &mut pending);
             since_drain = 0;
         }
     }
-    let tick = clock.now();
-    for c in server.drain() {
-        report.fold(&c, tick);
-    }
-    report.drains += 1;
-    report.ticks = clock.now() - start;
-    debug_assert!(report.pending.is_empty(), "final drain folds everything");
-    report
+    drain(server, &mut pending);
+    debug_assert!(pending.is_empty(), "final drain folds everything");
 }
 
 /// Assign a deadline of `now + budget` ticks to every `period`-th
@@ -423,7 +393,7 @@ mod tests {
         let db = retail_database(7);
         let pipeline = Arc::new(NliPipeline::standard(&db));
         let clock = Arc::new(ManualClock::new());
-        let server = Server::start(
+        let server = Server::start_observed(
             pipeline,
             ServerConfig {
                 workers,
@@ -431,6 +401,8 @@ mod tests {
                 ..ServerConfig::default()
             },
             clock.clone() as Arc<dyn Clock>,
+            None,
+            None,
         );
         (server, clock)
     }
@@ -442,13 +414,15 @@ mod tests {
         let pipeline = Arc::new(NliPipeline::standard(&db));
         let stream = request_stream(&slots, 42, 40, 0.25);
         let clock = Arc::new(ManualClock::new());
-        let mut server = Server::start(
+        let mut server = Server::start_observed(
             pipeline,
             ServerConfig {
                 workers: 2,
                 ..ServerConfig::default()
             },
             clock.clone() as Arc<dyn Clock>,
+            None,
+            None,
         );
         let report = run_closed_loop(&mut server, &clock, &stream, 8);
         assert_eq!(report.completions.len(), 40);

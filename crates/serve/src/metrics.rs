@@ -379,7 +379,7 @@ impl MetricsSnapshot {
     /// Export the scalar counters under `serve.tenant.<label>.<name>`,
     /// overwriting prior values. Per-worker counts are deliberately
     /// skipped: worker placement is runtime-global, not per-tenant.
-    /// [`crate::TenantServer::export_metrics`] calls this once per
+    /// [`crate::Server::export_metrics`] calls this once per
     /// tenant next to the global [`MetricsSnapshot::export_into`], so
     /// one registry report breaks the workload down by tenant.
     pub fn export_labelled_into(&self, registry: &nlidb_obs::MetricsRegistry, label: &str) {

@@ -45,7 +45,7 @@
 //!   crash-recovery claim (lost work ≡ replayed work).
 //! * **Tenancy is keying, not locking.** The pool can serve many
 //!   databases at once (see [`crate::tenant`] and
-//!   [`crate::TenantServer`]): every job carries its tenant's
+//!   [`Server::start_tenants`]): every job carries its tenant's
 //!   registration index, worker state (interpretation caches,
 //!   sessions, circuit breakers) is per-(worker, tenant), journals
 //!   and metrics are per-tenant, and routing XORs a per-tenant salt
@@ -68,7 +68,7 @@ use nlidb_core::interpretation::InterpreterKind;
 use nlidb_core::pipeline::NliPipeline;
 use nlidb_dialogue::{ConversationSession, ManagerKind};
 use nlidb_engine::ResultSet;
-use nlidb_obs::{SpanId, TraceBuilder};
+use nlidb_obs::{MetricsRegistry, SpanId, TraceBuilder};
 
 use crate::clock::Clock;
 use crate::fault::{HookCtx, InjectedFault};
@@ -367,9 +367,11 @@ enum Delivery {
 }
 
 /// Why admission turned a request away, in the order
-/// [`Server::submit_for`] checks. Each maps to its own counter, trace
+/// [`Server::submit_to`] checks. Each maps to its own counter, trace
 /// outcome and [`Disposition`] in [`Server::reject`].
 enum Reject {
+    /// The fingerprint names no registered tenant.
+    UnknownTenant,
     /// Every worker has died.
     NoLiveWorker,
     /// The tenant's admission budget is spent.
@@ -445,15 +447,18 @@ pub fn normalize_question(question: &str) -> String {
     out
 }
 
-/// FNV-1a — a fixed, seedless hash, so routing never depends on
-/// `RandomState`.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// The FNV-1a-64 offset basis: the hash of no bytes, and the value
+/// every [`fnv1a`] chain starts from.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a-64, continued from `hash`: fold `bytes` into a running
+/// hash, so `fnv1a(fnv1a(FNV1A_OFFSET, a), b)` is the hash of `a`
+/// followed by `b`. A fixed, seedless hash, so routing, cache keys,
+/// schema fingerprints and digests never depend on `RandomState`.
+pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// The routing salt for a tenant's registration index: a multiple of
@@ -470,7 +475,6 @@ fn tenant_salt(tenant: usize) -> u64 {
 pub struct Server {
     shared: Arc<Shared>,
     config: ServerConfig,
-    fingerprint: u64,
     senders: Vec<mpsc::Sender<Job>>,
     completion_rx: mpsc::Receiver<Delivery>,
     handles: Vec<JoinHandle<()>>,
@@ -516,31 +520,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Start a pool over a trained, immutable pipeline.
-    pub fn start(
-        pipeline: Arc<NliPipeline>,
-        config: ServerConfig,
-        clock: Arc<dyn Clock>,
-    ) -> Server {
-        Server::start_with_hook(pipeline, config, clock, None)
-    }
-
-    /// [`Server::start`], with a per-request hook (see [`RequestHook`]).
-    pub fn start_with_hook(
-        pipeline: Arc<NliPipeline>,
-        config: ServerConfig,
-        clock: Arc<dyn Clock>,
-        hook: Option<RequestHook>,
-    ) -> Server {
-        Server::start_observed(pipeline, config, clock, hook, None)
-    }
-
-    /// [`Server::start_with_hook`], with optional observability: when
-    /// `obs` is given, every request (admitted or rejected) finishes
-    /// as one span tree in the sink and feeds the registry's
-    /// per-stage cost histograms. Tracing never changes dispositions —
-    /// the observed completion stream is signature-identical to the
-    /// unobserved one.
+    /// Start a pool over one trained, immutable pipeline: a registry
+    /// of one tenant named `"default"` (see [`Server::start_tenants`]).
     pub fn start_observed(
         pipeline: Arc<NliPipeline>,
         config: ServerConfig,
@@ -550,17 +531,27 @@ impl Server {
     ) -> Server {
         let mut registry = TenantRegistry::new();
         registry.register("default", pipeline, TenantPolicy::default());
-        Server::start_registry(&registry, config, clock, hook, obs)
+        Server::start_tenants(&registry, config, clock, hook, obs)
     }
 
-    /// Start a pool over every tenant in `registry` (the engine behind
-    /// both the single-tenant constructors above — they register one
-    /// tenant named `"default"` — and [`crate::TenantServer`]).
+    /// Start a pool serving every tenant in `registry`.
+    ///
+    /// `hook`, when given, is consulted before every pipeline attempt
+    /// (see [`RequestHook`]). Hook identity is request-global: the hook
+    /// sees the same request ids a single merged submission sequence
+    /// produces, whatever tenant each id belongs to.
+    ///
+    /// `obs`, when given, turns every request (admitted or rejected)
+    /// into one span tree in the sink and feeds the registry's
+    /// per-stage cost histograms. Tracing never changes dispositions —
+    /// the observed completion stream is signature-identical to the
+    /// unobserved one. Multi-tenant traces carry a `tenant` attribute
+    /// on every request root span; single-tenant servers omit it.
     ///
     /// # Panics
     ///
     /// Panics if the registry is empty.
-    pub(crate) fn start_registry(
+    pub fn start_tenants(
         registry: &TenantRegistry,
         config: ServerConfig,
         clock: Arc<dyn Clock>,
@@ -596,7 +587,6 @@ impl Server {
                 }
             })
             .collect();
-        let fingerprint = tenants[0].fingerprint;
         let tenant_count = tenants.len();
         let shared = Arc::new(Shared {
             label_tenants: tenant_count > 1,
@@ -630,7 +620,6 @@ impl Server {
         drop(completion_tx);
         Server {
             shared,
-            fingerprint,
             outstanding: vec![0; config.workers],
             dead: vec![false; config.workers],
             in_flight: 0,
@@ -650,22 +639,33 @@ impl Server {
         }
     }
 
-    /// The worker a request would be routed to: its content-addressed
-    /// home worker, or — when that worker has died — the next live
-    /// worker after it (where a remapped session is rebuilt from the
-    /// journal). With every worker dead the home worker is returned;
-    /// [`Server::submit`] refuses such requests at admission.
+    /// [`Server::route_to`] for tenant 0, the only tenant of a server
+    /// started with [`Server::start_observed`].
     pub fn route(&self, spec: &RequestSpec) -> usize {
-        self.route_for(0, spec)
+        self.route_to(self.fingerprint(), spec)
+            .expect("tenant 0 is registered")
     }
 
-    /// [`Server::route`] for the tenant at registration index
-    /// `tenant`: the tenant's salt is XORed into the content address
-    /// before the worker modulus (salt 0 for tenant 0, so the public
-    /// single-tenant `route` is unchanged).
-    pub(crate) fn route_for(&self, tenant: usize, spec: &RequestSpec) -> usize {
-        let base = self.home_worker(tenant, spec.session, &spec.question);
-        self.live_worker_from(base).unwrap_or(base)
+    /// The worker a request of `fingerprint`'s tenant would be routed
+    /// to (`None` for an unregistered fingerprint): its
+    /// content-addressed home worker, or — when that worker has died —
+    /// the next live worker after it (where a remapped session is
+    /// rebuilt from the journal). With every worker dead the home
+    /// worker is returned; [`Server::submit_to`] refuses such requests
+    /// at admission.
+    pub fn route_to(&self, fingerprint: u64, spec: &RequestSpec) -> Option<usize> {
+        let base = self.home_worker(self.tenant(fingerprint)?, spec.session, &spec.question);
+        Some(self.live_worker_from(base).unwrap_or(base))
+    }
+
+    /// Registration index of the tenant behind `fingerprint`.
+    /// [`TenantRegistry::register`] refuses duplicate fingerprints, so
+    /// the scan finds at most one.
+    fn tenant(&self, fingerprint: u64) -> Option<usize> {
+        self.shared
+            .tenants
+            .iter()
+            .position(|t| t.fingerprint == fingerprint)
     }
 
     /// The content-addressed home worker, dead or alive: a session id,
@@ -674,7 +674,7 @@ impl Server {
     fn home_worker(&self, tenant: usize, session: Option<u64>, question: &str) -> usize {
         let address = match session {
             Some(id) => id,
-            None => fnv1a(normalize_question(question).as_bytes()),
+            None => fnv1a(FNV1A_OFFSET, normalize_question(question).as_bytes()),
         };
         ((address ^ tenant_salt(tenant)) % self.config.workers as u64) as usize
     }
@@ -705,20 +705,27 @@ impl Server {
         self.health_hub().cloned()
     }
 
-    /// Offer one request. Decides admit/shed/deadline *now* (see
-    /// module docs); admitted work completes at the next [`Server::drain`].
+    /// [`Server::submit_to`] for tenant 0, the only tenant of a server
+    /// started with [`Server::start_observed`].
     pub fn submit(&mut self, spec: &RequestSpec) -> Admission {
-        self.submit_for(0, spec)
+        self.submit_to(self.fingerprint(), spec)
     }
 
-    /// [`Server::submit`] on behalf of the tenant at registration
-    /// index `tenant`: counters land in the tenant's scope as well as
-    /// the global one, the tenant's admission budget is enforced, and
-    /// routing carries the tenant's salt.
-    pub(crate) fn submit_for(&mut self, tenant: usize, spec: &RequestSpec) -> Admission {
+    /// Offer one request on behalf of the tenant behind `fingerprint`.
+    /// Decides admit/shed/deadline *now* (see module docs); admitted
+    /// work completes at the next [`Server::drain`]. Counters land in
+    /// the tenant's scope as well as the global one, the tenant's
+    /// admission budget is enforced, and routing carries the tenant's
+    /// salt. An unregistered fingerprint is refused, counted in the
+    /// global scope only.
+    pub fn submit_to(&mut self, fingerprint: u64, spec: &RequestSpec) -> Admission {
         let id = self.next_id;
         self.next_id += 1;
         let shared = Arc::clone(&self.shared);
+        let Some(tenant) = self.tenant(fingerprint) else {
+            shared.metrics.submitted.fetch_add(1, Ordering::Relaxed);
+            return self.reject(None, id, spec, 0, Reject::UnknownTenant);
+        };
         let metrics = ScopedMetrics {
             global: &shared.metrics,
             tenant: &shared.tenants[tenant].metrics,
@@ -764,21 +771,23 @@ impl Server {
             }
         }
         if self.dead.iter().all(|&d| d) {
-            return self.reject(tenant, id, spec, 0, Reject::NoLiveWorker);
+            return self.reject(Some(tenant), id, spec, 0, Reject::NoLiveWorker);
         }
         if let Some(budget) = shared.tenants[tenant].admission_budget {
             if self.admitted_per_tenant[tenant] >= budget {
-                return self.reject(tenant, id, spec, 0, Reject::Quota);
+                return self.reject(Some(tenant), id, spec, 0, Reject::Quota);
             }
         }
-        let worker = self.route_for(tenant, spec);
+        let worker = self
+            .route_to(fingerprint, spec)
+            .expect("the tenant is registered");
         let depth = self.outstanding[worker];
         let now = shared.clock.now();
 
         if let Some(deadline) = spec.deadline {
             let projected = now + (depth as u64 + 1) * self.config.service_estimate;
             if now > deadline || projected > deadline {
-                return self.reject(tenant, id, spec, depth, Reject::Deadline);
+                return self.reject(Some(tenant), id, spec, depth, Reject::Deadline);
             }
         }
         // Overload shedding: while an episode is open, standalone work
@@ -802,11 +811,11 @@ impl Server {
             let over_share =
                 self.episode_admitted[tenant] * tenant_count > self.episode_total + tenant_count;
             if expensive || over_share {
-                return self.reject(tenant, id, spec, depth, Reject::Overload(learned));
+                return self.reject(Some(tenant), id, spec, depth, Reject::Overload(learned));
             }
         }
         if depth >= self.config.queue_capacity {
-            return self.reject(tenant, id, spec, depth, Reject::QueueFull);
+            return self.reject(Some(tenant), id, spec, depth, Reject::QueueFull);
         }
 
         let job = Job {
@@ -846,36 +855,13 @@ impl Server {
         Admission::Admitted { id, worker }
     }
 
-    /// Refuse a request that names no registered tenant. The refusal
-    /// is counted against the global scope only (there is no tenant to
-    /// attribute it to) and surfaces as a completion at the next
-    /// drain, like every other admission-time reject.
-    pub(crate) fn refuse_unknown(&mut self, spec: &RequestSpec) -> Admission {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.shared
-            .metrics
-            .submitted
-            .fetch_add(1, Ordering::Relaxed);
-        self.shared.metrics.refused.fetch_add(1, Ordering::Relaxed);
-        self.rejected.push(Completion {
-            id,
-            worker: None,
-            session: spec.session,
-            plan_cost: None,
-            disposition: Disposition::Refused {
-                reason: "unknown tenant fingerprint".to_string(),
-            },
-        });
-        Admission::Refused { id }
-    }
-
     /// The one exit for an admission-time reject: count it in the
-    /// tenant's and the global scope, trace it, queue its completion
-    /// for the next drain, and return its [`Admission`].
+    /// global scope and, when it names a registered tenant, in that
+    /// tenant's, trace it, queue its completion for the next drain, and
+    /// return its [`Admission`].
     fn reject(
         &mut self,
-        tenant: usize,
+        tenant: Option<usize>,
         id: u64,
         spec: &RequestSpec,
         depth: usize,
@@ -883,6 +869,14 @@ impl Server {
     ) -> Admission {
         let (counter, outcome, plan_cost, disposition): (fn(&ServeMetrics) -> &AtomicU64, _, _, _) =
             match why {
+                Reject::UnknownTenant => (
+                    |m| &m.refused,
+                    "refused",
+                    None,
+                    Disposition::Refused {
+                        reason: "unknown tenant fingerprint".to_string(),
+                    },
+                ),
                 Reject::NoLiveWorker => (
                     |m| &m.refused,
                     "refused",
@@ -913,11 +907,16 @@ impl Server {
                 ),
                 Reject::QueueFull => (|m| &m.shed_full, "shed", None, Disposition::Shed),
             };
-        ScopedMetrics {
-            global: &self.shared.metrics,
-            tenant: &self.shared.tenants[tenant].metrics,
+        match tenant {
+            Some(t) => ScopedMetrics {
+                global: &self.shared.metrics,
+                tenant: &self.shared.tenants[t].metrics,
+            }
+            .add(counter, 1),
+            None => {
+                counter(&self.shared.metrics).fetch_add(1, Ordering::Relaxed);
+            }
         }
-        .add(counter, 1);
         self.trace_reject(tenant, id, spec, depth, outcome);
         let admission = match disposition {
             Disposition::Refused { .. } => Admission::Refused { id },
@@ -939,7 +938,7 @@ impl Server {
     /// place this evidence exists).
     fn trace_reject(
         &self,
-        tenant: usize,
+        tenant: Option<usize>,
         id: u64,
         spec: &RequestSpec,
         depth: usize,
@@ -958,8 +957,8 @@ impl Server {
                 "single"
             },
         );
-        if self.shared.label_tenants {
-            tb.annotate(root, "tenant", self.shared.tenants[tenant].name.clone());
+        if let Some(t) = tenant.filter(|_| self.shared.label_tenants) {
+            tb.annotate(root, "tenant", self.shared.tenants[t].name.clone());
         }
         tb.annotate(root, "outcome", outcome);
         let adm = tb.open("admission");
@@ -976,11 +975,11 @@ impl Server {
     ///
     /// This is also where crash recovery happens: a job bounced off a
     /// dead worker marks that worker dead and is re-admitted to a live
-    /// one (see [`Server::readmit`]). Re-admission runs in rounds —
-    /// every expected delivery is received before any bounce goes back
-    /// out, and bounces are replayed in request-id order — so the
-    /// recovered outcome stream is a pure function of the submit
-    /// sequence, never of which thread's messages arrived first.
+    /// one. Re-admission runs in rounds — every expected delivery is
+    /// received before any bounce goes back out, and bounces are
+    /// replayed in request-id order — so the recovered outcome stream
+    /// is a pure function of the submit sequence, never of which
+    /// thread's messages arrived first.
     pub fn drain(&mut self) -> Vec<Completion> {
         let mut out = Vec::with_capacity(self.in_flight + self.rejected.len());
         let mut expected = self.in_flight;
@@ -1038,9 +1037,9 @@ impl Server {
         // windowed scopes, then every SLO engine is evaluated at the
         // drain tick. `out` is id-sorted, so the feed order — and
         // therefore the whole health layer — is a pure function of
-        // the completion stream. Unknown-tenant refusals
-        // (`refuse_unknown`) never enter `health_meta` and are
-        // deliberately skipped: they have no tenant scope.
+        // the completion stream. Unknown-tenant refusals never enter
+        // `health_meta` and are deliberately skipped: they have no
+        // tenant scope.
         if let Some(hub) = self.health_hub().cloned() {
             let tick = self.shared.clock.now();
             for c in &out {
@@ -1147,41 +1146,71 @@ impl Server {
     }
 
     /// The write-ahead session journal (one entry per committed
-    /// dialogue turn; see [`crate::journal`]). Journals are
-    /// per-tenant; this is tenant 0's — the only tenant of a server
-    /// started through the public constructors.
+    /// dialogue turn; see [`crate::journal`]) of tenant 0, the only
+    /// tenant of a server started with [`Server::start_observed`].
     pub fn journal(&self) -> &SessionJournal {
         &self.shared.tenants[0].journal
     }
 
-    /// Current counter snapshot.
+    /// One tenant's write-ahead session journal (`None` for an
+    /// unregistered fingerprint). Journals are fully namespaced:
+    /// session ids only collide across tenants by name, never by
+    /// state.
+    pub fn tenant_journal(&self, fingerprint: u64) -> Option<&SessionJournal> {
+        Some(&self.shared.tenants[self.tenant(fingerprint)?].journal)
+    }
+
+    /// Whole-runtime counter snapshot (every tenant's traffic).
     pub fn metrics(&self) -> MetricsSnapshot {
         self.shared.metrics.snapshot()
     }
 
-    /// Counter snapshot for the tenant at registration index `tenant`.
-    pub(crate) fn tenant_metrics_at(&self, tenant: usize) -> MetricsSnapshot {
-        self.shared.tenants[tenant].metrics.snapshot()
+    /// Counter snapshot for one tenant (`None` for an unregistered
+    /// fingerprint). In lockstep with the global snapshot: summing a
+    /// counter over all tenants yields the global value (minus
+    /// unknown-tenant refusals, which have no tenant scope).
+    pub fn tenant_metrics(&self, fingerprint: u64) -> Option<MetricsSnapshot> {
+        Some(
+            self.shared.tenants[self.tenant(fingerprint)?]
+                .metrics
+                .snapshot(),
+        )
     }
 
-    /// Session journal of the tenant at registration index `tenant`.
-    pub(crate) fn tenant_journal_at(&self, tenant: usize) -> &SessionJournal {
-        &self.shared.tenants[tenant].journal
+    /// Per-tenant health: window matrix, event log, and firing states
+    /// for the tenant behind `fingerprint`. `None` when the fingerprint
+    /// is unregistered, when the runtime has no [`crate::HealthHub`]
+    /// attached, or when the tenant has not yet completed a request
+    /// (its scope does not exist until then).
+    pub fn tenant_health(&self, fingerprint: u64) -> Option<crate::health::HealthReport> {
+        let tenant = self.tenant(fingerprint)?;
+        self.health_hub()?.report(&self.shared.tenants[tenant].name)
     }
 
-    /// Name of the tenant at registration index `tenant`.
-    pub(crate) fn tenant_name_at(&self, tenant: usize) -> &str {
-        &self.shared.tenants[tenant].name
+    /// Export the global counters (`serve.*`, via
+    /// [`MetricsSnapshot::export_into`]) plus every tenant's breakdown
+    /// (`serve.tenant.<name>.*`, via
+    /// [`MetricsSnapshot::export_labelled_into`]) into `registry`.
+    pub fn export_metrics(&self, registry: &MetricsRegistry) {
+        self.metrics().export_into(registry);
+        for t in &self.shared.tenants {
+            t.metrics.snapshot().export_labelled_into(registry, &t.name);
+        }
     }
 
-    /// Number of registered tenants.
-    pub(crate) fn tenant_count(&self) -> usize {
-        self.shared.tenants.len()
-    }
-
-    /// The schema fingerprint baked into cache keys.
+    /// The schema fingerprint of tenant 0, baked into its cache keys.
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        self.shared.tenants[0].fingerprint
+    }
+
+    /// Registered fingerprints, in registration order.
+    pub fn fingerprints(&self) -> Vec<u64> {
+        self.shared.tenants.iter().map(|t| t.fingerprint).collect()
+    }
+
+    /// Tenant names, in registration order.
+    pub fn names(&self) -> Vec<String> {
+        self.shared.tenants.iter().map(|t| t.name.clone()).collect()
     }
 
     /// Number of workers.
@@ -1811,7 +1840,13 @@ mod tests {
             ..ServerConfig::default()
         };
         (
-            Server::start(Arc::clone(pipeline), cfg, clock.clone() as Arc<dyn Clock>),
+            Server::start_observed(
+                Arc::clone(pipeline),
+                cfg,
+                clock.clone() as Arc<dyn Clock>,
+                None,
+                None,
+            ),
             clock,
         )
     }
@@ -1870,7 +1905,8 @@ mod tests {
             queue_capacity: 2,
             ..ServerConfig::default()
         };
-        let mut srv = Server::start(Arc::clone(&p), cfg, clock as Arc<dyn Clock>);
+        let mut srv =
+            Server::start_observed(Arc::clone(&p), cfg, clock as Arc<dyn Clock>, None, None);
         let q = RequestSpec::single("how many customers are there");
         let a: Vec<Admission> = (0..4).map(|_| srv.submit(&q)).collect();
         assert!(matches!(a[0], Admission::Admitted { .. }));
@@ -1898,7 +1934,13 @@ mod tests {
             service_estimate: 10,
             ..ServerConfig::default()
         };
-        let mut srv = Server::start(Arc::clone(&p), cfg, clock.clone() as Arc<dyn Clock>);
+        let mut srv = Server::start_observed(
+            Arc::clone(&p),
+            cfg,
+            clock.clone() as Arc<dyn Clock>,
+            None,
+            None,
+        );
         let mut q = RequestSpec::single("how many customers are there");
         // Deadline 15 ticks out, service estimate 10: first fits
         // (projected 10), second does not (projected 20).
@@ -1952,7 +1994,7 @@ mod tests {
                 ..TenantPolicy::default()
             },
         );
-        let mut srv = Server::start_registry(
+        let mut srv = Server::start_tenants(
             &registry,
             ServerConfig::default(),
             clock as Arc<dyn Clock>,
@@ -1994,7 +2036,8 @@ mod tests {
             approved_mode: true,
             ..ServerConfig::default()
         };
-        let mut srv = Server::start(Arc::clone(&p), cfg, clock as Arc<dyn Clock>);
+        let mut srv =
+            Server::start_observed(Arc::clone(&p), cfg, clock as Arc<dyn Clock>, None, None);
         for q in questions {
             srv.submit(&RequestSpec::single(q));
         }
@@ -2042,7 +2085,8 @@ mod tests {
             }),
             ..ServerConfig::default()
         };
-        let mut srv = Server::start(Arc::clone(&p), cfg, clock as Arc<dyn Clock>);
+        let mut srv =
+            Server::start_observed(Arc::clone(&p), cfg, clock as Arc<dyn Clock>, None, None);
         let q = RequestSpec::single("how many customers are there");
         srv.submit(&q);
         let first = srv.drain();
@@ -2100,7 +2144,8 @@ mod tests {
             }),
             ..ServerConfig::default()
         };
-        let mut srv = Server::start(Arc::clone(&p), cfg, clock as Arc<dyn Clock>);
+        let mut srv =
+            Server::start_observed(Arc::clone(&p), cfg, clock as Arc<dyn Clock>, None, None);
         let q = RequestSpec::single("how many customers are there");
         // Teach the controller the question's cost on a quiet pass.
         srv.submit(&q);
@@ -2150,7 +2195,8 @@ mod tests {
                 }),
                 ..ServerConfig::default()
             };
-            let mut srv = Server::start(Arc::clone(&p), cfg, clock as Arc<dyn Clock>);
+            let mut srv =
+                Server::start_observed(Arc::clone(&p), cfg, clock as Arc<dyn Clock>, None, None);
             let hot = RequestSpec::single("how many customers are there");
             let cold = RequestSpec::single("show all customers");
             srv.submit(&hot);
@@ -2208,16 +2254,17 @@ mod tests {
             }),
             ..ServerConfig::default()
         };
-        let mut srv = Server::start_registry(&registry, cfg, clock as Arc<dyn Clock>, None, None);
+        let mut srv = Server::start_tenants(&registry, cfg, clock as Arc<dyn Clock>, None, None);
         let q = RequestSpec::single("how many customers are there");
-        // Open the episode, then let tenant 0 hog it.
-        srv.submit_for(0, &q);
-        srv.submit_for(0, &q);
+        let [hog, quiet] = [0, 1].map(|t| registry.entries()[t].fingerprint());
+        // Open the episode, then let the hog tenant hog it.
+        srv.submit_to(hog, &q);
+        srv.submit_to(hog, &q);
         assert!(!srv.is_overloaded());
         let mut hog_shed = 0;
         let mut hog_admitted = 0;
         for _ in 0..8 {
-            match srv.submit_for(0, &q) {
+            match srv.submit_to(hog, &q) {
                 Admission::Shed { .. } => hog_shed += 1,
                 Admission::Admitted { .. } => hog_admitted += 1,
                 other => panic!("unexpected {other:?}"),
@@ -2227,10 +2274,24 @@ mod tests {
         assert!(hog_shed > 0, "the hog must be trimmed");
         assert!(hog_admitted > 0, "trimmed to fair share, not starved");
         // The quiet tenant's traffic flows untouched mid-episode.
-        assert!(matches!(srv.submit_for(1, &q), Admission::Admitted { .. }));
+        assert!(matches!(
+            srv.submit_to(quiet, &q),
+            Admission::Admitted { .. }
+        ));
         srv.drain();
         let m = srv.shutdown();
         assert_eq!(m.shed_overload, hog_shed);
+    }
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors_and_chains() {
+        assert_eq!(fnv1a(FNV1A_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV1A_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV1A_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(
+            fnv1a(fnv1a(FNV1A_OFFSET, b"foo"), b"bar"),
+            fnv1a(FNV1A_OFFSET, b"foobar")
+        );
     }
 
     #[test]

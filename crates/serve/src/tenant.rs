@@ -210,7 +210,7 @@ pub fn schema_fingerprint_of(onto: &Ontology) -> u64 {
         }
         acc.push('\u{2}');
     }
-    crate::server::fnv1a(acc.as_bytes())
+    crate::server::fnv1a(crate::server::FNV1A_OFFSET, acc.as_bytes())
 }
 
 /// Build a tenant-ready pipeline over `db`: derive the schema context,

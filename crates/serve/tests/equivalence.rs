@@ -32,7 +32,7 @@ fn serve_once(
     let pipeline = Arc::new(NliPipeline::with_context(&db, ctx));
     let stream = request_stream(&slots, 42, n, session_share);
     let clock = Arc::new(ManualClock::new());
-    let mut server = Server::start(
+    let mut server = Server::start_observed(
         pipeline,
         ServerConfig {
             workers,
@@ -42,6 +42,8 @@ fn serve_once(
             ..ServerConfig::default()
         },
         clock.clone() as Arc<dyn Clock>,
+        None,
+        None,
     );
     let report = run_closed_loop(&mut server, &clock, &stream, 16);
     let m = server.shutdown();

@@ -45,11 +45,12 @@ fn faulted_run(
     let p = Arc::new(NliPipeline::standard(&db));
     let stream = request_stream(&slots, 42, n, session_share);
     let clock = Arc::new(ManualClock::new());
-    let mut server = Server::start_with_hook(
+    let mut server = Server::start_observed(
         p,
         config(workers),
         clock.clone() as Arc<dyn Clock>,
         Some(fault_plan_hook(plan)),
+        None,
     );
     let report = run_closed_loop(&mut server, &clock, &stream, 16);
     assert_eq!(report.completions.len(), n, "every request completes");
@@ -90,11 +91,12 @@ fn fatal_fault_degrades_down_the_ladder_and_is_marked() {
     let p = pipeline();
     let clock = Arc::new(ManualClock::new());
     let plan = FaultPlan::none().with(0, FaultKind::Fatal { depth: 1 });
-    let mut server = Server::start_with_hook(
+    let mut server = Server::start_observed(
         Arc::clone(&p),
         config(1),
         clock.clone() as Arc<dyn Clock>,
         Some(fault_plan_hook(plan)),
+        None,
     );
     server.submit(&RequestSpec::single(question)); // id 0: hybrid is down
     server.submit(&RequestSpec::single(question)); // id 1: healthy
@@ -131,11 +133,12 @@ fn ladder_exhaustion_refuses_deterministically() {
     let plan = FaultPlan::none().with(0, FaultKind::Fatal { depth: 4 });
     let p = pipeline();
     let clock = Arc::new(ManualClock::new());
-    let mut server = Server::start_with_hook(
+    let mut server = Server::start_observed(
         p,
         config(1),
         clock.clone() as Arc<dyn Clock>,
         Some(fault_plan_hook(plan)),
+        None,
     );
     server.submit(&RequestSpec::single("how many customers are there"));
     let done = server.drain();
@@ -163,11 +166,12 @@ fn circuit_breaker_trips_and_sheds_load_off_a_failing_family() {
     }
     let p = pipeline();
     let clock = Arc::new(ManualClock::new());
-    let mut server = Server::start_with_hook(
+    let mut server = Server::start_observed(
         p,
         config(1),
         clock.clone() as Arc<dyn Clock>,
         Some(fault_plan_hook(plan)),
+        None,
     );
     for _ in 0..5 {
         server.submit(&RequestSpec::single("how many customers are there"));
@@ -194,7 +198,7 @@ fn worker_panic_with_no_spare_worker_refuses_cleanly() {
     // reach the fault schedule. One worker: recovery has nowhere to
     // re-admit to, so every bounce must surface as a clean refusal —
     // never a hang, never a lost completion.
-    let mut server = Server::start_with_hook(
+    let mut server = Server::start_observed(
         p,
         ServerConfig {
             workers: 1,
@@ -203,6 +207,7 @@ fn worker_panic_with_no_spare_worker_refuses_cleanly() {
         },
         clock.clone() as Arc<dyn Clock>,
         Some(fault_plan_hook(plan)),
+        None,
     );
     for _ in 0..4 {
         server.submit(&RequestSpec::single("how many customers are there"));
@@ -259,7 +264,7 @@ fn drop_joins_worker_threads() {
     let witness = Arc::clone(&sentinel);
     let p = pipeline();
     let clock = Arc::new(ManualClock::new());
-    let mut server = Server::start_with_hook(
+    let mut server = Server::start_observed(
         p,
         config(3),
         clock.clone() as Arc<dyn Clock>,
@@ -267,6 +272,7 @@ fn drop_joins_worker_threads() {
             let _ = &witness;
             None
         })),
+        None,
     );
     server.submit(&RequestSpec::single("how many customers are there"));
     server.drain();
@@ -290,7 +296,13 @@ fn fingerprint_covers_relationships() {
     );
     let fp = |ctx: SchemaContext| {
         let p = Arc::new(NliPipeline::with_context(&db, ctx));
-        let server = Server::start(p, config(1), Arc::clone(&clock) as Arc<dyn Clock>);
+        let server = Server::start_observed(
+            p,
+            config(1),
+            Arc::clone(&clock) as Arc<dyn Clock>,
+            None,
+            None,
+        );
         let fp = server.fingerprint();
         server.shutdown();
         fp
@@ -319,7 +331,7 @@ fn fingerprint_covers_relationships() {
 fn disabled_cache_metrics_stay_meaningful() {
     let p = pipeline();
     let clock = Arc::new(ManualClock::new());
-    let mut server = Server::start(
+    let mut server = Server::start_observed(
         p,
         ServerConfig {
             workers: 1,
@@ -327,6 +339,8 @@ fn disabled_cache_metrics_stay_meaningful() {
             ..ServerConfig::default()
         },
         clock.clone() as Arc<dyn Clock>,
+        None,
+        None,
     );
     for _ in 0..3 {
         server.submit(&RequestSpec::single("how many customers are there"));

@@ -90,11 +90,12 @@ fn tracing_never_perturbs_the_answer_stream() {
     let p = Arc::new(NliPipeline::standard(&db));
     let stream = request_stream(&slots, 42, 60, 0.25);
     let clock = Arc::new(ManualClock::new());
-    let mut server = Server::start_with_hook(
+    let mut server = Server::start_observed(
         p,
         config(2),
         clock.clone() as Arc<dyn Clock>,
         Some(fault_plan_hook(mixed_plan(60))),
+        None,
     );
     let report = run_closed_loop(&mut server, &clock, &stream, 16);
     let untraced_m = server.shutdown();

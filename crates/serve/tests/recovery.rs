@@ -176,11 +176,12 @@ fn dead_worker_is_never_offered_new_work() {
     silence_worker_panics();
     let clock = Arc::new(ManualClock::new());
     let plan = FaultPlan::none().with(1, FaultKind::WorkerPanic);
-    let mut server = Server::start_with_hook(
+    let mut server = Server::start_observed(
         pipeline(),
         config(2),
         clock.clone() as Arc<dyn Clock>,
         Some(fault_plan_hook(plan)),
+        None,
     );
     for u in TURNS {
         server.submit(&turn(0, u));
@@ -225,11 +226,12 @@ fn stream_recovery_matches_a_never_crashed_run() {
     let run = |plan: FaultPlan| {
         let p = Arc::new(NliPipeline::standard(&db));
         let clock = Arc::new(ManualClock::new());
-        let mut server = Server::start_with_hook(
+        let mut server = Server::start_observed(
             p,
             config(2),
             clock.clone() as Arc<dyn Clock>,
             Some(fault_plan_hook(plan)),
+            None,
         );
         let report = run_closed_loop(&mut server, &clock, &stream, 16);
         (report, server.shutdown())
@@ -269,7 +271,7 @@ fn redelivery_budget_bounds_worker_chasing() {
     let plan = FaultPlan::none()
         .with(0, FaultKind::WorkerPanic) // session 0's first turn kills worker 0
         .with(1, FaultKind::WorkerPanic); // session 1's first turn kills worker 1
-    let mut server = Server::start_with_hook(
+    let mut server = Server::start_observed(
         pipeline(),
         ServerConfig {
             workers: 3,
@@ -281,6 +283,7 @@ fn redelivery_budget_bounds_worker_chasing() {
         },
         clock.clone() as Arc<dyn Clock>,
         Some(fault_plan_hook(plan)),
+        None,
     );
     server.submit(&turn(0, "show customers in Austin"));
     server.submit(&turn(1, "show orders"));
@@ -317,11 +320,12 @@ fn readmission_rechecks_deadlines_against_the_clock() {
     silence_worker_panics();
     let clock = Arc::new(ManualClock::new());
     let plan = FaultPlan::none().with(0, FaultKind::WorkerPanic);
-    let mut server = Server::start_with_hook(
+    let mut server = Server::start_observed(
         pipeline(),
         config(2),
         clock.clone() as Arc<dyn Clock>,
         Some(fault_plan_hook(plan)),
+        None,
     );
     for u in &TURNS[..2] {
         server.submit(&RequestSpec {
@@ -356,11 +360,12 @@ fn shutdown_concurrent_with_worker_panic_neither_hangs_nor_leaks() {
     silence_worker_panics();
     let clock = Arc::new(ManualClock::new());
     let plan = FaultPlan::none().with(1, FaultKind::WorkerPanic);
-    let mut server = Server::start_with_hook(
+    let mut server = Server::start_observed(
         pipeline(),
         config(2),
         clock.clone() as Arc<dyn Clock>,
         Some(fault_plan_hook(plan)),
+        None,
     );
     for u in TURNS {
         server.submit(&turn(0, u));
@@ -395,7 +400,7 @@ fn two_tenants_on_one_dead_worker_both_recover_without_leakage() {
     // bit, so session 7 → worker 0 too.
     use nlidb_benchdata::all_domains;
     use nlidb_ontology::JoinPathCache;
-    use nlidb_serve::{TenantPolicy, TenantRegistry, TenantServer};
+    use nlidb_serve::{TenantPolicy, TenantRegistry};
 
     silence_worker_panics();
     const HR_TURNS: [&str; 3] = [
@@ -411,29 +416,30 @@ fn two_tenants_on_one_dead_worker_both_recover_without_leakage() {
         registry.register("retail", p_retail, TenantPolicy::default());
         registry.register("hr", p_hr, TenantPolicy::default());
         let clock = Arc::new(ManualClock::new());
-        let mut server = TenantServer::start_with_hook(
+        let mut server = Server::start_tenants(
             &registry,
             config(2),
             clock as Arc<dyn Clock>,
             Some(fault_plan_hook(plan)),
+            None,
         );
         // Interleaved: ids 0,2,4 are retail session 4; ids 1,3,5 are
         // hr session 7. Both route to worker 0.
         for i in 0..3 {
-            assert_eq!(server.route(fp_retail, &turn(4, TURNS[i])), Some(0));
-            assert_eq!(server.route(fp_hr, &turn(7, HR_TURNS[i])), Some(0));
-            server.submit(fp_retail, &turn(4, TURNS[i]));
-            server.submit(fp_hr, &turn(7, HR_TURNS[i]));
+            assert_eq!(server.route_to(fp_retail, &turn(4, TURNS[i])), Some(0));
+            assert_eq!(server.route_to(fp_hr, &turn(7, HR_TURNS[i])), Some(0));
+            server.submit_to(fp_retail, &turn(4, TURNS[i]));
+            server.submit_to(fp_hr, &turn(7, HR_TURNS[i]));
         }
         let done = server.drain();
         let retail_m = server.tenant_metrics(fp_retail).unwrap();
         let hr_m = server.tenant_metrics(fp_hr).unwrap();
         let retail_j: Vec<(u64, usize)> = {
-            let j = server.journal(fp_retail).unwrap();
+            let j = server.tenant_journal(fp_retail).unwrap();
             j.sessions().iter().map(|&s| (s, j.turn_count(s))).collect()
         };
         let hr_j: Vec<(u64, usize)> = {
-            let j = server.journal(fp_hr).unwrap();
+            let j = server.tenant_journal(fp_hr).unwrap();
             j.sessions().iter().map(|&s| (s, j.turn_count(s))).collect()
         };
         let sigs: Vec<String> = done.iter().map(|c| c.signature()).collect();
@@ -479,7 +485,7 @@ fn approved_audits_survive_crash_recovery_with_identical_digests() {
     use nlidb_core::InterpreterKind;
     use nlidb_engine::{explain, ColumnType, Database, TableSchema, Value};
     use nlidb_ontology::JoinPathCache;
-    use nlidb_serve::{TenantPolicy, TenantRegistry, TenantServer};
+    use nlidb_serve::{TenantPolicy, TenantRegistry};
 
     // The shared-city clinic: "show visits in Austin" reads two ways
     // (via patients or via doctors), and the 500-row doctor side prices
@@ -557,7 +563,7 @@ fn approved_audits_survive_crash_recovery_with_identical_digests() {
             },
         );
         let clock = Arc::new(ManualClock::new());
-        let mut server = TenantServer::start_with_hook(
+        let mut server = Server::start_tenants(
             &registry,
             ServerConfig {
                 approved_mode: true,
@@ -565,14 +571,15 @@ fn approved_audits_survive_crash_recovery_with_identical_digests() {
             },
             clock as Arc<dyn Clock>,
             Some(fault_plan_hook(plan)),
+            None,
         );
         for q in QUESTIONS {
-            server.submit(fp, &RequestSpec::single(q));
+            server.submit_to(fp, &RequestSpec::single(q));
         }
         let done = server.drain();
         let sigs: Vec<String> = done.iter().map(|c| c.signature()).collect();
         let audits: Vec<(u64, Vec<nlidb_serve::AuditRecord>)> = {
-            let j = server.journal(fp).unwrap();
+            let j = server.tenant_journal(fp).unwrap();
             j.audited_requests()
                 .into_iter()
                 .map(|id| (id, j.audits(id)))
@@ -622,11 +629,12 @@ fn panic_racing_drain_delivers_every_outcome_exactly_once() {
     for trial in 0..3u64 {
         let clock = Arc::new(ManualClock::new());
         let plan = FaultPlan::none().with(trial, FaultKind::WorkerPanic);
-        let mut server = Server::start_with_hook(
+        let mut server = Server::start_observed(
             pipeline(),
             config(2),
             clock.clone() as Arc<dyn Clock>,
             Some(fault_plan_hook(plan)),
+            None,
         );
         for u in TURNS {
             server.submit(&turn(0, u));

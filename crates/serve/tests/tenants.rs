@@ -1,4 +1,4 @@
-//! Multi-tenant isolation end to end: one [`TenantServer`] runtime,
+//! Multi-tenant isolation end to end: one [`Server`] runtime,
 //! many databases, zero leakage. Caches, journals, quotas, and metrics
 //! are all keyed by schema fingerprint; these tests pin the isolation
 //! properties E17 builds on — fingerprint distinctness, cache
@@ -13,7 +13,7 @@ use nlidb_obs::MetricsRegistry;
 use nlidb_ontology::JoinPathCache;
 use nlidb_serve::{
     run_closed_loop_tenants, schema_fingerprint_of, tenant_pipeline, Clock, Disposition,
-    ManualClock, MetricsSnapshot, Server, ServerConfig, TenantPolicy, TenantRegistry, TenantServer,
+    ManualClock, MetricsSnapshot, ServeObs, Server, ServerConfig, TenantPolicy, TenantRegistry,
 };
 
 fn config(workers: usize) -> ServerConfig {
@@ -78,13 +78,14 @@ fn schema_fingerprints_are_pairwise_distinct_across_domains() {
 fn interpretation_cache_is_tenant_scoped() {
     let (registry, fps) = registry_of(2, TenantPolicy::default());
     let clock = Arc::new(ManualClock::new());
-    let mut server = TenantServer::start(&registry, config(2), clock as Arc<dyn Clock>);
+    let mut server =
+        Server::start_tenants(&registry, config(2), clock as Arc<dyn Clock>, None, None);
     let q = RequestSpec::single("how many customers are there");
-    server.submit(fps[0], &q); // retail: miss
+    server.submit_to(fps[0], &q); // retail: miss
     server.drain();
-    server.submit(fps[0], &q); // retail again: hit
+    server.submit_to(fps[0], &q); // retail again: hit
     server.drain();
-    server.submit(fps[1], &q); // hr, same words: MUST miss
+    server.submit_to(fps[1], &q); // hr, same words: MUST miss
     server.drain();
     let retail = server.tenant_metrics(fps[0]).unwrap();
     assert_eq!((retail.interp_misses, retail.interp_hits), (1, 1));
@@ -120,7 +121,8 @@ fn admission_budget_refuses_deterministically_per_tenant() {
         );
         registry.register("hr", p_b, TenantPolicy::default());
         let clock = Arc::new(ManualClock::new());
-        let mut server = TenantServer::start(&registry, config(2), Arc::clone(&clock) as _);
+        let mut server =
+            Server::start_tenants(&registry, config(2), Arc::clone(&clock) as _, None, None);
         let stream: Vec<(u64, RequestSpec)> = (0..4)
             .flat_map(|i| {
                 [
@@ -158,15 +160,23 @@ fn admission_budget_refuses_deterministically_per_tenant() {
 
 /// An unregistered fingerprint is refused deterministically, in the
 /// global scope only — no tenant's books are charged for traffic that
-/// belongs to nobody.
+/// belongs to nobody — and, like every other admission reject, leaves
+/// exactly one trace, attributed to no tenant.
 #[test]
 fn unknown_fingerprints_are_refused_without_tenant_attribution() {
-    let (registry, fps) = registry_of(1, TenantPolicy::default());
+    let (registry, fps) = registry_of(2, TenantPolicy::default());
     let clock = Arc::new(ManualClock::new());
-    let mut server = TenantServer::start(&registry, config(1), clock as Arc<dyn Clock>);
+    let obs = ServeObs::new(8);
+    let mut server = Server::start_tenants(
+        &registry,
+        config(1),
+        clock as Arc<dyn Clock>,
+        None,
+        Some(obs.clone()),
+    );
     let bogus = fps[0] ^ 0xdead_beef;
-    assert_eq!(server.route(bogus, &RequestSpec::single("q")), None);
-    server.submit(bogus, &RequestSpec::single("q"));
+    assert_eq!(server.route_to(bogus, &RequestSpec::single("q")), None);
+    server.submit_to(bogus, &RequestSpec::single("q"));
     let done = server.drain();
     assert_eq!(done.len(), 1);
     match &done[0].disposition {
@@ -175,8 +185,15 @@ fn unknown_fingerprints_are_refused_without_tenant_attribution() {
         }
         other => panic!("expected a refusal, got {other:?}"),
     }
-    let tenant = server.tenant_metrics(fps[0]).unwrap();
-    assert_eq!(tenant.submitted, 0, "nobody's books are charged");
+    for &fp in &fps {
+        let tenant = server.tenant_metrics(fp).unwrap();
+        assert_eq!(tenant.submitted, 0, "nobody's books are charged");
+    }
+    let traces = obs.sink.traces();
+    assert_eq!(traces.len(), 1, "the refusal leaves exactly one trace");
+    let root = traces[0].root().expect("every trace has a root span");
+    assert_eq!(root.attr("outcome"), Some("refused"));
+    assert_eq!(root.attr("tenant"), None, "the trace names no tenant");
     let global = server.shutdown();
     assert_eq!((global.submitted, global.refused), (1, 1));
 }
@@ -203,11 +220,12 @@ fn rung_ceiling_is_per_tenant() {
     );
     registry.register("hr", p_b, TenantPolicy::default());
     let clock = Arc::new(ManualClock::new());
-    let mut server = TenantServer::start(&registry, config(2), clock as Arc<dyn Clock>);
+    let mut server =
+        Server::start_tenants(&registry, config(2), clock as Arc<dyn Clock>, None, None);
     // An aggregation question: beyond the keyword family's ceiling.
     let q = RequestSpec::single("how many customers are there");
-    server.submit(fp_a, &q);
-    server.submit(fp_b, &RequestSpec::single("how many employees are there"));
+    server.submit_to(fp_a, &q);
+    server.submit_to(fp_b, &RequestSpec::single("how many employees are there"));
     let done = server.drain();
     assert_eq!(done.len(), 2);
     // The capped tenant's answer must come from the keyword family —
@@ -215,10 +233,12 @@ fn rung_ceiling_is_per_tenant() {
     // hybrid COUNT the uncapped pipeline produces.
     let uncapped = {
         let clock = Arc::new(ManualClock::new());
-        let mut s = Server::start(
+        let mut s = Server::start_observed(
             Arc::new(NliPipeline::standard(&retail_database(7))),
             config(1),
             clock as Arc<dyn Clock>,
+            None,
+            None,
         );
         s.submit(&q);
         let d = s.drain();
@@ -253,9 +273,10 @@ fn cost_ceiling_is_per_tenant() {
     );
     registry.register("hr", p_b, TenantPolicy::default());
     let clock = Arc::new(ManualClock::new());
-    let mut server = TenantServer::start(&registry, config(2), clock as Arc<dyn Clock>);
-    server.submit(fp_a, &RequestSpec::single("how many customers are there"));
-    server.submit(fp_b, &RequestSpec::single("how many employees are there"));
+    let mut server =
+        Server::start_tenants(&registry, config(2), clock as Arc<dyn Clock>, None, None);
+    server.submit_to(fp_a, &RequestSpec::single("how many customers are there"));
+    server.submit_to(fp_b, &RequestSpec::single("how many employees are there"));
     let done = server.drain();
     assert_eq!(done.len(), 2);
     match &done[0].disposition {
@@ -285,15 +306,16 @@ fn cost_ceiling_is_per_tenant() {
 fn single_tenant_global_and_tenant_scopes_agree() {
     let (registry, fps) = registry_of(1, TenantPolicy::default());
     let clock = Arc::new(ManualClock::new());
-    let mut server = TenantServer::start(&registry, config(2), clock as Arc<dyn Clock>);
+    let mut server =
+        Server::start_tenants(&registry, config(2), clock as Arc<dyn Clock>, None, None);
     for i in 0..6 {
-        server.submit(
+        server.submit_to(
             fps[0],
             &RequestSpec::single(format!("show order {}", i % 3)),
         );
     }
     for _ in 0..2 {
-        server.submit(
+        server.submit_to(
             fps[0],
             &RequestSpec {
                 question: "show customers in Austin".into(),
@@ -310,13 +332,14 @@ fn single_tenant_global_and_tenant_scopes_agree() {
 
 /// Multi-tenant bookkeeping closes: every global counter is the sum of
 /// its per-tenant scopes (no unknown-tenant traffic here), and
-/// [`TenantServer::export_metrics`] publishes both the `serve.*`
+/// [`Server::export_metrics`] publishes both the `serve.*`
 /// aggregate and a `serve.tenant.<name>.*` breakdown.
 #[test]
 fn tenant_scopes_sum_to_the_global_scope_and_export_labelled() {
     let (registry, fps) = registry_of(3, TenantPolicy::default());
     let clock = Arc::new(ManualClock::new());
-    let mut server = TenantServer::start(&registry, config(2), Arc::clone(&clock) as _);
+    let mut server =
+        Server::start_tenants(&registry, config(2), Arc::clone(&clock) as _, None, None);
     let stream: Vec<(u64, RequestSpec)> = fps
         .iter()
         .flat_map(|&fp| (0..5).map(move |i| (fp, RequestSpec::single(format!("show {i}")))))

@@ -41,11 +41,12 @@ fn main() {
         queue_capacity: 64,
         ..ServerConfig::default()
     };
-    let mut server = Server::start_with_hook(
+    let mut server = Server::start_observed(
         Arc::clone(&pipeline),
         config,
         clock.clone() as Arc<dyn Clock>,
         Some(fault_plan_hook(plan)),
+        None,
     );
 
     let stream = request_stream(&slots, 42, 64, 0.25);

@@ -1,7 +1,7 @@
 //! One serving runtime, two databases: register a retail and an HR
-//! tenant with different quota policies behind a single
-//! `TenantServer`, replay an interleaved stream, and print each
-//! tenant's own books.
+//! tenant with different quota policies, start a single `Server` over
+//! both with `Server::start_tenants`, replay an interleaved stream, and
+//! print each tenant's own books.
 //!
 //! ```bash
 //! cargo run --release --example multitenant
@@ -14,8 +14,8 @@ use nlidb::benchdata::{
 };
 use nlidb::ontology::JoinPathCache;
 use nlidb::serve::{
-    run_closed_loop_tenants, tenant_pipeline, Clock, ManualClock, ServerConfig, TenantPolicy,
-    TenantRegistry, TenantServer,
+    run_closed_loop_tenants, tenant_pipeline, Clock, ManualClock, Server, ServerConfig,
+    TenantPolicy, TenantRegistry,
 };
 
 fn main() {
@@ -44,7 +44,7 @@ fn main() {
     // One pool for both tenants; routing salts spread each tenant's
     // traffic over the workers independently.
     let clock = Arc::new(ManualClock::new());
-    let mut server = TenantServer::start(
+    let mut server = Server::start_tenants(
         &registry,
         ServerConfig {
             workers: 2,
@@ -54,6 +54,8 @@ fn main() {
             ..ServerConfig::default()
         },
         clock.clone() as Arc<dyn Clock>,
+        None,
+        None,
     );
 
     // 32 seeded requests per tenant, deterministically interleaved —
@@ -81,7 +83,7 @@ fn main() {
             "  answered  {:>3}  turns    {:>3}  cache hits    {:>3}",
             m.answered, m.session_turns, m.interp_hits
         );
-        let journal = server.journal(fp).expect("registered tenant");
+        let journal = server.tenant_journal(fp).expect("registered tenant");
         println!("  journaled sessions: {:?}\n", journal.sessions());
     }
 

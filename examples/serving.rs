@@ -30,10 +30,12 @@ fn main() {
         service_estimate: 1,
         ..ServerConfig::default()
     };
-    let mut server = Server::start(
+    let mut server = Server::start_observed(
         Arc::clone(&pipeline),
         config,
         clock.clone() as Arc<dyn Clock>,
+        None,
+        None,
     );
 
     // A seeded stream: 48 requests, 25% of them multi-turn session turns.

@@ -5,8 +5,9 @@
 #
 # Mirrors the acceptance bar for every PR: release build, full test
 # suite, the perfbench self-test, clippy at zero warnings, rustfmt
-# check. The workspace vendors its two dependencies (crates/compat/*),
-# so everything runs with --offline and no registry access.
+# check, warning-free rustdoc. The workspace vendors its two
+# dependencies (crates/compat/*), so everything runs with --offline and
+# no registry access.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,6 +29,11 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
+
+# rustdoc only warns on a broken or private intra-doc link; deny them
+# so a renamed or removed item cannot leave dangling doc links behind.
+echo "== cargo doc (deny warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # E7 is hand-kept (the drift check skips it) and E20 has its own step.
 echo "== experiment smoke (E1–E6, E8–E19, E21 @ seed 42 vs EXPERIMENTS.md) =="

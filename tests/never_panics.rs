@@ -3,16 +3,17 @@
 //! worker death in `nlidb-serve`, so this property is what makes crash
 //! recovery an *exceptional* path instead of routine traffic.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
-use nlidb_benchdata::retail_database;
+use nlidb_benchdata::{retail_database, RequestSpec};
 use nlidb_core::hybrid::HybridInterpreter;
 use nlidb_core::neural::TrainingExample;
 use nlidb_core::pipeline::NliPipeline;
 use nlidb_core::{Interpreter, InterpreterKind};
 use nlidb_dialogue::{ConversationSession, ManagerKind};
+use nlidb_serve::{Clock, ManualClock, Server, ServerConfig};
 
 /// A few hand-written pairs over the retail schema: enough to switch
 /// on the learned paths an untrained pipeline never runs.
@@ -37,12 +38,12 @@ fn training() -> Vec<TrainingExample> {
 
 /// One shared, trained pipeline: building it is the expensive part,
 /// and the property under test is about inputs, not construction.
-fn pipeline() -> &'static NliPipeline {
-    static PIPE: OnceLock<NliPipeline> = OnceLock::new();
+fn pipeline() -> &'static Arc<NliPipeline> {
+    static PIPE: OnceLock<Arc<NliPipeline>> = OnceLock::new();
     PIPE.get_or_init(|| {
         let mut p = NliPipeline::standard(&retail_database(7));
         p.train_neural(&training(), 7);
-        p
+        Arc::new(p)
     })
 }
 
@@ -89,6 +90,40 @@ proptest! {
         // state (or rejection) the first left behind.
         let _ = s.turn(&a);
         let _ = s.turn(&b);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The same inputs through a 1-worker server, as standalone
+    /// questions and as turns of one session. A panic there does not
+    /// unwind into the caller: it kills the worker, and the request
+    /// surfaces as a refusal — so the property is that no worker dies
+    /// and every submitted request completes exactly once.
+    #[test]
+    fn server_never_loses_a_request_on_arbitrary_utf8(
+        a in arbitrary_utf8(),
+        b in arbitrary_utf8(),
+    ) {
+        let clock = Arc::new(ManualClock::new()) as Arc<dyn Clock>;
+        let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+        let mut server = Server::start_observed(Arc::clone(pipeline()), config, clock, None, None);
+        let turn = |q: &str| RequestSpec {
+            question: q.to_string(),
+            session: Some(1),
+            deadline: None,
+        };
+        let specs = [
+            RequestSpec::single(a.clone()),
+            RequestSpec::single(b.clone()),
+            turn(&a),
+            turn(&b),
+        ];
+        let submitted: Vec<u64> = specs.iter().map(|s| server.submit(s).id()).collect();
+        let completed: Vec<u64> = server.drain().iter().map(|c| c.id).collect();
+        prop_assert_eq!(completed, submitted);
+        prop_assert_eq!(server.shutdown().worker_deaths, 0);
     }
 }
 
