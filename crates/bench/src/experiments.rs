@@ -862,7 +862,6 @@ fn e12_serve_run(
             workers,
             queue_capacity,
             interp_cache,
-            service_estimate: 1,
             ..ServerConfig::default()
         },
         clock.clone() as Arc<dyn Clock>,
@@ -1713,7 +1712,6 @@ fn e17_multi_run(seed: u64, tenants: usize, budgets: &[Option<u64>]) -> E17Run {
             pipeline,
             TenantPolicy {
                 admission_budget: budgets.get(i).copied().flatten(),
-                ..TenantPolicy::default()
             },
         );
         streams.push((
@@ -1739,7 +1737,6 @@ fn e17_multi_run(seed: u64, tenants: usize, budgets: &[Option<u64>]) -> E17Run {
             workers: E17_WORKERS,
             queue_capacity: interleaved.len(),
             interp_cache: 256,
-            service_estimate: 1,
             ..ServerConfig::default()
         },
         clock.clone() as Arc<dyn Clock>,
@@ -1799,7 +1796,6 @@ fn e17_isolated_run(
             workers: E17_WORKERS,
             queue_capacity,
             interp_cache: 256,
-            service_estimate: 1,
             ..ServerConfig::default()
         },
         clock.clone() as Arc<dyn Clock>,

@@ -15,12 +15,12 @@ use std::sync::Arc;
 
 use nlidb_benchdata::{derive_slots, domain_database, DOMAIN_NAMES};
 use nlidb_core::pipeline::NliPipeline;
+use nlidb_nlp::{fnv1a, FNV1A_OFFSET};
 use nlidb_ontology::JoinPathCache;
 use nlidb_serve::{
-    fnv1a, open_loop, run_closed_loop, run_open_loop, run_open_loop_tenants, tenant_pipeline,
-    Clock, Disposition, HealthConfig, ManualClock, MetricsSnapshot, OpenLoopConfig, OverloadPolicy,
+    open_loop, run_closed_loop, run_open_loop, run_open_loop_tenants, tenant_pipeline, Clock,
+    Disposition, HealthConfig, ManualClock, MetricsSnapshot, OpenLoopConfig, OverloadPolicy,
     ServeObs, Server, ServerConfig, SoakReport, TenantPolicy, TenantRegistry, WindowSample,
-    FNV1A_OFFSET,
 };
 
 /// The soak shapes, in run order. `overload` is the robustness
@@ -168,9 +168,7 @@ pub(crate) fn retail_server(
             workers: 4,
             queue_capacity: 4096,
             interp_cache: 256,
-            service_estimate: 1,
             overload,
-            ..ServerConfig::default()
         },
         clock.clone() as Arc<dyn Clock>,
         None,
@@ -294,7 +292,6 @@ pub fn run_soak_shape(shape: &str, seed: u64, n: usize) -> SoakOutcome {
                     workers: 4,
                     queue_capacity: 4096,
                     interp_cache: 256,
-                    service_estimate: 1,
                     ..ServerConfig::default()
                 },
                 clock.clone() as Arc<dyn Clock>,

@@ -565,8 +565,12 @@ pub mod prelude {
     };
 }
 
-/// Seed a per-test generator from the test's name (FNV-1a), so every
-/// property is deterministic and independent of test ordering.
+/// Seed a per-test generator from the test's name, so every property
+/// is deterministic and independent of test ordering. The fold has
+/// FNV-1a's shape and offset basis, but its multiplier
+/// `0x1000_0000_01b3` is not the FNV prime `0x100_0000_01b3`, so the
+/// seed is not the name's FNV-1a hash. The multiplier stays: changing
+/// it would reseed every property test.
 pub fn rng_for_test(name: &str) -> TestRng {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in name.bytes() {

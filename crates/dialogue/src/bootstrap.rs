@@ -14,7 +14,7 @@
 use nlidb_core::pipeline::SchemaContext;
 use nlidb_engine::{Database, Value};
 use nlidb_ml::{Mlp, MlpConfig};
-use nlidb_nlp::{porter_stem, tokenize, TokenKind};
+use nlidb_nlp::{fnv1a, porter_stem, tokenize, TokenKind, FNV1A_OFFSET};
 use nlidb_ontology::PropertyRole;
 
 /// One generated intent with its training examples.
@@ -182,12 +182,7 @@ fn features(utterance: &str) -> Vec<f64> {
         if t.kind != TokenKind::Word {
             continue;
         }
-        let stem = porter_stem(&t.norm);
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in stem.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
+        let h = fnv1a(FNV1A_OFFSET, porter_stem(&t.norm).as_bytes());
         let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
         v[h as usize % IDIM] += sign;
         any = true;

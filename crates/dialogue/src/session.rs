@@ -3,11 +3,12 @@
 use nlidb_core::linking::PreparedQuestion;
 use nlidb_core::pipeline::SchemaContext;
 use nlidb_engine::{execute, Database, ResultSet};
+use nlidb_nlp::{fnv1a, FNV1A_OFFSET};
 use nlidb_sqlir::Query;
 
 use crate::acts::{detect_act, DialogueAct};
 use crate::manager::ManagerKind;
-use crate::state::{fnv1a, DialogueState, TurnRecord};
+use crate::state::{DialogueState, TurnRecord};
 
 /// The outcome of one turn.
 #[derive(Debug, Clone)]
@@ -40,7 +41,7 @@ impl TurnResult {
         }
         acc.push('\u{1f}');
         acc.push_str(&self.response);
-        fnv1a(acc.as_bytes())
+        fnv1a(FNV1A_OFFSET, acc.as_bytes())
     }
 }
 

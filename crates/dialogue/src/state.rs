@@ -13,21 +13,11 @@ use nlidb_core::linking::{LinkKind, LinkedMention, PreparedQuestion};
 use nlidb_core::oql::{Oql, OqlExpr, OqlOrder, OqlPredicate, PropRef};
 use nlidb_core::pipeline::SchemaContext;
 use nlidb_core::signals;
+use nlidb_nlp::{fnv1a, FNV1A_OFFSET};
 use nlidb_ontology::PropertyRole;
 use nlidb_sqlir::ast::{AggFunc, Literal};
 
 use crate::acts::DialogueAct;
-
-/// FNV-1a over `bytes` — a fixed, seedless hash, so state digests are
-/// stable across processes and runs.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// One recorded turn.
 #[derive(Debug, Clone)]
@@ -78,7 +68,7 @@ impl DialogueState {
             acc.push(if r.accepted { '+' } else { '-' });
             acc.push('\u{1e}');
         }
-        fnv1a(acc.as_bytes())
+        fnv1a(FNV1A_OFFSET, acc.as_bytes())
     }
 
     /// Apply an accepted act of a prepared turn to the state. Returns

@@ -13,11 +13,11 @@
 //! same pool can ground the same token differently (or not at all).
 //!
 //! The [`Candidate::provenance_digest`] is a stable FNV-1a fingerprint
-//! over family, SQL, and groundings; `serve`'s session journal records
-//! it when a candidate is approved, so replay can re-prove that the
-//! same candidate — grounded the same way — was approved (see
-//! `serve::journal`).
+//! over family, SQL, and groundings; the approved path reports the
+//! winner's ([`crate::pipeline::ValidationReport`]), so two approvals
+//! of one question can be compared digest to digest.
 
+use nlidb_nlp::{fnv1a, FNV1A_OFFSET};
 use nlidb_sqlir::Query;
 
 use crate::interpretation::{Interpretation, Interpreter, InterpreterKind};
@@ -74,23 +74,19 @@ impl Candidate {
     }
 
     /// Stable FNV-1a digest over family, SQL text, and every
-    /// grounding — the audit-trail fingerprint journaled on approval.
+    /// grounding — the fingerprint an approval reports.
     /// Deterministic across runs and processes (no hasher seeds).
     pub fn provenance_digest(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.write(self.interpretation.source.label());
-        h.delim();
-        h.write(&self.sql_text());
+        // The byte 0x01 separates fields: it never appears in rendered
+        // SQL.
+        let label = self.interpretation.source.label();
+        let mut h = fnv1a(fnv1a(FNV1A_OFFSET, label.as_bytes()), &[1]);
+        h = fnv1a(h, self.sql_text().as_bytes());
         for g in &self.provenance {
-            h.delim();
-            h.write(&g.start.to_string());
-            h.write("+");
-            h.write(&g.len.to_string());
-            h.write(&g.text);
-            h.write("->");
-            h.write(&g.target);
+            let grounding = format!("{}+{}{}->{}", g.start, g.len, g.text, g.target);
+            h = fnv1a(fnv1a(h, &[1]), grounding.as_bytes());
         }
-        h.finish()
+        h
     }
 }
 
@@ -212,30 +208,6 @@ fn derive_provenance(
         }
     }
     out
-}
-
-/// Seedless FNV-1a accumulator — the same digest idiom `serve` uses
-/// for schema fingerprints, kept dependency-free here.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn write(&mut self, s: &str) {
-        for b in s.as_bytes() {
-            self.0 ^= u64::from(*b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    /// Unambiguous field separator (never appears in rendered SQL).
-    fn delim(&mut self) {
-        self.0 ^= 0x01;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 #[cfg(test)]

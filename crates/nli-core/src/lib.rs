@@ -49,8 +49,11 @@ pub mod validate;
 
 pub use candidates::{Candidate, CandidateSet, Grounding};
 pub use error::InterpretError;
-pub use fallback::{degradation_ladder, Degraded};
+pub use fallback::degradation_ladder;
 pub use interpretation::{Interpretation, Interpreter, InterpreterKind};
+/// The workspace's FNV-1a, re-exported for `nlidb-serve`, which
+/// depends on this crate but not on `nlidb-nlp` directly.
+pub use nlidb_nlp::{fnv1a, FNV1A_OFFSET};
 pub use oql::{Oql, OqlExpr, OqlPredicate, PropRef};
 pub use pipeline::{ApprovedAnswer, NliPipeline, SchemaContext, ValidationReport};
 pub use validate::Rejection;

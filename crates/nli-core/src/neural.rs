@@ -32,7 +32,7 @@
 //! benchmark generator supplies.
 
 use nlidb_ml::{BilinearScorer, Mlp, MlpConfig};
-use nlidb_nlp::{is_stopword, porter_stem, tokenize, Token, TokenKind};
+use nlidb_nlp::{fnv1a, is_stopword, porter_stem, tokenize, Token, TokenKind, FNV1A_OFFSET};
 use nlidb_sqlir::ast::{AggFunc, BinOp, ColumnRef, Expr, Literal, Query, SelectItem, TableSource};
 
 use crate::interpretation::{Interpretation, Interpreter, InterpreterKind};
@@ -55,23 +55,15 @@ pub struct TrainingExample {
     pub sql: Query,
 }
 
-fn fnv(word: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in word.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// Hashed, L2-normalized bag of stemmed content words.
 fn hash_bow(words: impl Iterator<Item = String>, dim: usize) -> Vec<f64> {
     let mut v = vec![0.0; dim];
     let mut any = false;
     for w in words {
-        let h = fnv(&w) as usize % dim;
+        let hash = fnv1a(FNV1A_OFFSET, w.as_bytes());
+        let h = hash as usize % dim;
         // Sign hashing reduces collisions' bias.
-        let sign = if (fnv(&w) >> 32) & 1 == 0 { 1.0 } else { -1.0 };
+        let sign = if (hash >> 32) & 1 == 0 { 1.0 } else { -1.0 };
         v[h] += sign;
         any = true;
     }

@@ -100,8 +100,7 @@ impl RejectedCandidate {
     }
 }
 
-/// `#rank label+label` — the one rendering refusal reasons and audit
-/// records share.
+/// `#rank label+label` — the rendering refusal reasons list.
 impl std::fmt::Display for RejectedCandidate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "#{} {}", self.rank, self.labels())
@@ -109,8 +108,7 @@ impl std::fmt::Display for RejectedCandidate {
 }
 
 /// What the approve step decided: how many candidates were considered,
-/// which one won, and why the losers lost. Journaled by `serve` as the
-/// audit trail.
+/// which one won, and why the losers lost.
 #[derive(Debug, Clone)]
 pub struct ValidationReport {
     /// The interpreter family asked.
@@ -220,8 +218,7 @@ impl NliPipeline {
 
     /// Ask a specific family and execute its best interpretation. When
     /// the plan's estimated cost exceeds `cost_ceiling`, the query is
-    /// refused with [`InterpretError::CostExceeded`] *before* execution
-    /// — the per-tenant admission hook the serving runtime enforces.
+    /// refused with [`InterpretError::CostExceeded`] *before* execution.
     pub fn ask_bounded(
         &self,
         question: &str,
@@ -496,8 +493,8 @@ impl NliPipeline {
 
         let Some(winner) = winner else {
             // Preserve bounded-ask refusal semantics: a cost veto on
-            // the best-reranked candidate refuses as CostExceeded so
-            // serving keeps counting it under `cost_refused`.
+            // the best-reranked candidate refuses as CostExceeded, as
+            // the classic path would.
             let first = order[0];
             let first_cost = rejected
                 .iter()
@@ -812,8 +809,7 @@ mod tests {
         };
         assert_eq!(ceiling, 0);
         assert!(estimated > 0);
-        // Same outward behavior as the plain bounded path, so serving
-        // keeps counting these under `cost_refused`.
+        // Same outward behavior as the plain bounded path.
         assert!(matches!(
             nli.ask_bounded("show products in tools", InterpreterKind::Entity, Some(0)),
             Err(InterpretError::CostExceeded { .. })

@@ -12,10 +12,10 @@
 //! deterministic order — no RNG, no wall-clock — so the same candidate
 //! always collects the identical rejection list.
 //!
-//! [`cost_gate`] is the single enforcement point for
-//! `TenantPolicy::cost_ceiling`: the pipeline's plain ask path and the
-//! approved path both call it, making the ceiling a validation-layer
-//! input rather than a post-hoc refusal.
+//! [`cost_gate`] is the single enforcement point for a cost ceiling:
+//! the pipeline's plain ask path and the approved path both call it,
+//! making the ceiling a validation-layer input rather than a post-hoc
+//! refusal.
 
 use nlidb_engine::{explain, Database, Explain, Value};
 use nlidb_ontology::Ontology;
@@ -103,8 +103,7 @@ impl std::fmt::Display for Rejection {
 
 /// The single `cost_ceiling` enforcement point: refuse when the plan's
 /// estimate exceeds the ceiling. Both `ask` and `ask_approved` route
-/// through here, so serving's `cost_refused` semantics are identical
-/// on either path.
+/// through here, so a cost refusal means the same on either path.
 pub fn cost_gate(plan: &Explain, ceiling: Option<u64>) -> Result<(), InterpretError> {
     if let Some(ceiling) = ceiling {
         if plan.est_cost > ceiling {

@@ -15,7 +15,9 @@
 //! * [`literal`] — number / date / comparison literal recognition,
 //! * [`lexicon`] — synonym/hypernym lexicon with Wu-Palmer-style
 //!   similarity, standing in for WordNet as used by NaLIR and the
-//!   query-relaxation work of Lei et al.
+//!   query-relaxation work of Lei et al.,
+//! * [`hash`] — FNV-1a, the seedless hash behind feature buckets,
+//!   digests and fingerprints across the workspace.
 //!
 //! Entity-based NLIDB systems (SODA, NaLIR, ATHENA) need token spans,
 //! heads and attachments rather than a full statistical parser; this
@@ -23,6 +25,7 @@
 //! crates can be written against a stable, deterministic substrate.
 
 pub mod chunk;
+pub mod hash;
 pub mod lexicon;
 pub mod literal;
 pub mod parse;
@@ -33,6 +36,7 @@ pub mod stopwords;
 pub mod token;
 
 pub use chunk::{chunk, Chunk, ChunkKind};
+pub use hash::{fnv1a, FNV1A_OFFSET};
 pub use lexicon::{Lexicon, LexiconBuilder};
 pub use literal::{parse_date, parse_number, ComparisonCue, DateValue};
 pub use parse::{parse_dependencies, DepLabel, DepNode, DepTree};

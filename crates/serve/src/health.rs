@@ -118,7 +118,7 @@ pub struct WindowSample {
 }
 
 /// A point-in-time view of one tenant's health, for callers that
-/// should not hold the hub lock ([`crate::Server::tenant_health`]).
+/// should not hold the hub lock ([`HealthHub::report`]).
 #[derive(Debug, Clone)]
 pub struct HealthReport {
     /// Canonical window-matrix rendering of the tenant's scope.

@@ -18,36 +18,6 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-/// One approved-plan audit record (the Ask → Plan → Approve trail).
-///
-/// Appended when a worker answers a standalone question in approved
-/// mode: which candidate won, how many were considered, why the losers
-/// were rejected, and the winner's provenance digest. A bounced
-/// request that recovers on another worker re-runs the approval and
-/// appends again under the same request id — identical digests across
-/// the records *prove* the recovered worker approved the same
-/// candidate, grounded the same way (asserted by
-/// `serve/tests/recovery.rs`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AuditRecord {
-    /// The request that asked the question.
-    pub request_id: u64,
-    /// The question as asked.
-    pub question: String,
-    /// The approved SQL.
-    pub sql: String,
-    /// Candidates considered by the validation pass.
-    pub candidate_count: usize,
-    /// Original confidence-order rank of the approved candidate.
-    pub chosen_rank: usize,
-    /// Rejection-reason labels of the losing candidates, rendered
-    /// `#rank label+label` in rank order.
-    pub rejections: Vec<String>,
-    /// The approved candidate's provenance digest
-    /// (`nlidb_core::candidates::Candidate::provenance_digest`).
-    pub provenance_digest: u64,
-}
-
 /// One committed dialogue turn.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalEntry {
@@ -71,7 +41,6 @@ pub struct JournalEntry {
 #[derive(Debug, Default)]
 pub struct SessionJournal {
     inner: Mutex<BTreeMap<u64, Vec<JournalEntry>>>,
-    audits: Mutex<BTreeMap<u64, Vec<AuditRecord>>>,
 }
 
 impl SessionJournal {
@@ -128,48 +97,6 @@ impl SessionJournal {
             .map(Vec::len)
             .sum()
     }
-
-    /// Record one approved plan for `record.request_id`. Append-only:
-    /// a request answered again after a crash gets a second record,
-    /// and the digests are expected to agree.
-    pub fn append_audit(&self, record: AuditRecord) {
-        self.audits
-            .lock()
-            .expect("audit lock")
-            .entry(record.request_id)
-            .or_default()
-            .push(record);
-    }
-
-    /// Every audit record for `request`, in append order.
-    pub fn audits(&self, request: u64) -> Vec<AuditRecord> {
-        self.audits
-            .lock()
-            .expect("audit lock")
-            .get(&request)
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    /// Request ids with at least one audit record, ascending.
-    pub fn audited_requests(&self) -> Vec<u64> {
-        self.audits
-            .lock()
-            .expect("audit lock")
-            .keys()
-            .copied()
-            .collect()
-    }
-
-    /// Total audit records across all requests.
-    pub fn total_audits(&self) -> usize {
-        self.audits
-            .lock()
-            .expect("audit lock")
-            .values()
-            .map(Vec::len)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -207,30 +134,6 @@ mod tests {
             j.append(s, entry(s, "hi"));
         }
         assert_eq!(j.sessions(), vec![2, 5, 9]);
-    }
-
-    #[test]
-    fn audit_records_append_per_request() {
-        let j = SessionJournal::new();
-        let rec = |id: u64| AuditRecord {
-            request_id: id,
-            question: "show products in tools".to_string(),
-            sql: "SELECT * FROM products WHERE category = 'tools'".to_string(),
-            candidate_count: 3,
-            chosen_rank: 1,
-            rejections: vec!["#0 ungrounded_value".to_string()],
-            provenance_digest: 0xfeed ^ id,
-        };
-        j.append_audit(rec(5));
-        j.append_audit(rec(2));
-        j.append_audit(rec(5)); // post-recovery re-approval
-        assert_eq!(j.audited_requests(), vec![2, 5]);
-        assert_eq!(j.audits(5).len(), 2);
-        assert_eq!(j.audits(5)[0], j.audits(5)[1], "re-approval is exact");
-        assert_eq!(j.total_audits(), 3);
-        assert!(j.audits(99).is_empty());
-        // The dialogue journal is untouched by audits.
-        assert_eq!(j.total_turns(), 0);
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   deadline-reject) is decided entirely at admission time from a
 //!   credit ledger the single-threaded submitter owns — so outcomes
 //!   never depend on thread timing.
-//! * [`lru`] — the O(1) LRU interpretation cache, keyed by
-//!   (normalized question, schema fingerprint), storing the fully
+//! * [`lru`] — the O(1) LRU interpretation cache, one per (worker,
+//!   tenant) and keyed by the normalized question, storing the fully
 //!   rendered answer so a hit skips interpretation *and* execution.
 //!   The join-path cache in front of Steiner-tree search lives in
 //!   [`nlidb_ontology::cache`] and is shared by all workers.
@@ -94,7 +94,7 @@ pub mod tenant;
 pub use clock::{Clock, ManualClock};
 pub use fault::{fault_plan_hook, silence_worker_panics, HookCtx, InjectedFault};
 pub use health::{HealthConfig, HealthHub, HealthReport, WindowSample};
-pub use journal::{AuditRecord, JournalEntry, SessionJournal};
+pub use journal::{JournalEntry, SessionJournal};
 pub use loadgen::{
     open_loop, run_closed_loop, run_closed_loop_tenants, run_open_loop, run_open_loop_tenants,
     with_deadlines, LoadReport, OpenLoopConfig, SoakReport,
@@ -104,8 +104,8 @@ pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use obs::ServeObs;
 pub use retry::{BreakerPolicy, CircuitBreaker, RetryPolicy};
 pub use server::{
-    fnv1a, normalize_question, Admission, Completion, Disposition, OverloadPolicy, RequestHook,
-    Server, ServerConfig, FNV1A_OFFSET,
+    normalize_question, Admission, Completion, Disposition, OverloadPolicy, RequestHook, Server,
+    ServerConfig,
 };
 pub use tenant::{
     schema_fingerprint, schema_fingerprint_of, tenant_pipeline, TenantEntry, TenantPolicy,

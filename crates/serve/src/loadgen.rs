@@ -28,10 +28,11 @@
 use std::collections::HashMap;
 
 use nlidb_benchdata::RequestSpec;
+use nlidb_core::{fnv1a, FNV1A_OFFSET};
 use nlidb_obs::SketchHistogram;
 
 use crate::clock::{Clock, ManualClock};
-use crate::server::{fnv1a, Completion, Disposition, Server, FNV1A_OFFSET};
+use crate::server::{Completion, Disposition, Server};
 
 /// Everything a closed-loop run produced.
 #[derive(Debug, Clone)]

@@ -45,16 +45,6 @@ pub struct ServeMetrics {
     /// episode ends at the next drain, so after a final drain this
     /// equals `overload_entered` — the controller never wedges).
     pub overload_recovered: AtomicU64,
-    /// Questions refused *before execution* because their plan's
-    /// estimated cost exceeded the tenant's `cost_ceiling` (always 0
-    /// for tenants without a ceiling). Also counted in `refused`.
-    pub cost_refused: AtomicU64,
-    /// Candidates vetoed by pre-execution validation on the approved
-    /// path (`ServerConfig::approved_mode`): schema-validity, shape,
-    /// value-grounding, or cost-ceiling rejections, summed across all
-    /// answered questions. Always 0 with approved mode off — the
-    /// default. Ambiguity annotations are not counted.
-    pub candidates_rejected: AtomicU64,
     /// Standalone questions answered (cache hit or computed).
     pub answered: AtomicU64,
     /// Standalone questions the pipeline could not interpret/execute.
@@ -125,8 +115,6 @@ impl ServeMetrics {
             overload_entered: AtomicU64::new(0),
             overload_entered_early: AtomicU64::new(0),
             overload_recovered: AtomicU64::new(0),
-            cost_refused: AtomicU64::new(0),
-            candidates_rejected: AtomicU64::new(0),
             answered: AtomicU64::new(0),
             refused: AtomicU64::new(0),
             session_turns: AtomicU64::new(0),
@@ -168,8 +156,6 @@ impl ServeMetrics {
             overload_entered: self.overload_entered.load(Ordering::Relaxed),
             overload_entered_early: self.overload_entered_early.load(Ordering::Relaxed),
             overload_recovered: self.overload_recovered.load(Ordering::Relaxed),
-            cost_refused: self.cost_refused.load(Ordering::Relaxed),
-            candidates_rejected: self.candidates_rejected.load(Ordering::Relaxed),
             answered: self.answered.load(Ordering::Relaxed),
             refused: self.refused.load(Ordering::Relaxed),
             session_turns: self.session_turns.load(Ordering::Relaxed),
@@ -258,10 +244,6 @@ pub struct MetricsSnapshot {
     pub overload_entered_early: u64,
     /// See [`ServeMetrics::overload_recovered`].
     pub overload_recovered: u64,
-    /// See [`ServeMetrics::cost_refused`].
-    pub cost_refused: u64,
-    /// See [`ServeMetrics::candidates_rejected`].
-    pub candidates_rejected: u64,
     /// See [`ServeMetrics::answered`].
     pub answered: u64,
     /// See [`ServeMetrics::refused`].
@@ -327,7 +309,7 @@ impl MetricsSnapshot {
     }
 
     /// Every scalar counter as `(bare_name, value)`, in export order.
-    fn scalar_fields(&self) -> [(&'static str, u64); 29] {
+    fn scalar_fields(&self) -> [(&'static str, u64); 27] {
         [
             ("submitted", self.submitted),
             ("admitted", self.admitted),
@@ -337,8 +319,6 @@ impl MetricsSnapshot {
             ("overload_entered", self.overload_entered),
             ("overload_recovered", self.overload_recovered),
             ("quota_refused", self.quota_refused),
-            ("cost_refused", self.cost_refused),
-            ("candidates_rejected", self.candidates_rejected),
             ("answered", self.answered),
             ("refused", self.refused),
             ("session_turns", self.session_turns),
@@ -395,13 +375,8 @@ impl fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "submitted {}  admitted {}  shed(full) {}  shed(deadline) {}  quota-refused {}  cost-refused {}",
-            self.submitted,
-            self.admitted,
-            self.shed_full,
-            self.shed_deadline,
-            self.quota_refused,
-            self.cost_refused
+            "submitted {}  admitted {}  shed(full) {}  shed(deadline) {}  quota-refused {}",
+            self.submitted, self.admitted, self.shed_full, self.shed_deadline, self.quota_refused
         )?;
         writeln!(
             f,
@@ -410,12 +385,8 @@ impl fmt::Display for MetricsSnapshot {
         )?;
         writeln!(
             f,
-            "answered {}  refused {}  session-turns {}  max-depth {}  candidates-rejected {}",
-            self.answered,
-            self.refused,
-            self.session_turns,
-            self.max_queue_depth,
-            self.candidates_rejected
+            "answered {}  refused {}  session-turns {}  max-depth {}",
+            self.answered, self.refused, self.session_turns, self.max_queue_depth
         )?;
         if self.cache_disabled {
             writeln!(

@@ -39,34 +39,30 @@ pub struct ServeObs {
 impl ServeObs {
     /// A fresh sink (retaining `trace_capacity` traces) and registry.
     pub fn new(trace_capacity: usize) -> ServeObs {
-        ServeObs::sampled(trace_capacity, 1)
-    }
-
-    /// Like [`ServeObs::new`], but the sink samples: only traces whose
-    /// id is a multiple of `every` are stored. Soak drivers use this so
-    /// span memory stays `trace_capacity` whatever the stream length;
-    /// metrics histograms still observe *every* trace (sampling gates
-    /// storage, not measurement).
-    pub fn sampled(trace_capacity: usize, every: u64) -> ServeObs {
         ServeObs {
-            sink: Arc::new(TraceSink::with_sampling(trace_capacity, every)),
+            sink: Arc::new(TraceSink::new(trace_capacity)),
             registry: Arc::new(MetricsRegistry::new()),
             health: None,
         }
     }
 
-    /// [`ServeObs::sampled`] plus a [`HealthHub`]: the server feeds
-    /// every completion's disposition and sojourn into per-tenant
-    /// windowed scopes at each drain and evaluates the SLO engines
-    /// there, emitting `health` traces into the sink and `health.*`
-    /// counters into the registry. Health traces carry ids from
+    /// A sink that samples, a registry, and a [`HealthHub`]. The sink
+    /// stores only traces whose id is a multiple of `every`, so span
+    /// memory stays `trace_capacity` whatever the stream length;
+    /// metrics histograms still observe *every* trace (sampling gates
+    /// storage, not measurement). The server feeds every completion's
+    /// disposition and sojourn into per-tenant windowed scopes at each
+    /// drain and evaluates the SLO engines there, emitting `health`
+    /// traces into the sink and `health.*` counters into the registry.
+    /// Health traces carry ids from
     /// [`nlidb_obs::slo::HEALTH_TRACE_BASE`] up — disjoint from the
     /// small sequential request ids, and subject to the same
     /// deterministic id-modulus sampling as every other trace.
     pub fn with_health(trace_capacity: usize, every: u64, config: HealthConfig) -> ServeObs {
         ServeObs {
+            sink: Arc::new(TraceSink::with_sampling(trace_capacity, every)),
+            registry: Arc::new(MetricsRegistry::new()),
             health: Some(Arc::new(HealthHub::new(config))),
-            ..ServeObs::sampled(trace_capacity, every)
         }
     }
 

@@ -66,13 +66,14 @@ use nlidb_benchdata::RequestSpec;
 use nlidb_core::fallback::degradation_ladder;
 use nlidb_core::interpretation::InterpreterKind;
 use nlidb_core::pipeline::NliPipeline;
+use nlidb_core::{fnv1a, FNV1A_OFFSET};
 use nlidb_dialogue::{ConversationSession, ManagerKind};
 use nlidb_engine::ResultSet;
 use nlidb_obs::{MetricsRegistry, SpanId, TraceBuilder};
 
 use crate::clock::Clock;
 use crate::fault::{HookCtx, InjectedFault};
-use crate::journal::{AuditRecord, JournalEntry, SessionJournal};
+use crate::journal::{JournalEntry, SessionJournal};
 use crate::lru::LruCache;
 use crate::metrics::{MetricsSnapshot, ScopedMetrics, ServeMetrics};
 use crate::obs::ServeObs;
@@ -93,18 +94,9 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Max requests outstanding per worker before shedding.
     pub queue_capacity: usize,
-    /// Interpretation-cache entries per worker (0 disables caching).
+    /// Interpretation-cache entries per (worker, tenant) (0 disables
+    /// caching).
     pub interp_cache: usize,
-    /// Estimated ticks to serve one request, used for deadline
-    /// admission: a request whose projected completion
-    /// (`now + (depth + 1) × estimate`) exceeds its deadline is
-    /// rejected up front instead of timing out in queue.
-    pub service_estimate: u64,
-    /// Retry budget for transiently-faulted attempts (backoff is
-    /// accounted in ticks, never slept).
-    pub retry: RetryPolicy,
-    /// Per-(worker, interpreter-family) circuit-breaker thresholds.
-    pub breaker: BreakerPolicy,
     /// High/low-watermark overload control (`None` = off, the default
     /// — leaving admission byte-identical to the pre-overload
     /// runtime). When set, the submitter watches the credit ledger's
@@ -117,15 +109,6 @@ pub struct ServerConfig {
     /// never overload-shed: session state must advance (see the
     /// DESIGN.md soak & overload model for why that is deliberate).
     pub overload: Option<OverloadPolicy>,
-    /// Answer standalone questions through the Ask → Plan → Approve
-    /// path ([`NliPipeline::ask_approved`]): gather the
-    /// family's candidate set, validate each candidate before
-    /// execution, execute the first survivor, and journal the approved
-    /// plan with its provenance digest as an audit record (see
-    /// [`crate::journal::AuditRecord`]). `false` (the default) keeps
-    /// the classic pick-first path byte-identical to the pre-candidate
-    /// runtime. Dialogue turns are unaffected either way.
-    pub approved_mode: bool,
 }
 
 /// Knobs for the high/low-watermark overload controller (see
@@ -164,11 +147,7 @@ impl Default for ServerConfig {
             workers: 2,
             queue_capacity: 64,
             interp_cache: 256,
-            service_estimate: 1,
-            retry: RetryPolicy::default(),
-            breaker: BreakerPolicy::default(),
             overload: None,
-            approved_mode: false,
         }
     }
 }
@@ -386,22 +365,14 @@ enum Reject {
 }
 
 /// Everything the runtime holds for one tenant, frozen at server
-/// start: the trained pipeline, the policy rendered into its enforced
-/// form (ladder, budget, cache size), and the tenant's own metrics
-/// and write-ahead journal. Indexed by registration order.
+/// start: the trained pipeline, the admission budget, and the tenant's
+/// own metrics and write-ahead journal. Indexed by registration order.
 struct TenantRuntime {
     name: String,
     fingerprint: u64,
     pipeline: Arc<NliPipeline>,
-    /// Degradation ladder starting at the policy's rung ceiling.
-    ladder: &'static [InterpreterKind],
     /// Lifetime admission budget (`None` = unlimited).
     admission_budget: Option<u64>,
-    /// Estimated-plan-cost ceiling (`None` = unlimited), enforced by
-    /// the worker before execution.
-    cost_ceiling: Option<u64>,
-    /// Per-worker interpretation-cache entries (0 = disabled).
-    cache_capacity: usize,
     metrics: ServeMetrics,
     journal: SessionJournal,
 }
@@ -421,9 +392,6 @@ struct Shared {
     /// servers, so single-tenant traces stay byte-identical to the
     /// pre-tenancy runtime (E14/E16).
     label_tenants: bool,
-    /// Serve standalone questions via the approved (candidate
-    /// validation) path; see [`ServerConfig::approved_mode`].
-    approved_mode: bool,
 }
 
 /// Lowercase + whitespace-collapse: the cache/routing key form, so
@@ -445,20 +413,6 @@ pub fn normalize_question(question: &str) -> String {
         }
     }
     out
-}
-
-/// The FNV-1a-64 offset basis: the hash of no bytes, and the value
-/// every [`fnv1a`] chain starts from.
-pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// FNV-1a-64, continued from `hash`: fold `bytes` into a running
-/// hash, so `fnv1a(fnv1a(FNV1A_OFFSET, a), b)` is the hash of `a`
-/// followed by `b`. A fixed, seedless hash, so routing, cache keys,
-/// schema fingerprints and digests never depend on `RandomState`.
-pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(hash, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 /// The routing salt for a tenant's registration index: a multiple of
@@ -572,25 +526,18 @@ impl Server {
         let tenants: Vec<TenantRuntime> = registry
             .entries()
             .iter()
-            .map(|e| {
-                let cache_capacity = e.policy().interp_cache.unwrap_or(config.interp_cache);
-                TenantRuntime {
-                    name: e.name().to_string(),
-                    fingerprint: e.fingerprint(),
-                    pipeline: Arc::clone(e.pipeline()),
-                    ladder: degradation_ladder(e.policy().rung_ceiling),
-                    admission_budget: e.policy().admission_budget,
-                    cost_ceiling: e.policy().cost_ceiling,
-                    cache_capacity,
-                    metrics: ServeMetrics::new(config.workers, cache_capacity == 0),
-                    journal: SessionJournal::new(),
-                }
+            .map(|e| TenantRuntime {
+                name: e.name().to_string(),
+                fingerprint: e.fingerprint(),
+                pipeline: Arc::clone(e.pipeline()),
+                admission_budget: e.policy().admission_budget,
+                metrics: ServeMetrics::new(config.workers, config.interp_cache == 0),
+                journal: SessionJournal::new(),
             })
             .collect();
         let tenant_count = tenants.len();
         let shared = Arc::new(Shared {
             label_tenants: tenant_count > 1,
-            approved_mode: config.approved_mode,
             tenants,
             metrics: ServeMetrics::new(config.workers, config.interp_cache == 0),
             hook,
@@ -605,12 +552,11 @@ impl Server {
             senders.push(tx);
             let shared = Arc::clone(&shared);
             let completions = completion_tx.clone();
-            let retry = config.retry;
-            let breaker = config.breaker;
+            let cache_capacity = config.interp_cache;
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("nlidb-serve-{worker}"))
-                    .spawn(move || worker_loop(worker, &shared, rx, completions, retry, breaker))
+                    .spawn(move || worker_loop(worker, &shared, rx, completions, cache_capacity))
                     .expect("spawn serve worker"),
             );
         }
@@ -784,8 +730,12 @@ impl Server {
         let depth = self.outstanding[worker];
         let now = shared.clock.now();
 
+        // Deadline admission: every request is estimated at one tick,
+        // so a request whose projected completion (`now + depth + 1`)
+        // exceeds its deadline is rejected up front instead of timing
+        // out in queue.
         if let Some(deadline) = spec.deadline {
-            let projected = now + (depth as u64 + 1) * self.config.service_estimate;
+            let projected = now + depth as u64 + 1;
             if now > deadline || projected > deadline {
                 return self.reject(Some(tenant), id, spec, depth, Reject::Deadline);
             }
@@ -1069,8 +1019,7 @@ impl Server {
         job.bounced_from = Some(from);
         // Redelivery rides the retry budget: a request does not get to
         // chase crashing workers forever.
-        let budget = self.config.retry.max_retries.max(1);
-        if job.redeliveries > budget {
+        if job.redeliveries > RetryPolicy::default().max_retries {
             let reason = format!(
                 "redelivery budget exhausted after {} bounces",
                 job.redeliveries
@@ -1078,7 +1027,7 @@ impl Server {
             return Some(self.readmit_failed(from, &job, Disposition::Refused { reason }));
         }
         if let Some(deadline) = job.deadline {
-            if self.shared.clock.now() + self.config.service_estimate > deadline {
+            if self.shared.clock.now() + 1 > deadline {
                 return Some(self.readmit_failed(from, &job, Disposition::DeadlineExceeded));
             }
         }
@@ -1177,16 +1126,6 @@ impl Server {
         )
     }
 
-    /// Per-tenant health: window matrix, event log, and firing states
-    /// for the tenant behind `fingerprint`. `None` when the fingerprint
-    /// is unregistered, when the runtime has no [`crate::HealthHub`]
-    /// attached, or when the tenant has not yet completed a request
-    /// (its scope does not exist until then).
-    pub fn tenant_health(&self, fingerprint: u64) -> Option<crate::health::HealthReport> {
-        let tenant = self.tenant(fingerprint)?;
-        self.health_hub()?.report(&self.shared.tenants[tenant].name)
-    }
-
     /// Export the global counters (`serve.*`, via
     /// [`MetricsSnapshot::export_into`]) plus every tenant's breakdown
     /// (`serve.tenant.<name>.*`, via
@@ -1198,19 +1137,10 @@ impl Server {
         }
     }
 
-    /// The schema fingerprint of tenant 0, baked into its cache keys.
+    /// The schema fingerprint of tenant 0, the tenant
+    /// [`Server::submit`] and [`Server::route`] address.
     pub fn fingerprint(&self) -> u64 {
         self.shared.tenants[0].fingerprint
-    }
-
-    /// Registered fingerprints, in registration order.
-    pub fn fingerprints(&self) -> Vec<u64> {
-        self.shared.tenants.iter().map(|t| t.fingerprint).collect()
-    }
-
-    /// Tenant names, in registration order.
-    pub fn names(&self) -> Vec<String> {
-        self.shared.tenants.iter().map(|t| t.name.clone()).collect()
     }
 
     /// Number of workers.
@@ -1301,12 +1231,12 @@ impl FaultRide {
 /// `attempt_base` is the job's redelivery count: a request re-admitted
 /// after bouncing off a dead worker presents attempt numbers ≥ 1 to
 /// the hook, so a panic pinned at attempt 0 fires exactly once and the
-/// recovered delivery proceeds. The retry budget stays absolute
-/// (`attempt < max_retries`) — it is per request, not per delivery.
+/// recovered delivery proceeds. The retry budget
+/// ([`RetryPolicy::default`]) stays absolute (`attempt < max_retries`)
+/// — it is per request, not per delivery.
 fn ride_out_faults(
     hook: Option<&RequestHook>,
     metrics: ScopedMetrics<'_>,
-    retry: &RetryPolicy,
     id: u64,
     rung: usize,
     attempt_base: u32,
@@ -1317,6 +1247,7 @@ fn ride_out_faults(
         backoff: 0,
     };
     let Some(hook) = hook else { return ride };
+    let retry = RetryPolicy::default();
     let mut attempt = attempt_base;
     loop {
         match hook(&HookCtx { id, rung, attempt }) {
@@ -1344,21 +1275,13 @@ fn ride_out_faults(
 /// `plan_cost` the miss reported).
 type CachedAnswer = (String, Vec<String>, u64);
 
-/// Walk the degradation ladder for one standalone question. Returns
-/// the disposition plus the rendered answer to cache — present only
-/// for a full-fidelity rung-0 answer; degraded answers are never
-/// cached. When a tracer is passed, every rung gets a span recording
-/// the breaker decision, absorbed retries, injected faults, and the
-/// rung's outcome — the per-query evidence E14 reconciles against the
-/// aggregate counters.
-///
-/// With `audit` set (approved mode), every rung asks through the
-/// Ask → Plan → Approve path instead of pick-first: vetoed candidates
-/// land in `candidates_rejected`, and every answer appends an
-/// [`AuditRecord`] — the approved SQL, the losers' rejection reasons,
-/// and the winner's provenance digest — to the tenant's journal
-/// *before* the completion is released, so a bounced request that
-/// re-runs approval elsewhere provably approves the same candidate.
+/// Walk the degradation ladder from the hybrid family down for one
+/// standalone question. Returns the disposition plus the rendered
+/// answer to cache — present only for a full-fidelity rung-0 answer;
+/// degraded answers are never cached. When a tracer is passed, every
+/// rung gets a span recording the breaker decision, absorbed retries,
+/// injected faults, and the rung's outcome — the per-query evidence
+/// E14 reconciles against the aggregate counters.
 #[allow(clippy::too_many_arguments)]
 fn interpret_single(
     id: u64,
@@ -1366,16 +1289,15 @@ fn interpret_single(
     pipeline: &NliPipeline,
     hook: Option<&RequestHook>,
     metrics: ScopedMetrics<'_>,
-    retry: &RetryPolicy,
     attempt_base: u32,
-    ladder: &[InterpreterKind],
-    cost_ceiling: Option<u64>,
     breakers: &mut [CircuitBreaker],
-    audit: Option<&SessionJournal>,
     mut tracer: Option<&mut TraceBuilder>,
 ) -> (Disposition, Option<CachedAnswer>) {
     let mut last_refusal: Option<String> = None;
-    for (rung, &kind) in ladder.iter().enumerate() {
+    for (rung, &kind) in degradation_ladder(InterpreterKind::Hybrid)
+        .iter()
+        .enumerate()
+    {
         let span = tracer.as_deref_mut().map(|tb| {
             let s = tb.open("rung");
             tb.annotate(s, "rung", rung.to_string());
@@ -1394,7 +1316,7 @@ fn interpret_single(
             seal(&mut tracer, "breaker", "open");
             continue;
         }
-        let ride = ride_out_faults(hook, metrics, retry, id, rung, attempt_base);
+        let ride = ride_out_faults(hook, metrics, id, rung, attempt_base);
         if let (Some(tb), Some(s)) = (tracer.as_deref_mut(), span) {
             ride.annotate(tb, s);
         }
@@ -1411,28 +1333,7 @@ fn interpret_single(
             seal(&mut tracer, "fault", "fatal");
             continue;
         }
-        let tb = tracer.as_deref_mut();
-        let asked = match audit {
-            Some(journal) => pipeline
-                .ask_approved(question, kind, cost_ceiling, tb)
-                .map(|a| {
-                    metrics.add(|m| &m.candidates_rejected, a.report.vetoed_count() as u64);
-                    // Write-ahead: the audit record is visible before
-                    // the completion, like every journal commit.
-                    journal.append_audit(AuditRecord {
-                        request_id: id,
-                        question: question.to_string(),
-                        sql: a.answer.sql.clone(),
-                        candidate_count: a.report.candidate_count,
-                        chosen_rank: a.report.chosen_rank,
-                        rejections: a.report.rejected.iter().map(ToString::to_string).collect(),
-                        provenance_digest: a.report.provenance_digest,
-                    });
-                    a.answer
-                }),
-            None => pipeline.ask_classic(question, kind, cost_ceiling, tb),
-        };
-        match asked {
+        match pipeline.ask_classic(question, kind, None, tracer.as_deref_mut()) {
             Ok(answer) => {
                 breakers[rung].on_success();
                 let rows = render_rows(&answer.result);
@@ -1463,17 +1364,9 @@ fn interpret_single(
             // A semantic refusal means the family is *healthy*: at
             // rung 0 the refusal stands (degrading past a healthy
             // refusal would trade precision for coverage); below it,
-            // the next family down gets its chance. A cost-ceiling
-            // refusal is policy, not health — it also stands at rung 0
-            // (a weaker family would only re-estimate the same data).
+            // the next family down gets its chance.
             Err(e) => {
                 breakers[rung].on_success();
-                if matches!(e, nlidb_core::InterpretError::CostExceeded { .. }) {
-                    metrics.add(|m| &m.cost_refused, 1);
-                }
-                if let nlidb_core::InterpretError::AllCandidatesRejected { count, .. } = &e {
-                    metrics.add(|m| &m.candidates_rejected, *count as u64);
-                }
                 if rung == 0 {
                     metrics.add(|m| &m.refused, 1);
                     seal(&mut tracer, "refusal", "healthy");
@@ -1528,8 +1421,7 @@ fn worker_loop(
     shared: &Shared,
     jobs: mpsc::Receiver<Job>,
     completions: mpsc::Sender<Delivery>,
-    retry: RetryPolicy,
-    breaker: BreakerPolicy,
+    cache_capacity: usize,
 ) {
     let hook = shared.hook.as_ref();
     // All worker-retained state is per-(worker, tenant): caches and
@@ -1541,10 +1433,10 @@ fn worker_loop(
     let mut breakers: Vec<Vec<CircuitBreaker>> = shared
         .tenants
         .iter()
-        .map(|t| {
-            t.ladder
+        .map(|_| {
+            degradation_ladder(InterpreterKind::Hybrid)
                 .iter()
-                .map(|_| CircuitBreaker::new(breaker))
+                .map(|_| CircuitBreaker::new(BreakerPolicy::default()))
                 .collect()
         })
         .collect();
@@ -1610,13 +1502,13 @@ fn worker_loop(
         });
         let outcome = catch_unwind(AssertUnwindSafe(|| match &job.work {
             Work::Single { question } => {
-                let key = format!("{:016x}|{}", rt.fingerprint, normalize_question(question));
-                let cache_enabled = rt.cache_capacity > 0;
+                let key = normalize_question(question);
+                let cache_enabled = cache_capacity > 0;
                 let probe = tracer.as_mut().map(|(tb, _)| (tb.open("cache"), tb));
                 let cached = if cache_enabled {
                     caches
                         .entry(tenant)
-                        .or_insert_with(|| LruCache::new(rt.cache_capacity))
+                        .or_insert_with(|| LruCache::new(cache_capacity))
                         .get(&key)
                         .cloned()
                 } else {
@@ -1655,12 +1547,8 @@ fn worker_loop(
                             pipeline,
                             hook,
                             metrics,
-                            &retry,
                             redeliveries,
-                            rt.ladder,
-                            rt.cost_ceiling,
                             &mut breakers[tenant],
-                            shared.approved_mode.then_some(journal),
                             tracer.as_mut().map(|(tb, _)| tb),
                         );
                         let plan_cost = cacheable.as_ref().map(|(_, _, c)| *c);
@@ -1693,7 +1581,7 @@ fn worker_loop(
                 // Faults are consulted *before* the manager runs, so a
                 // retried turn has mutated nothing: each dialogue turn
                 // executes at most once.
-                let ride = ride_out_faults(hook, metrics, &retry, id, 0, redeliveries);
+                let ride = ride_out_faults(hook, metrics, id, 0, redeliveries);
                 if let (Some((tb, _)), Some(s)) = (tracer.as_mut(), span) {
                     ride.annotate(tb, s);
                 }
@@ -1931,7 +1819,6 @@ mod tests {
         let cfg = ServerConfig {
             workers: 1,
             queue_capacity: 8,
-            service_estimate: 10,
             ..ServerConfig::default()
         };
         let mut srv = Server::start_observed(
@@ -1942,9 +1829,10 @@ mod tests {
             None,
         );
         let mut q = RequestSpec::single("how many customers are there");
-        // Deadline 15 ticks out, service estimate 10: first fits
-        // (projected 10), second does not (projected 20).
-        q.deadline = Some(15);
+        // Deadline 2 ticks out, one tick per request: the first two
+        // fit (projected 1 and 2), the third does not (projected 3).
+        q.deadline = Some(2);
+        assert!(matches!(srv.submit(&q), Admission::Admitted { .. }));
         assert!(matches!(srv.submit(&q), Admission::Admitted { .. }));
         assert!(matches!(srv.submit(&q), Admission::DeadlineExceeded { .. }));
         srv.drain();
@@ -1979,96 +1867,6 @@ mod tests {
             .all(|c| matches!(c.disposition, Disposition::SessionReply { .. })));
         let m = srv.shutdown();
         assert_eq!(m.session_turns, 3);
-    }
-
-    #[test]
-    fn tenant_cost_ceiling_refuses_before_execution() {
-        let p = pipeline();
-        let clock = Arc::new(ManualClock::new());
-        let mut registry = TenantRegistry::new();
-        registry.register(
-            "capped",
-            Arc::clone(&p),
-            TenantPolicy {
-                cost_ceiling: Some(0),
-                ..TenantPolicy::default()
-            },
-        );
-        let mut srv = Server::start_tenants(
-            &registry,
-            ServerConfig::default(),
-            clock as Arc<dyn Clock>,
-            None,
-            None,
-        );
-        srv.submit(&RequestSpec::single("how many customers are there"));
-        let done = srv.drain();
-        match &done[0].disposition {
-            Disposition::Refused { reason } => {
-                assert!(reason.contains("plan cost"), "unexpected reason: {reason}")
-            }
-            other => panic!("expected cost refusal, got {other:?}"),
-        }
-        assert_eq!(done[0].plan_cost, None, "refused plans report no cost");
-        let m = srv.shutdown();
-        assert_eq!(m.cost_refused, 1);
-        assert_eq!(m.refused, 1);
-        assert_eq!(m.answered, 0, "never executed");
-    }
-
-    #[test]
-    fn approved_mode_journals_an_audit_trail_and_matches_pick_first() {
-        let p = pipeline();
-        let questions = ["how many customers are there", "show all products"];
-        // Classic pick-first answers, for parity.
-        let (mut classic, _) = server(1, &p);
-        let baseline: Vec<String> = {
-            for q in questions {
-                classic.submit(&RequestSpec::single(q));
-            }
-            let done = classic.drain();
-            classic.shutdown();
-            done.iter().map(Completion::signature).collect()
-        };
-        let clock = Arc::new(ManualClock::new());
-        let cfg = ServerConfig {
-            workers: 1,
-            approved_mode: true,
-            ..ServerConfig::default()
-        };
-        let mut srv =
-            Server::start_observed(Arc::clone(&p), cfg, clock as Arc<dyn Clock>, None, None);
-        for q in questions {
-            srv.submit(&RequestSpec::single(q));
-        }
-        srv.submit(&RequestSpec::single(questions[0])); // cache hit
-        let done = srv.drain();
-        assert_eq!(
-            done[..2]
-                .iter()
-                .map(Completion::signature)
-                .collect::<Vec<String>>(),
-            baseline,
-            "clean top candidates answer identically to pick-first"
-        );
-        let journal = srv.journal();
-        assert_eq!(
-            journal.audited_requests(),
-            vec![0, 1],
-            "every approved answer is audited; cache hits are not re-approved"
-        );
-        for (id, q) in questions.iter().enumerate() {
-            let audits = journal.audits(id as u64);
-            assert_eq!(audits.len(), 1);
-            assert_eq!(audits[0].question, *q);
-            assert!(audits[0].candidate_count >= 1);
-            assert_ne!(audits[0].provenance_digest, 0);
-            match &done[id].disposition {
-                Disposition::Answered { sql, .. } => assert_eq!(&audits[0].sql, sql),
-                other => panic!("expected answer, got {other:?}"),
-            }
-        }
-        srv.shutdown();
     }
 
     #[test]
@@ -2281,17 +2079,6 @@ mod tests {
         srv.drain();
         let m = srv.shutdown();
         assert_eq!(m.shed_overload, hog_shed);
-    }
-
-    #[test]
-    fn fnv1a_matches_the_published_vectors_and_chains() {
-        assert_eq!(fnv1a(FNV1A_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(FNV1A_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(FNV1A_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
-        assert_eq!(
-            fnv1a(fnv1a(FNV1A_OFFSET, b"foo"), b"bar"),
-            fnv1a(FNV1A_OFFSET, b"foobar")
-        );
     }
 
     #[test]

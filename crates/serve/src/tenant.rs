@@ -6,9 +6,9 @@
 //! of everything that determines interpretations (concept labels,
 //! table names, data-property labels, and the full join structure).
 //! The fingerprint is the tenant's identity everywhere — routing salt,
-//! interpretation-cache key prefix, join-path-cache scope, journal
-//! namespace, and metrics label — so isolation falls out of keying
-//! rather than out of locks.
+//! join-path-cache scope, journal namespace, and metrics label — and
+//! each worker keeps one interpretation cache per tenant, so isolation
+//! falls out of keying rather than out of locks.
 //!
 //! # Collision hygiene
 //!
@@ -22,51 +22,18 @@
 
 use std::sync::Arc;
 
-use nlidb_core::interpretation::InterpreterKind;
 use nlidb_core::pipeline::{NliPipeline, SchemaContext};
 use nlidb_engine::Database;
 use nlidb_ontology::{JoinPathCache, Ontology};
 
-/// Per-tenant serving policy: what this tenant is allowed to consume
-/// and how far down the degradation ladder it may be served.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Per-tenant serving policy: how much this tenant may consume.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TenantPolicy {
     /// Maximum requests this tenant may have *admitted* over the
     /// server's lifetime (`None` = unlimited). Enforced by the
     /// single-threaded submitter, so refusals are deterministic;
     /// sheds and deadline rejects do not consume budget.
     pub admission_budget: Option<u64>,
-    /// Strongest interpreter family this tenant may be served by; the
-    /// degradation ladder starts here (see
-    /// [`nlidb_core::fallback::degradation_ladder`]). Default:
-    /// [`InterpreterKind::Hybrid`], the full ladder.
-    pub rung_ceiling: InterpreterKind,
-    /// Per-worker interpretation-cache entries for this tenant
-    /// (`Some(0)` disables caching; `None` inherits the server-wide
-    /// `interp_cache` config).
-    pub interp_cache: Option<usize>,
-    /// Maximum estimated logical plan cost (see
-    /// [`nlidb_engine::explain`]) a standalone question of this tenant
-    /// may execute (`None` = unlimited). An input to the validation
-    /// layer (`nlidb_core::validate::cost_gate`), checked *before*
-    /// execution: on the classic path a winning plan estimated above
-    /// the ceiling is refused with `InterpretError::CostExceeded` and
-    /// counted in the `cost_refused` metric — the query never runs; in
-    /// approved mode the ceiling is one rejection reason among the
-    /// candidate checks, so a cheaper lower-ranked candidate can still
-    /// be approved.
-    pub cost_ceiling: Option<u64>,
-}
-
-impl Default for TenantPolicy {
-    fn default() -> TenantPolicy {
-        TenantPolicy {
-            admission_budget: None,
-            rung_ceiling: InterpreterKind::Hybrid,
-            interp_cache: None,
-            cost_ceiling: None,
-        }
-    }
 }
 
 /// One registered tenant: identity, pipeline, and policy.
@@ -180,10 +147,10 @@ impl TenantRegistry {
 /// Hash the parts of a schema that determine interpretations: concept
 /// labels, table names, data-property labels, and the relationships
 /// (with their endpoints and FK columns). Two pipelines over the same
-/// schema share cache keys; any schema change — join structure
-/// included — changes the fingerprint and thus invalidates nothing
-/// silently. In multi-tenant serving this digest *is* the tenant
-/// identity (see the module docs).
+/// schema share a fingerprint; any schema change — join structure
+/// included — changes it, so nothing keyed by it goes stale silently.
+/// In multi-tenant serving this digest *is* the tenant identity (see
+/// the module docs).
 pub fn schema_fingerprint(pipeline: &NliPipeline) -> u64 {
     schema_fingerprint_of(&pipeline.context().ontology)
 }
@@ -202,7 +169,7 @@ pub fn schema_fingerprint_of(onto: &Ontology) -> u64 {
         acc.push('\u{1}');
     }
     // Relationships decide join paths; two schemas differing only in
-    // join structure must not share cache keys.
+    // join structure must not share a fingerprint.
     for r in &onto.object_properties {
         for part in [&r.label, &r.from, &r.from_column, &r.to, &r.to_column] {
             acc.push_str(part);
@@ -210,7 +177,7 @@ pub fn schema_fingerprint_of(onto: &Ontology) -> u64 {
         }
         acc.push('\u{2}');
     }
-    crate::server::fnv1a(crate::server::FNV1A_OFFSET, acc.as_bytes())
+    nlidb_core::fnv1a(nlidb_core::FNV1A_OFFSET, acc.as_bytes())
 }
 
 /// Build a tenant-ready pipeline over `db`: derive the schema context,
@@ -283,7 +250,6 @@ mod tests {
             Arc::new(NliPipeline::standard(&retail_database(7))),
             TenantPolicy {
                 admission_budget: Some(10),
-                ..TenantPolicy::default()
             },
         );
         assert_eq!(reg.len(), 1);

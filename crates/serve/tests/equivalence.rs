@@ -38,7 +38,6 @@ fn serve_once(
             workers,
             queue_capacity: n, // no shedding: equivalence runs admit everything
             interp_cache,
-            service_estimate: 1,
             ..ServerConfig::default()
         },
         clock.clone() as Arc<dyn Clock>,

@@ -14,8 +14,8 @@ use nlidb_benchdata::{
 };
 use nlidb_core::pipeline::NliPipeline;
 use nlidb_serve::{
-    fault_plan_hook, run_closed_loop, silence_worker_panics, Clock, Disposition, ManualClock,
-    MetricsSnapshot, RetryPolicy, ServeObs, Server, ServerConfig,
+    fault_plan_hook, run_closed_loop, silence_worker_panics, Clock, Disposition, HookCtx,
+    InjectedFault, ManualClock, MetricsSnapshot, RequestHook, ServeObs, Server, ServerConfig,
 };
 
 fn pipeline() -> Arc<NliPipeline> {
@@ -262,54 +262,46 @@ fn stream_recovery_matches_a_never_crashed_run() {
 
 #[test]
 fn redelivery_budget_bounds_worker_chasing() {
-    // Two workers die in the same drain round; the job bounced off the
-    // first chases into the second corpse and — with a 1-retry budget —
-    // is refused while a live worker still exists, proving the budget
-    // (not worker exhaustion) is what stopped it.
+    // Every attempt of request 0 kills its worker, so the request
+    // chases from corpse to corpse. The retry budget of 2 allows two
+    // redeliveries; the third bounce is refused while a fourth worker
+    // still lives, proving the budget (not worker exhaustion) is what
+    // stopped it.
     silence_worker_panics();
     let clock = Arc::new(ManualClock::new());
-    let plan = FaultPlan::none()
-        .with(0, FaultKind::WorkerPanic) // session 0's first turn kills worker 0
-        .with(1, FaultKind::WorkerPanic); // session 1's first turn kills worker 1
+    let hook: RequestHook =
+        Box::new(|ctx: &HookCtx| (ctx.id == 0).then_some(InjectedFault::WorkerPanic));
     let mut server = Server::start_observed(
         pipeline(),
-        ServerConfig {
-            workers: 3,
-            retry: RetryPolicy {
-                max_retries: 1,
-                ..RetryPolicy::default()
-            },
-            ..config(3)
-        },
+        config(4),
         clock.clone() as Arc<dyn Clock>,
-        Some(fault_plan_hook(plan)),
+        Some(hook),
         None,
     );
+    // Session 0's home is worker 0; its redeliveries land on 1, then 2.
     server.submit(&turn(0, "show customers in Austin"));
-    server.submit(&turn(1, "show orders"));
     let done = server.drain();
-    assert_eq!(done.len(), 2);
-    // id 0: bounced off worker 0, readmitted to worker 1, bounced off
-    // its corpse too — second bounce exceeds the budget of 1.
+    assert_eq!(done.len(), 1);
     match &done[0].disposition {
         Disposition::Refused { reason } => assert!(
-            reason.contains("redelivery budget exhausted after 2 bounces"),
+            reason.contains("redelivery budget exhausted after 3 bounces"),
             "unexpected reason: {reason}"
         ),
         other => panic!("expected a budget refusal, got {other:?}"),
     }
-    // id 1: bounced off worker 1 once, served by the survivor.
+    // Worker 3 outlived the chase: session 1 (home worker 1, dead)
+    // is served there.
+    server.submit(&turn(1, "show orders"));
+    let done = server.drain();
     assert!(matches!(
-        done[1].disposition,
+        done[0].disposition,
         Disposition::SessionReply { .. }
     ));
-    assert_eq!(done[1].worker, Some(2));
+    assert_eq!(done[0].worker, Some(3));
     let m = server.shutdown();
-    assert_eq!(m.worker_deaths, 2);
-    assert_eq!(m.readmitted, 2, "each job got one redelivery");
+    assert_eq!(m.worker_deaths, 3);
+    assert_eq!(m.readmitted, 2, "two redeliveries within the budget");
     assert_eq!(m.readmit_refused, 1, "then the budget cut the chase");
-    // done[1] being served proves worker 2 outlived the episode: the
-    // refusal was the budget, not pool exhaustion.
 }
 
 #[test]
@@ -471,153 +463,6 @@ fn two_tenants_on_one_dead_worker_both_recover_without_leakage() {
     assert_eq!(retail_m.journal_turns, 3);
     assert_eq!(hr_m.journal_turns, 3);
     assert_eq!(m.journal_turns, 6);
-}
-
-#[test]
-fn approved_audits_survive_crash_recovery_with_identical_digests() {
-    // Approved mode under crash: a worker dies on a standalone question
-    // whose top candidate is cost-vetoed (the approval rescues a
-    // cheaper reading). The bounced request re-runs the whole
-    // Ask → Plan → Approve pass on the survivor, and the audit trail
-    // must re-prove the same decision — same approved SQL, same
-    // journaled rejections, same provenance digest — as a run that
-    // never crashed.
-    use nlidb_core::InterpreterKind;
-    use nlidb_engine::{explain, ColumnType, Database, TableSchema, Value};
-    use nlidb_ontology::JoinPathCache;
-    use nlidb_serve::{TenantPolicy, TenantRegistry};
-
-    // The shared-city clinic: "show visits in Austin" reads two ways
-    // (via patients or via doctors), and the 500-row doctor side prices
-    // the readings apart (the cost model vectorizes at 64-row
-    // granularity).
-    fn clinic() -> Database {
-        let mut db = Database::new("clinic");
-        db.create_table(
-            TableSchema::new("patients")
-                .column("id", ColumnType::Int)
-                .column("city", ColumnType::Text)
-                .primary_key("id"),
-        )
-        .unwrap();
-        db.create_table(
-            TableSchema::new("doctors")
-                .column("id", ColumnType::Int)
-                .column("city", ColumnType::Text)
-                .primary_key("id"),
-        )
-        .unwrap();
-        db.create_table(
-            TableSchema::new("visits")
-                .column("id", ColumnType::Int)
-                .column("patient_id", ColumnType::Int)
-                .column("doctor_id", ColumnType::Int)
-                .primary_key("id")
-                .foreign_key("patient_id", "patients", "id")
-                .foreign_key("doctor_id", "doctors", "id"),
-        )
-        .unwrap();
-        for i in 0..2i64 {
-            db.insert("patients", vec![Value::Int(i), Value::from("Austin")])
-                .unwrap();
-        }
-        for i in 0..500i64 {
-            db.insert("doctors", vec![Value::Int(i), Value::from("Austin")])
-                .unwrap();
-        }
-        for i in 0..4i64 {
-            db.insert(
-                "visits",
-                vec![Value::Int(i), Value::Int(i % 2), Value::Int(i % 500)],
-            )
-            .unwrap();
-        }
-        db
-    }
-
-    silence_worker_panics();
-    const QUESTIONS: [&str; 3] = [
-        "show visits in Austin",
-        "show all patients",
-        "how many patients are there",
-    ];
-    let run = |plan: FaultPlan| {
-        let cache = Arc::new(JoinPathCache::new(256));
-        let (fp, p) = nlidb_serve::tenant_pipeline(&clinic(), &cache);
-        // Veto the expensive reading but admit the cheaper one.
-        let cands = p.candidates(QUESTIONS[0], InterpreterKind::Entity);
-        let costs: Vec<u64> = cands
-            .iter()
-            .map(|c| explain(p.database(), &c.sql).est_cost)
-            .collect();
-        let ceiling = costs.iter().skip(1).min().copied().unwrap();
-        assert!(costs[0] > ceiling, "top candidate must be the pricey one");
-        let mut registry = TenantRegistry::new();
-        registry.register(
-            "clinic",
-            p,
-            TenantPolicy {
-                rung_ceiling: InterpreterKind::Entity,
-                cost_ceiling: Some(ceiling),
-                ..TenantPolicy::default()
-            },
-        );
-        let clock = Arc::new(ManualClock::new());
-        let mut server = Server::start_tenants(
-            &registry,
-            ServerConfig {
-                approved_mode: true,
-                ..config(2)
-            },
-            clock as Arc<dyn Clock>,
-            Some(fault_plan_hook(plan)),
-            None,
-        );
-        for q in QUESTIONS {
-            server.submit_to(fp, &RequestSpec::single(q));
-        }
-        let done = server.drain();
-        let sigs: Vec<String> = done.iter().map(|c| c.signature()).collect();
-        let audits: Vec<(u64, Vec<nlidb_serve::AuditRecord>)> = {
-            let j = server.tenant_journal(fp).unwrap();
-            j.audited_requests()
-                .into_iter()
-                .map(|id| (id, j.audits(id)))
-                .collect()
-        };
-        (sigs, audits, server.shutdown())
-    };
-    let (clean_sigs, clean_audits, clean_m) = run(FaultPlan::none());
-    // Every question answers and is audited exactly once in the clean
-    // run; the rescued question journals its cost rejection.
-    assert_eq!(clean_audits.len(), 3);
-    assert!(clean_audits.iter().all(|(_, a)| a.len() == 1));
-    let rescued = &clean_audits[0].1[0];
-    assert_eq!(rescued.question, QUESTIONS[0]);
-    assert!(rescued.chosen_rank > 0, "a cheaper reading won");
-    assert!(
-        rescued
-            .rejections
-            .iter()
-            .any(|r| r.contains("cost_exceeded")),
-        "the vetoed reading's rejection is journaled: {:?}",
-        rescued.rejections
-    );
-    assert_ne!(rescued.provenance_digest, 0);
-    assert!(clean_m.candidates_rejected >= 1);
-    // Crash on the rescued question itself: the corpse dies before its
-    // approval commits, the survivor re-runs it from scratch.
-    let plan = FaultPlan::none().with(0, FaultKind::WorkerPanic);
-    let (sigs, audits, m) = run(plan);
-    assert_eq!(sigs, clean_sigs, "recovery must not change an answer");
-    assert_eq!(
-        audits, clean_audits,
-        "the recovered approval re-proves the same candidate: same SQL, \
-         same rejections, same provenance digest"
-    );
-    assert_eq!(m.worker_deaths, 1);
-    assert!(m.readmitted >= 1);
-    assert_eq!(m.candidates_rejected, clean_m.candidates_rejected);
 }
 
 #[test]

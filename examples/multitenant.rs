@@ -32,7 +32,6 @@ fn main() {
         retail_pipeline,
         TenantPolicy {
             admission_budget: Some(20),
-            ..TenantPolicy::default()
         },
     );
 
@@ -50,7 +49,6 @@ fn main() {
             workers: 2,
             queue_capacity: 64,
             interp_cache: 256,
-            service_estimate: 1,
             ..ServerConfig::default()
         },
         clock.clone() as Arc<dyn Clock>,

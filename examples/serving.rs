@@ -27,7 +27,6 @@ fn main() {
         workers: 2,
         queue_capacity: 64,
         interp_cache: 256,
-        service_estimate: 1,
         ..ServerConfig::default()
     };
     let mut server = Server::start_observed(

@@ -134,10 +134,10 @@ fn claim_paraphrase_brittleness() {
 
 /// §4, operationalized by the serving layer's degradation ladder: an
 /// answer served by a fallback family can never exceed that family's
-/// capability ceiling. Whatever question is asked, wherever the
-/// ladder lands, the executed query's complexity class stays inside
-/// the serving family's `Capabilities` mask — degradation trades
-/// coverage for availability, never widens capability.
+/// capability ceiling. Whatever question is asked, every family below
+/// the hybrid on the ladder answers only inside its `Capabilities`
+/// mask — degradation trades coverage for availability, never widens
+/// capability.
 #[test]
 fn claim_degraded_answers_respect_capability_ceilings() {
     use nlidb::core::entity::Capabilities;
@@ -149,28 +149,21 @@ fn claim_degraded_answers_respect_capability_ceilings() {
     let suite = spider_like(&slots, 31, 48);
     let mut served = 0;
     for pair in &suite {
-        // Simulate the preferred family being down at every rung.
-        for &failed in degradation_ladder(InterpreterKind::Hybrid) {
-            if let Ok(d) = nli.ask_degraded(&pair.question, failed) {
+        for &kind in &degradation_ladder(InterpreterKind::Hybrid)[1..] {
+            if let Ok(answer) = nli.ask_bounded(&pair.question, kind, None) {
                 served += 1;
-                let class = classify(&d.answer.query);
+                let class = classify(&answer.query);
                 assert!(
-                    Capabilities::of(d.served_by).permits(class),
-                    "{:?} served {:?} beyond its ceiling for {:?}",
-                    d.served_by,
-                    class,
+                    Capabilities::of(kind).permits(class),
+                    "{kind:?} served {class:?} beyond its ceiling for {:?}",
                     pair.question
-                );
-                assert_ne!(
-                    d.served_by, failed,
-                    "a degraded answer must come from below the failed family"
                 );
             }
         }
     }
     assert!(
         served > 20,
-        "the ladder must actually serve fallbacks ({served})"
+        "the fallback families must actually serve ({served})"
     );
 }
 
