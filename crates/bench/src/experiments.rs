@@ -7,8 +7,8 @@
 use std::collections::HashMap;
 
 use nlidb_benchdata::{
-    cosql_like, dataset_stats, derive_slots, domain_database, paper_reference, sparc_like,
-    spider_like, wikisql_like, SessionKind, DOMAIN_NAMES,
+    all_domains, cosql_like, dataset_stats, derive_slots, paper_reference, sparc_like, spider_like,
+    wikisql_like, SessionKind, DOMAIN_NAMES,
 };
 use nlidb_core::clarify;
 use nlidb_core::interpretation::InterpreterKind;
@@ -560,12 +560,11 @@ pub fn e7_benchmark_statistics(seed: u64) -> Table {
     let mut spider_pairs = Vec::new();
     let mut sparc_sessions = Vec::new();
     let mut cosql_sessions = Vec::new();
-    for (i, name) in DOMAIN_NAMES.iter().enumerate() {
-        let db = nlidb_benchdata::domain_database(name, seed.wrapping_add(i as u64));
-        let slots = derive_slots(&db);
+    for (i, db) in all_domains(seed).iter().enumerate() {
+        let slots = derive_slots(db);
         wikisql_pairs.extend(wikisql_like(&slots, seed.wrapping_add(i as u64), 672));
         wtq_count +=
-            nlidb_benchdata::wtq_like(&db, &slots, seed.wrapping_add(60 + i as u64), 184).len();
+            nlidb_benchdata::wtq_like(db, &slots, seed.wrapping_add(60 + i as u64), 184).len();
         spider_pairs.extend(spider_like(&slots, seed.wrapping_add(90 + i as u64), 200));
         sparc_sessions.extend(sparc_like(&slots, seed.wrapping_add(80 + i as u64), 33));
         cosql_sessions.extend(cosql_like(&slots, seed.wrapping_add(70 + i as u64), 25));
@@ -2013,13 +2012,12 @@ pub fn engine_corpus_pass(seed: u64) -> EnginePass {
         batch_ticks: [0; 4],
         explains: String::new(),
     };
-    for (i, name) in DOMAIN_NAMES.iter().enumerate() {
-        let db = domain_database(name, seed.wrapping_add(i as u64));
-        let slots = derive_slots(&db);
+    for (i, db) in all_domains(seed).iter().enumerate() {
+        let slots = derive_slots(db);
         for pair in spider_like(&slots, seed.wrapping_add(1000 + i as u64), 48) {
-            let (row_rs, row_stats) = execute_rowwise_with_stats(&db, &pair.sql)
+            let (row_rs, row_stats) = execute_rowwise_with_stats(db, &pair.sql)
                 .unwrap_or_else(|e| panic!("E18: row engine failed on {}: {e}", pair.id));
-            let (batch_rs, batch_stats) = execute_with_stats(&db, &pair.sql)
+            let (batch_rs, batch_stats) = execute_with_stats(db, &pair.sql)
                 .unwrap_or_else(|e| panic!("E18: batch engine failed on {}: {e}", pair.id));
             assert!(
                 batch_rs.unordered_eq(&row_rs),
@@ -2038,7 +2036,7 @@ pub fn engine_corpus_pass(seed: u64) -> EnginePass {
             pass.queries[k] += 1;
             pass.row_ticks[k] += row_stats.ticks;
             pass.batch_ticks[k] += batch_stats.ticks;
-            pass.explains.push_str(&explain(&db, &pair.sql).render());
+            pass.explains.push_str(&explain(db, &pair.sql).render());
         }
     }
     pass
@@ -2344,10 +2342,11 @@ pub fn e20_soak_with(seed: u64, requests: usize) -> Table {
 }
 
 /// The health configuration every E21 regime runs under: 4-tick
-/// windows in a 64-window ring (no regime outruns it, so eviction is
-/// zero and retained sums must equal totals outright), a 99.0%
-/// availability objective and a 95.0% / 8-tick latency objective,
-/// burn over a (2, 4)-window short/long pair, firing at 300 milli.
+/// windows in the hub's fixed 64-window ring (no regime outruns it, so
+/// eviction is zero and retained sums must equal totals outright), its
+/// fixed 99.0% availability and 95.0% / 8-tick latency objectives,
+/// burn over its 2-window short span and a 4-window long span, firing
+/// at 300 milli.
 /// The fire threshold is sized to the faulted regime's arithmetic
 /// floor: one refusal anywhere in the 4-window long span (at most
 /// 256 completions) yields ⌊1000/256⌋ = 3 milli of bad share, i.e. a
@@ -2356,11 +2355,6 @@ pub fn e20_soak_with(seed: u64, requests: usize) -> Table {
 fn e21_health_config() -> nlidb_serve::HealthConfig {
     nlidb_serve::HealthConfig {
         window_ticks: 4,
-        windows: 64,
-        availability_target_milli: 990,
-        latency_target_milli: 950,
-        latency_threshold_ticks: 8,
-        short_windows: 2,
         long_windows: 4,
         fire_burn_milli: 300,
     }

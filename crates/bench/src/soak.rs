@@ -40,13 +40,11 @@ const POOL: usize = 32;
 /// (12 arrivals × 4 ticks = 48 outstanding) crosses `high_watermark`
 /// mid-window every window, and every drain empties the ledger past
 /// `low_watermark`, so episodes provably open *and* close.
-/// `cost_threshold: 0` makes every learned plan "expensive" — the
-/// shed-first set is exactly the repeats whose cost the server has
-/// already measured.
+/// The shed-first set is exactly the repeats whose cost the server
+/// has already measured.
 pub const OVERLOAD_POLICY: OverloadPolicy = OverloadPolicy {
     high_watermark: 24,
     low_watermark: 8,
-    cost_threshold: 0,
     early_warning: None,
 };
 

@@ -77,9 +77,6 @@ impl Default for FaultRates {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     faults: BTreeMap<u64, FaultKind>,
-    /// When set, lookups use `id % period` — so a plan generated for
-    /// one pass of `n` requests repeats on every warm replay.
-    period: Option<u64>,
 }
 
 impl FaultPlan {
@@ -106,10 +103,7 @@ impl FaultPlan {
                 faults.insert(id, FaultKind::Fatal { depth });
             }
         }
-        FaultPlan {
-            faults,
-            period: None,
-        }
+        FaultPlan { faults }
     }
 
     /// Pin a fault on one request id (builder style; overwrites any
@@ -119,21 +113,9 @@ impl FaultPlan {
         self
     }
 
-    /// Make the plan repeat every `period` requests (`id % period`),
-    /// so warm replays of the same stream re-experience the same
-    /// faults. A period of 0 is treated as "no period".
-    pub fn periodic(mut self, period: u64) -> FaultPlan {
-        self.period = (period > 0).then_some(period);
-        self
-    }
-
     /// The fault scheduled for `id`, if any.
     pub fn fault_for(&self, id: u64) -> Option<FaultKind> {
-        let key = match self.period {
-            Some(p) => id % p,
-            None => id,
-        };
-        self.faults.get(&key).copied()
+        self.faults.get(&id).copied()
     }
 
     /// Number of faulted request ids in the schedule.
@@ -205,18 +187,6 @@ mod tests {
             Some(FaultKind::Transient { failures: 1 })
         );
         assert_eq!(plan.len(), 2);
-    }
-
-    #[test]
-    fn periodic_lookup_wraps() {
-        let plan = FaultPlan::none()
-            .with(2, FaultKind::Fatal { depth: 1 })
-            .periodic(10);
-        assert_eq!(plan.fault_for(2), Some(FaultKind::Fatal { depth: 1 }));
-        assert_eq!(plan.fault_for(12), Some(FaultKind::Fatal { depth: 1 }));
-        assert_eq!(plan.fault_for(13), None);
-        let aperiodic = plan.clone().periodic(0);
-        assert_eq!(aperiodic.fault_for(12), None, "period 0 disables wrap");
     }
 
     #[test]

@@ -152,10 +152,10 @@ pub fn derive_slots(db: &Database) -> SlotSet {
         }
         concepts.push(slots);
     }
-    let index_of = |label: &str| concepts.iter().position(|c| c.concept == label);
+    let position_of = |label: &str| concepts.iter().position(|c| c.concept == label);
     let mut pairs = Vec::new();
     for r in &ontology.object_properties {
-        if let (Some(fact), Some(dim)) = (index_of(&r.from), index_of(&r.to)) {
+        if let (Some(fact), Some(dim)) = (position_of(&r.from), position_of(&r.to)) {
             pairs.push(RelatedPair {
                 dim,
                 fact,

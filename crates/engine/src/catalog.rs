@@ -26,11 +26,6 @@ pub enum ColumnType {
 }
 
 impl ColumnType {
-    /// Is this a numeric (measure-capable) type?
-    pub fn is_numeric(&self) -> bool {
-        matches!(self, ColumnType::Int | ColumnType::Float)
-    }
-
     /// Does `v` inhabit this type (NULL inhabits all)?
     #[allow(clippy::match_like_matches_macro)] // table form reads better
     pub fn admits(&self, v: &Value) -> bool {
@@ -124,11 +119,6 @@ impl TableSchema {
     /// Index of a column by name.
     pub fn column_index(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|c| c.name == name)
-    }
-
-    /// Column names in order.
-    pub fn column_names(&self) -> Vec<&str> {
-        self.columns.iter().map(|c| c.name.as_str()).collect()
     }
 }
 
@@ -239,18 +229,6 @@ impl Database {
         Ok(())
     }
 
-    /// Bulk insert.
-    pub fn insert_all(
-        &mut self,
-        table: &str,
-        rows: impl IntoIterator<Item = Vec<Value>>,
-    ) -> Result<(), EngineError> {
-        for row in rows {
-            self.insert(table, row)?;
-        }
-        Ok(())
-    }
-
     /// Look up a table.
     pub fn table(&self, name: &str) -> Result<&Table, EngineError> {
         self.tables
@@ -261,11 +239,6 @@ impl Database {
     /// Tables in creation order.
     pub fn tables(&self) -> impl Iterator<Item = &Table> {
         self.order.iter().filter_map(|n| self.tables.get(n))
-    }
-
-    /// Table names in creation order.
-    pub fn table_names(&self) -> Vec<&str> {
-        self.order.iter().map(String::as_str).collect()
     }
 
     /// Total row count across all tables.
@@ -381,6 +354,7 @@ mod tests {
             db.create_table(TableSchema::new(name).column("a", ColumnType::Int))
                 .unwrap();
         }
-        assert_eq!(db.table_names(), vec!["zeta", "alpha", "mid"]);
+        let names: Vec<&str> = db.tables().map(|t| t.schema.name.as_str()).collect();
+        assert_eq!(names, vec!["zeta", "alpha", "mid"]);
     }
 }

@@ -569,7 +569,7 @@ mod tests {
     }
 
     #[test]
-    fn select_star() {
+    fn select_wildcard() {
         let rs = run(&db(), "SELECT * FROM people");
         assert_eq!(rs.rows.len(), 4);
         assert_eq!(rs.columns, vec!["id", "name", "age", "city"]);

@@ -3,13 +3,6 @@
 use nlidb_engine::{execute, Database};
 use nlidb_sqlir::Query;
 
-/// Exact-match: identical rendered SQL. The strictest metric; used as
-/// a secondary signal because semantically equal queries can differ
-/// textually.
-pub fn exact_match(gold: &Query, predicted: &Query) -> bool {
-    gold.to_string() == predicted.to_string()
-}
-
 /// Execution accuracy: both queries run and produce the same result
 /// bag (sequence when the gold query orders its output). Execution
 /// errors on either side count as a miss.
@@ -22,126 +15,6 @@ pub fn execution_match(db: &Database, gold: &Query, predicted: &Query) -> bool {
     } else {
         g.ordered_eq(&p)
     }
-}
-
-/// Per-clause component matching — Spider's partial-match idea: credit
-/// a prediction for each clause it gets right, independent of the
-/// others. Returns the matched fraction in `[0, 1]` over the clauses
-/// the *gold* query uses (so a flat gold query doesn't penalize absent
-/// GROUP BY in the prediction).
-pub fn component_match(gold: &Query, predicted: &Query) -> f64 {
-    let mut considered = 0usize;
-    let mut matched = 0usize;
-    let mut check = |g: String, p: String| {
-        considered += 1;
-        if g == p {
-            matched += 1;
-        }
-    };
-    // SELECT list (rendered, order-sensitive: projection order is
-    // user-visible).
-    check(
-        gold.select
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join(", "),
-        predicted
-            .select
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    // FROM + JOIN set (order-insensitive: join order is physical).
-    let from_set = |q: &Query| -> Vec<String> {
-        let mut v: Vec<String> = q.from.iter().map(|f| f.to_string()).collect();
-        v.extend(q.joins.iter().map(|j| j.to_string()));
-        v.sort();
-        v
-    };
-    check(from_set(gold).join(" | "), from_set(predicted).join(" | "));
-    // WHERE conjunct set (order-insensitive).
-    let conjuncts = |q: &Query| -> Vec<String> {
-        fn split(e: &nlidb_sqlir::ast::Expr, out: &mut Vec<String>) {
-            if let nlidb_sqlir::ast::Expr::Binary {
-                left,
-                op: nlidb_sqlir::ast::BinOp::And,
-                right,
-            } = e
-            {
-                split(left, out);
-                split(right, out);
-            } else {
-                out.push(e.to_string());
-            }
-        }
-        let mut v = Vec::new();
-        if let Some(w) = &q.where_clause {
-            split(w, &mut v);
-        }
-        v.sort();
-        v
-    };
-    if gold.where_clause.is_some() || predicted.where_clause.is_some() {
-        check(
-            conjuncts(gold).join(" AND "),
-            conjuncts(predicted).join(" AND "),
-        );
-    }
-    if !gold.group_by.is_empty() || !predicted.group_by.is_empty() {
-        check(
-            gold.group_by
-                .iter()
-                .map(|g| g.to_string())
-                .collect::<Vec<_>>()
-                .join(", "),
-            predicted
-                .group_by
-                .iter()
-                .map(|g| g.to_string())
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
-    }
-    if gold.having.is_some() || predicted.having.is_some() {
-        check(
-            gold.having
-                .as_ref()
-                .map(|h| h.to_string())
-                .unwrap_or_default(),
-            predicted
-                .having
-                .as_ref()
-                .map(|h| h.to_string())
-                .unwrap_or_default(),
-        );
-    }
-    if !gold.order_by.is_empty() || !predicted.order_by.is_empty() {
-        check(
-            gold.order_by
-                .iter()
-                .map(|o| o.to_string())
-                .collect::<Vec<_>>()
-                .join(", "),
-            predicted
-                .order_by
-                .iter()
-                .map(|o| o.to_string())
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
-    }
-    if gold.limit.is_some() || predicted.limit.is_some() {
-        check(
-            format!("{:?}", gold.limit),
-            format!("{:?}", predicted.limit),
-        );
-    }
-    if considered == 0 {
-        return 1.0;
-    }
-    matched as f64 / considered as f64
 }
 
 /// Aggregated outcome of an evaluation run: how many questions were
@@ -252,21 +125,12 @@ mod tests {
     }
 
     #[test]
-    fn exact_match_is_textual() {
-        let g = parse_query("SELECT a FROM t").unwrap();
-        let p1 = parse_query("SELECT a FROM t").unwrap();
-        let p2 = parse_query("SELECT a FROM t WHERE a = 1 OR a > 0").unwrap();
-        assert!(exact_match(&g, &p1));
-        assert!(!exact_match(&g, &p2));
-    }
-
-    #[test]
     fn execution_match_tolerates_form_differences() {
         let db = db();
         let g = parse_query("SELECT a FROM t WHERE b = 'x'").unwrap();
         // Different SQL text, same denotation.
         let p = parse_query("SELECT a FROM t WHERE b IN ('x')").unwrap();
-        assert!(!exact_match(&g, &p));
+        assert_ne!(g.to_string(), p.to_string());
         assert!(execution_match(&db, &g, &p));
     }
 
@@ -315,46 +179,6 @@ mod tests {
         assert_eq!(o.recall(), 0.0);
         assert_eq!(o.f1(), 0.0);
         assert_eq!(o.coverage(), 0.0);
-    }
-
-    #[test]
-    fn component_match_partial_credit() {
-        let gold = parse_query(
-            "SELECT name FROM t WHERE a = 1 AND b = 2 GROUP BY name ORDER BY name ASC LIMIT 5",
-        )
-        .unwrap();
-        // Same everything except the WHERE conjuncts.
-        let close = parse_query(
-            "SELECT name FROM t WHERE a = 9 AND b = 2 GROUP BY name ORDER BY name ASC LIMIT 5",
-        )
-        .unwrap();
-        let score = component_match(&gold, &close);
-        assert!(score > 0.7 && score < 1.0, "{score}");
-        assert_eq!(component_match(&gold, &gold), 1.0);
-    }
-
-    #[test]
-    fn component_match_conjunct_order_insensitive() {
-        let a = parse_query("SELECT * FROM t WHERE a = 1 AND b = 2").unwrap();
-        let b = parse_query("SELECT * FROM t WHERE b = 2 AND a = 1").unwrap();
-        assert_eq!(component_match(&a, &b), 1.0);
-    }
-
-    #[test]
-    fn component_match_join_order_insensitive() {
-        let a = parse_query("SELECT x.c FROM x JOIN y ON x.i = y.i JOIN z ON x.i = z.i").unwrap();
-        let b = parse_query("SELECT x.c FROM x JOIN z ON x.i = z.i JOIN y ON x.i = y.i").unwrap();
-        assert_eq!(component_match(&a, &b), 1.0);
-    }
-
-    #[test]
-    fn component_match_absent_clauses_not_penalized() {
-        let a = parse_query("SELECT * FROM t").unwrap();
-        let b = parse_query("SELECT * FROM t").unwrap();
-        assert_eq!(component_match(&a, &b), 1.0);
-        // Predicted extra clause is penalized.
-        let c = parse_query("SELECT * FROM t LIMIT 3").unwrap();
-        assert!(component_match(&a, &c) < 1.0);
     }
 
     #[test]

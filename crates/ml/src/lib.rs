@@ -11,70 +11,18 @@
 //!   trainers need,
 //! * [`mlp`] — multi-layer perceptron with ReLU hiddens, softmax
 //!   cross-entropy loss, and plain SGD backprop,
-//! * [`embedding`] — trainable word embeddings with hashed OOV
-//!   buckets and mean-pooled sentence encoding,
 //! * [`scorer`] — a bilinear question/column scorer (the
 //!   column-attention mechanism of SQLNet, reduced to its trainable
-//!   core),
-//! * [`hmm`] — a supervised discrete hidden Markov model with Viterbi
-//!   decoding (the entity-linking machinery of QUEST's hybrid
-//!   pipeline).
+//!   core).
 //!
 //! Everything is seeded and deterministic: the same seed reproduces
 //! the same training run bit-for-bit, which the experiment harness
 //! relies on.
 
-pub mod embedding;
-pub mod hmm;
 pub mod matrix;
 pub mod mlp;
 pub mod scorer;
 
-pub use embedding::Embeddings;
-pub use hmm::Hmm;
 pub use matrix::Matrix;
 pub use mlp::{Mlp, MlpConfig};
 pub use scorer::BilinearScorer;
-
-/// Deterministic train/test split: every `k`-th example (by index,
-/// after a seeded shuffle) goes to the test side.
-pub fn train_test_split<T: Clone>(items: &[T], test_fraction: f64, seed: u64) -> (Vec<T>, Vec<T>) {
-    use rand::seq::SliceRandom;
-    use rand::SeedableRng;
-    let mut idx: Vec<usize> = (0..items.len()).collect();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    idx.shuffle(&mut rng);
-    let n_test = ((items.len() as f64) * test_fraction).round() as usize;
-    let (test_idx, train_idx) = idx.split_at(n_test.min(items.len()));
-    (
-        train_idx.iter().map(|&i| items[i].clone()).collect(),
-        test_idx.iter().map(|&i| items[i].clone()).collect(),
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn split_is_deterministic_and_partitions() {
-        let items: Vec<i32> = (0..100).collect();
-        let (tr1, te1) = train_test_split(&items, 0.2, 7);
-        let (tr2, te2) = train_test_split(&items, 0.2, 7);
-        assert_eq!(tr1, tr2);
-        assert_eq!(te1, te2);
-        assert_eq!(tr1.len(), 80);
-        assert_eq!(te1.len(), 20);
-        let mut all: Vec<i32> = tr1.iter().chain(te1.iter()).copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, items);
-    }
-
-    #[test]
-    fn different_seed_different_split() {
-        let items: Vec<i32> = (0..100).collect();
-        let (_, te1) = train_test_split(&items, 0.2, 1);
-        let (_, te2) = train_test_split(&items, 0.2, 2);
-        assert_ne!(te1, te2);
-    }
-}

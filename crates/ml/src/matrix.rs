@@ -31,12 +31,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Build from a row-major vec; `data.len()` must equal `rows*cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Matrix {
-        assert_eq!(data.len(), rows * cols, "matrix shape mismatch");
-        Matrix { rows, cols, data }
-    }
-
     /// Element access.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f64 {
@@ -114,12 +108,6 @@ impl Matrix {
     }
 }
 
-/// Vector dot product.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
 /// Numerically stable softmax.
 pub fn softmax(logits: &[f64]) -> Vec<f64> {
     let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -149,15 +137,21 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    /// A `rows × cols` matrix from row-major `data`.
+    fn matrix(rows: usize, cols: usize, data: Vec<f64>) -> Matrix {
+        assert_eq!(data.len(), rows * cols);
+        Matrix { rows, cols, data }
+    }
+
     #[test]
     fn matvec_known_result() {
-        let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let m = matrix(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert_eq!(m.matvec(&[1.0, 0.0, -1.0]), vec![-2.0, -2.0]);
     }
 
     #[test]
     fn matvec_t_known_result() {
-        let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let m = matrix(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert_eq!(m.matvec_t(&[1.0, 1.0]), vec![5.0, 7.0, 9.0]);
     }
 
@@ -195,17 +189,11 @@ mod tests {
 
     #[test]
     fn sgd_step_moves_against_gradient() {
-        let mut w = Matrix::from_vec(1, 2, vec![1.0, -1.0]);
-        let g = Matrix::from_vec(1, 2, vec![0.5, -0.5]);
+        let mut w = matrix(1, 2, vec![1.0, -1.0]);
+        let g = matrix(1, 2, vec![0.5, -0.5]);
         w.sgd_step(&g, 0.1);
         assert!((w.get(0, 0) - 0.95).abs() < 1e-12);
         assert!((w.get(0, 1) + 0.95).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "matrix shape mismatch")]
-    fn from_vec_checks_shape() {
-        let _ = Matrix::from_vec(2, 2, vec![1.0]);
     }
 
     #[test]

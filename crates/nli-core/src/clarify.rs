@@ -65,11 +65,6 @@ pub fn build_clarification(candidates: &[Interpretation]) -> Option<Clarificatio
     Some(Clarification { prompt, options })
 }
 
-/// Apply a user's (or oracle's) choice.
-pub fn apply_choice(clarification: &Clarification, choice: usize) -> Option<Interpretation> {
-    clarification.options.get(choice).cloned()
-}
-
 /// Resolve with a simulated user: the oracle returns true for the
 /// reading the user intended. Falls back to the top candidate when the
 /// oracle rejects everything (the user gives up and takes the default).
@@ -149,13 +144,6 @@ mod tests {
         let cands: Vec<_> = (0..5).map(|i| interp(&format!("t{i}"), 0.8)).collect();
         let c = build_clarification(&cands).unwrap();
         assert_eq!(c.options.len(), 3);
-    }
-
-    #[test]
-    fn apply_choice_bounds() {
-        let c = build_clarification(&[interp("a", 0.8), interp("b", 0.78)]).unwrap();
-        assert!(apply_choice(&c, 1).is_some());
-        assert!(apply_choice(&c, 9).is_none());
     }
 
     #[test]

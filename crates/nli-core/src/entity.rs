@@ -10,7 +10,10 @@
 //! Interpretation proceeds in the classic stages: mention linking
 //! (via the shared [`crate::linking`] module) → signal extraction
 //! (aggregates, grouping, ordering, comparisons, negation, dates) →
-//! OQL assembly → join inference → SQL lowering. Each family's
+//! OQL assembly → join inference → SQL lowering. There is no parse
+//! tree: where NaLIR maps a dependency parse onto the query, this
+//! interpreter reads the question's token spans, literal cues and
+//! linked mentions, and the ontology's join graph. Each family's
 //! *ceiling* is expressed as a [`Capabilities`] mask rather than a
 //! separate code path, so the capability-matrix experiment measures
 //! exactly the constraint the survey describes.

@@ -6,42 +6,31 @@
 //!
 //! 1. runs the entity-based interpreter (high precision, higher query
 //!    complexity);
-//! 2. runs the neural sketch model when one is trained (high recall
+//! 2. runs the neural sketch model when one is installed (high recall
 //!    under paraphrase);
-//! 3. uses an HMM token tagger — QUEST's entity-choice machinery,
-//!    trained on the same (question, SQL) pairs — to estimate how much
-//!    of the question carries schema/value information, re-weighting
-//!    the two families' confidences;
-//! 4. ranks the merged pool: agreement between families boosts
+//! 3. ranks the merged pool: agreement between families boosts
 //!    confidence; entity leads when confident, the neural model covers
 //!    the paraphrase-heavy long tail.
-
-use nlidb_ml::Hmm;
-use nlidb_nlp::{porter_stem, tokenize, TokenKind};
-use nlidb_sqlir::ast::{Expr, Literal, Query, SelectItem};
+//!
+//! Both halves read the same [`PreparedQuestion`]: its tokens and
+//! linked mentions. QUEST chooses entities with an HMM; here the
+//! entity half's linker makes that choice, and the cascade below is
+//! the only combination step.
 
 use crate::entity::EntityInterpreter;
 use crate::interpretation::{rank, Interpretation, Interpreter, InterpreterKind};
 use crate::linking::PreparedQuestion;
-use crate::neural::{NeuralInterpreter, TrainingExample};
+use crate::neural::NeuralInterpreter;
 use crate::pipeline::SchemaContext;
 
 /// Entity-confidence threshold above which the entity reading leads
 /// outright.
 const ENTITY_LEAD: f64 = 0.80;
 
-/// HMM tag set.
-const TAG_SKIP: usize = 0;
-const TAG_SCHEMA: usize = 1;
-const TAG_VALUE: usize = 2;
-const TAG_NUMBER: usize = 3;
-const N_TAGS: usize = 4;
-
 /// QUEST-class hybrid interpreter.
 pub struct HybridInterpreter {
     entity: EntityInterpreter,
     neural: Option<NeuralInterpreter>,
-    hmm: Option<Hmm>,
 }
 
 impl Default for HybridInterpreter {
@@ -51,13 +40,12 @@ impl Default for HybridInterpreter {
 }
 
 impl HybridInterpreter {
-    /// Untrained hybrid: entity-only until [`HybridInterpreter::train`]
-    /// or [`HybridInterpreter::set_neural`] is called.
+    /// Untrained hybrid: entity-only until
+    /// [`HybridInterpreter::set_neural`] is called.
     pub fn new() -> HybridInterpreter {
         HybridInterpreter {
             entity: EntityInterpreter::new(),
             neural: None,
-            hmm: None,
         }
     }
 
@@ -65,138 +53,6 @@ impl HybridInterpreter {
     pub fn set_neural(&mut self, neural: NeuralInterpreter) {
         self.neural = Some(neural);
     }
-
-    /// Train both learned components from (question, SQL) pairs.
-    pub fn train(&mut self, examples: &[TrainingExample], ctx: &SchemaContext, seed: u64) {
-        self.neural = Some(NeuralInterpreter::train(examples, ctx, seed));
-        self.hmm = Some(train_tagger(examples));
-    }
-
-    /// Is a neural component loaded?
-    pub fn has_neural(&self) -> bool {
-        self.neural
-            .as_ref()
-            .map(|n| n.is_trained())
-            .unwrap_or(false)
-    }
-}
-
-/// Token-tag training data derived from gold SQL: a token is SCHEMA if
-/// its stem occurs in a referenced table/column name, VALUE if it
-/// occurs inside a string literal, NUMBER if numeric, else SKIP.
-fn train_tagger(examples: &[TrainingExample]) -> Hmm {
-    let mut sequences = Vec::with_capacity(examples.len());
-    for ex in examples {
-        let (schema_stems, value_words) = sql_vocabulary(&ex.sql);
-        let seq: Vec<(String, usize)> = tokenize(&ex.question)
-            .into_iter()
-            .map(|t| {
-                let tag = match t.kind {
-                    TokenKind::Number => TAG_NUMBER,
-                    TokenKind::Quoted => TAG_VALUE,
-                    TokenKind::Punct => TAG_SKIP,
-                    TokenKind::Word => {
-                        let stem = porter_stem(&t.norm);
-                        if schema_stems.contains(&stem) {
-                            TAG_SCHEMA
-                        } else if value_words.contains(&t.norm) {
-                            TAG_VALUE
-                        } else {
-                            TAG_SKIP
-                        }
-                    }
-                };
-                (t.norm, tag)
-            })
-            .collect();
-        if !seq.is_empty() {
-            sequences.push(seq);
-        }
-    }
-    Hmm::train_supervised(&sequences, N_TAGS)
-}
-
-/// Collect (stemmed schema words, lowercased value words) from a query.
-fn sql_vocabulary(sql: &Query) -> (Vec<String>, Vec<String>) {
-    let mut schema = Vec::new();
-    let mut values = Vec::new();
-    fn visit_expr(e: &Expr, schema: &mut Vec<String>, values: &mut Vec<String>) {
-        match e {
-            Expr::Column(c) => {
-                for part in c.column.split('_') {
-                    schema.push(porter_stem(&part.to_lowercase()));
-                }
-            }
-            Expr::Literal(Literal::Str(s)) => {
-                for w in s.split_whitespace() {
-                    values.push(w.to_lowercase());
-                }
-            }
-            Expr::Binary { left, right, .. } => {
-                visit_expr(left, schema, values);
-                visit_expr(right, schema, values);
-            }
-            Expr::Unary { expr, .. } => visit_expr(expr, schema, values),
-            Expr::Agg { arg: Some(a), .. } => visit_expr(a, schema, values),
-            Expr::Between {
-                expr, low, high, ..
-            } => {
-                visit_expr(expr, schema, values);
-                visit_expr(low, schema, values);
-                visit_expr(high, schema, values);
-            }
-            Expr::InList { expr, list, .. } => {
-                visit_expr(expr, schema, values);
-                for i in list {
-                    visit_expr(i, schema, values);
-                }
-            }
-            Expr::Like { expr, .. } | Expr::IsNull { expr, .. } => visit_expr(expr, schema, values),
-            Expr::InSubquery { expr, subquery, .. } => {
-                visit_expr(expr, schema, values);
-                let (s, v) = sql_vocabulary(subquery);
-                schema.extend(s);
-                values.extend(v);
-            }
-            Expr::Exists { subquery, .. } | Expr::ScalarSubquery(subquery) => {
-                let (s, v) = sql_vocabulary(subquery);
-                schema.extend(s);
-                values.extend(v);
-            }
-            _ => {}
-        }
-    }
-    if let Some(nlidb_sqlir::ast::TableSource::Table { name, .. }) = &sql.from {
-        for part in name.split('_') {
-            schema.push(porter_stem(&part.to_lowercase()));
-        }
-    }
-    for j in &sql.joins {
-        if let nlidb_sqlir::ast::TableSource::Table { name, .. } = &j.source {
-            for part in name.split('_') {
-                schema.push(porter_stem(&part.to_lowercase()));
-            }
-        }
-        visit_expr(&j.on, &mut schema, &mut values);
-    }
-    for s in &sql.select {
-        if let SelectItem::Expr { expr, .. } = s {
-            visit_expr(expr, &mut schema, &mut values);
-        }
-    }
-    if let Some(w) = &sql.where_clause {
-        visit_expr(w, &mut schema, &mut values);
-    }
-    for g in &sql.group_by {
-        visit_expr(g, &mut schema, &mut values);
-    }
-    if let Some(h) = &sql.having {
-        visit_expr(h, &mut schema, &mut values);
-    }
-    for o in &sql.order_by {
-        visit_expr(&o.expr, &mut schema, &mut values);
-    }
-    (schema, values)
 }
 
 impl Interpreter for HybridInterpreter {
@@ -206,25 +62,11 @@ impl Interpreter for HybridInterpreter {
 
     fn interpret(&self, question: &PreparedQuestion, ctx: &SchemaContext) -> Vec<Interpretation> {
         let mut entity = self.entity.interpret(question, ctx);
-        let mut neural = self
+        let neural = self
             .neural
             .as_ref()
             .map(|n| n.interpret(question, ctx))
             .unwrap_or_default();
-
-        // HMM informativeness: fraction of tokens tagged non-skip; a
-        // question the tagger finds informative but the entity linker
-        // produced nothing for is a paraphrase-gap case → lean neural.
-        if let Some(hmm) = &self.hmm {
-            let norms: Vec<&str> = question.tokens.iter().map(|t| t.norm.as_str()).collect();
-            let (path, _) = hmm.viterbi(&norms);
-            let informative =
-                path.iter().filter(|&&s| s != TAG_SKIP).count() as f64 / path.len().max(1) as f64;
-            let conf = hmm.path_confidence(&norms, &path);
-            for i in &mut neural {
-                i.confidence = (i.confidence * (0.8 + 0.4 * informative * (0.5 + conf))).min(1.0);
-            }
-        }
 
         // Agreement boost: identical SQL from both families.
         for e in &mut entity {
@@ -287,6 +129,7 @@ impl Interpreter for HybridInterpreter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::neural::TrainingExample;
     use nlidb_engine::{ColumnType, Database, TableSchema, Value};
     use nlidb_sqlir::parse_query;
 
@@ -338,11 +181,19 @@ mod tests {
         .collect()
     }
 
+    /// A hybrid whose neural half is trained on [`training`].
+    fn trained(ctx: &SchemaContext, seed: u64) -> HybridInterpreter {
+        let neural = NeuralInterpreter::train(&training(), ctx, seed);
+        assert!(neural.is_trained());
+        let mut h = HybridInterpreter::new();
+        h.set_neural(neural);
+        h
+    }
+
     #[test]
     fn candidate_sets_are_retagged_hybrid_with_contiguous_ranks() {
         let ctx = ctx();
-        let mut h = HybridInterpreter::new();
-        h.train(&training(), &ctx, 7);
+        let h = trained(&ctx, 7);
         let q = PreparedQuestion::new("products in tools", &ctx);
         let set = crate::candidates::gather(&h, &q, &ctx, 5);
         assert_eq!(set.family, InterpreterKind::Hybrid);
@@ -368,7 +219,6 @@ mod tests {
     fn entity_only_when_untrained() {
         let ctx = ctx();
         let h = HybridInterpreter::new();
-        assert!(!h.has_neural());
         let i = h.best("products in tools", &ctx).unwrap();
         assert_eq!(i.source, InterpreterKind::Hybrid);
         assert_eq!(
@@ -380,9 +230,7 @@ mod tests {
     #[test]
     fn trained_hybrid_covers_entity_gap() {
         let ctx = ctx();
-        let mut h = HybridInterpreter::new();
-        h.train(&training(), &ctx, 11);
-        assert!(h.has_neural());
+        let h = trained(&ctx, 11);
         // "how many products" — both families can answer; merged pool
         // must contain the COUNT reading exactly once.
         let out = h.interpret(&PreparedQuestion::new("how many products", &ctx), &ctx);
@@ -396,8 +244,7 @@ mod tests {
     #[test]
     fn agreement_boosts_confidence() {
         let ctx = ctx();
-        let mut h = HybridInterpreter::new();
-        h.train(&training(), &ctx, 11);
+        let h = trained(&ctx, 11);
         let hybrid_conf = h.best("products in tools", &ctx).unwrap().confidence;
         let entity_conf = EntityInterpreter::new()
             .best("products in tools", &ctx)
@@ -412,23 +259,10 @@ mod tests {
     #[test]
     fn all_outputs_tagged_hybrid() {
         let ctx = ctx();
-        let mut h = HybridInterpreter::new();
-        h.train(&training(), &ctx, 11);
+        let h = trained(&ctx, 11);
         let q = PreparedQuestion::new("average price of products", &ctx);
         for i in h.interpret(&q, &ctx) {
             assert_eq!(i.source, InterpreterKind::Hybrid);
         }
-    }
-
-    #[test]
-    fn sql_vocabulary_extraction() {
-        let q =
-            parse_query("SELECT name FROM products WHERE category = 'hand tools' AND price > 5")
-                .unwrap();
-        let (schema, values) = sql_vocabulary(&q);
-        assert!(schema.contains(&porter_stem("products")));
-        assert!(schema.contains(&porter_stem("category")));
-        assert!(values.contains(&"hand".to_string()));
-        assert!(values.contains(&"tools".to_string()));
     }
 }

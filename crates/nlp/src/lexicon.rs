@@ -245,11 +245,6 @@ impl Lexicon {
         }
         out
     }
-
-    /// Number of synonym rings (diagnostic).
-    pub fn ring_count(&self) -> usize {
-        self.rings.iter().filter(|r| !r.is_empty()).count()
-    }
 }
 
 #[cfg(test)]
@@ -334,7 +329,7 @@ mod tests {
             .synonyms(["b", "c"])
             .build();
         assert!(lex.are_synonyms("a", "c"));
-        assert_eq!(lex.ring_count(), 1);
+        assert_eq!(lex.rings.iter().filter(|r| !r.is_empty()).count(), 1);
     }
 
     #[test]
@@ -342,6 +337,6 @@ mod tests {
         let lex = LexiconBuilder::new().build();
         assert!(lex.synonyms_of("anything").is_empty());
         assert!(!lex.are_synonyms("alpha", "beta"));
-        assert_eq!(lex.ring_count(), 0);
+        assert!(lex.rings.iter().all(|r| r.is_empty()));
     }
 }

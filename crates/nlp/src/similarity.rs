@@ -5,44 +5,6 @@
 //! exact+fuzzy lookups; NaLIR uses WordNet similarity, approximated in
 //! [`crate::lexicon`]).
 
-/// Levenshtein edit distance between two strings (char-based).
-///
-/// ```
-/// assert_eq!(nlidb_nlp::levenshtein("kitten", "sitting"), 3);
-/// assert_eq!(nlidb_nlp::levenshtein("", "abc"), 3);
-/// ```
-pub fn levenshtein(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.is_empty() {
-        return b.len();
-    }
-    if b.is_empty() {
-        return a.len();
-    }
-    // Single-row dynamic program, pre-sized (perf-book: avoid realloc).
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut cur = vec![0usize; b.len() + 1];
-    for (i, ca) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, cb) in b.iter().enumerate() {
-            let cost = usize::from(ca != cb);
-            cur[j + 1] = (prev[j + 1] + 1).min(cur[j] + 1).min(prev[j] + cost);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[b.len()]
-}
-
-/// Normalized edit similarity in `[0, 1]`: `1 - dist / max_len`.
-pub fn edit_similarity(a: &str, b: &str) -> f64 {
-    let max = a.chars().count().max(b.chars().count());
-    if max == 0 {
-        return 1.0;
-    }
-    1.0 - levenshtein(a, b) as f64 / max as f64
-}
-
 /// Jaro similarity in `[0, 1]`.
 fn jaro(a: &str, b: &str) -> f64 {
     let a: Vec<char> = a.chars().collect();
@@ -170,29 +132,6 @@ pub fn mention_score(mention: &str, candidate: &str) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn levenshtein_basics() {
-        assert_eq!(levenshtein("abc", "abc"), 0);
-        assert_eq!(levenshtein("abc", ""), 3);
-        assert_eq!(levenshtein("flaw", "lawn"), 2);
-        assert_eq!(levenshtein("gumbo", "gambol"), 2);
-    }
-
-    #[test]
-    fn levenshtein_symmetric() {
-        assert_eq!(
-            levenshtein("orders", "order"),
-            levenshtein("order", "orders")
-        );
-    }
-
-    #[test]
-    fn edit_similarity_bounds() {
-        assert_eq!(edit_similarity("", ""), 1.0);
-        assert_eq!(edit_similarity("abc", "abc"), 1.0);
-        assert!(edit_similarity("abc", "xyz") <= 0.0 + 1e-9);
-    }
 
     #[test]
     fn jaro_winkler_reference() {

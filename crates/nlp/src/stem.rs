@@ -231,16 +231,6 @@ fn apply_rules(w: &mut Vec<u8>, j: usize, rules: &[(&str, &str)]) -> usize {
     j
 }
 
-/// Stem every word of an already-lowercased phrase, joining with a
-/// single space. Non-alphabetic tokens pass through unchanged.
-pub fn stem_phrase(phrase: &str) -> String {
-    phrase
-        .split_whitespace()
-        .map(porter_stem)
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,8 +341,10 @@ mod tests {
     }
 
     #[test]
-    fn stem_phrase_joins() {
-        assert_eq!(stem_phrase("total sales orders"), "total sale order");
+    fn schema_plurals_stem_to_singular() {
+        for (word, stem) in [("total", "total"), ("sales", "sale"), ("orders", "order")] {
+            assert_eq!(porter_stem(word), stem);
+        }
     }
 
     #[test]

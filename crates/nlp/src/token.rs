@@ -30,11 +30,6 @@ impl Span {
     pub fn is_empty(&self) -> bool {
         self.start == self.end
     }
-
-    /// Smallest span covering both `self` and `other`.
-    pub fn cover(&self, other: Span) -> Span {
-        Span::new(self.start.min(other.start), self.end.max(other.end))
-    }
 }
 
 /// Lexical class of a token.
@@ -301,11 +296,10 @@ mod tests {
     }
 
     #[test]
-    fn span_cover() {
+    fn span_length() {
         let a = Span::new(2, 5);
-        let b = Span::new(7, 9);
-        assert_eq!(a.cover(b), Span::new(2, 9));
         assert!(!a.is_empty());
+        assert!(Span::new(4, 4).is_empty());
         assert_eq!(a.len(), 3);
     }
 }

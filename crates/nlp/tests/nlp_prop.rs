@@ -2,9 +2,7 @@
 
 use proptest::prelude::*;
 
-use nlidb_nlp::{
-    jaro_winkler, levenshtein, ngram_dice, porter_stem, token_set_ratio, tokenize, TokenKind,
-};
+use nlidb_nlp::{jaro_winkler, ngram_dice, porter_stem, token_set_ratio, tokenize, TokenKind};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -45,24 +43,6 @@ proptest! {
     }
 
     #[test]
-    fn levenshtein_is_a_metric(a in "[a-c]{0,8}", b in "[a-c]{0,8}", c in "[a-c]{0,8}") {
-        // Symmetry, identity, triangle inequality.
-        prop_assert_eq!(levenshtein(&a, &b), levenshtein(&b, &a));
-        prop_assert_eq!(levenshtein(&a, &a), 0);
-        prop_assert!(levenshtein(&a, &c) <= levenshtein(&a, &b) + levenshtein(&b, &c));
-        if a != b {
-            prop_assert!(levenshtein(&a, &b) > 0);
-        }
-    }
-
-    #[test]
-    fn levenshtein_bounded_by_longer_string(a in "[a-z]{0,10}", b in "[a-z]{0,10}") {
-        let d = levenshtein(&a, &b);
-        prop_assert!(d <= a.chars().count().max(b.chars().count()));
-        prop_assert!(d >= a.chars().count().abs_diff(b.chars().count()));
-    }
-
-    #[test]
     fn similarities_in_unit_interval(a in "[a-z ]{0,12}", b in "[a-z ]{0,12}") {
         for s in [
             jaro_winkler(&a, &b),
@@ -93,17 +73,5 @@ proptest! {
         // Leading '-' at utterance start attaches to the number.
         prop_assert_eq!(tokens.len(), 1, "{:?}", tokens);
         prop_assert_eq!(tokens[0].as_number(), Some(n as f64));
-    }
-
-    #[test]
-    fn analyze_views_stay_aligned(input in "[a-z ]{0,50}") {
-        let a = nlidb_nlp::analyze(&input);
-        prop_assert_eq!(a.tokens.len(), a.tagged.len());
-        prop_assert_eq!(a.tree.nodes.len(), a.tokens.len());
-        for chunk in &a.chunks {
-            for &i in &chunk.token_indices {
-                prop_assert!(i < a.tokens.len());
-            }
-        }
     }
 }

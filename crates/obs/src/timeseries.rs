@@ -14,10 +14,9 @@
 //!   `evicted` total, so the reconciliation invariant
 //!   `sum(retained windows) + evicted == total` holds *exactly* at all
 //!   times — experiment E21 asserts it against the serving counters.
-//! * Rendering is canonical: [`WindowedScope::render_text`] and
-//!   [`WindowedScope::render_jsonl`] emit series in sorted name order
-//!   over one shared window range, so two identical runs render
-//!   byte-identical window matrices.
+//! * Rendering is canonical: [`WindowedScope::render_text`] emits
+//!   series in sorted name order over one shared window range, so two
+//!   identical runs render byte-identical window matrices.
 //!
 //! All arithmetic is saturating integer math (rates are reported in
 //! milli-units per tick) — no floats feed any rendered byte.
@@ -163,12 +162,6 @@ impl WindowedCounter {
         (from..=self.head).map(|w| self.delta(w)).sum()
     }
 
-    /// Events per tick in `window`, in milli-units
-    /// (`delta * 1000 / width`, integer).
-    pub fn rate_milli(&self, window: u64) -> u64 {
-        self.delta(window).saturating_mul(1000) / self.width
-    }
-
     /// Lifetime total (saturating), including evicted windows.
     pub fn total(&self) -> u64 {
         self.total
@@ -232,7 +225,6 @@ impl WindowedCounter {
 struct SketchCells {
     buckets: [u64; SKETCH_BUCKETS],
     count: u64,
-    sum: u64,
 }
 
 impl SketchCells {
@@ -240,14 +232,12 @@ impl SketchCells {
         SketchCells {
             buckets: [0; SKETCH_BUCKETS],
             count: 0,
-            sum: 0,
         }
     }
 
     fn observe(&mut self, value: u64) {
         self.buckets[sketch_bucket(value)] = self.buckets[sketch_bucket(value)].saturating_add(1);
         self.count = self.count.saturating_add(1);
-        self.sum = self.sum.saturating_add(value);
     }
 
     fn fold_into(&self, other: &mut SketchCells) {
@@ -255,19 +245,17 @@ impl SketchCells {
             *mine = mine.saturating_add(*theirs);
         }
         other.count = other.count.saturating_add(self.count);
-        other.sum = other.sum.saturating_add(self.sum);
     }
 
     fn clear(&mut self) {
         self.buckets = [0; SKETCH_BUCKETS];
         self.count = 0;
-        self.sum = 0;
     }
 }
 
 /// A sketch histogram bucketed into fixed-width logical-tick windows:
 /// per-window log₂ value buckets in a bounded ring, with windows that
-/// rotate out folded into an evicted sketch so lifetime count/sum
+/// rotate out folded into an evicted sketch so lifetime counts
 /// reconcile exactly.
 #[derive(Debug, Clone)]
 pub struct WindowedHistogram {
@@ -375,11 +363,6 @@ impl WindowedHistogram {
         self.cells(window).map_or(0, |c| c.count)
     }
 
-    /// Saturating value sum in `window` (0 outside the retained range).
-    pub fn sum_in(&self, window: u64) -> u64 {
-        self.cells(window).map_or(0, |c| c.sum)
-    }
-
     /// Bucket-resolution nearest-rank percentile within `window`
     /// (upper bound of the matched log₂ bucket, like
     /// [`SketchHistogram::percentile`](crate::SketchHistogram::percentile)).
@@ -389,34 +372,9 @@ impl WindowedHistogram {
             .and_then(|c| sketch_percentile_of(&c.buckets, p))
     }
 
-    /// Percentile over the last `k` retained windows ending at the
-    /// head, folding their buckets together.
-    pub fn percentile_last(&self, k: u64, p: f64) -> Option<u64> {
-        if !self.initialized || k == 0 {
-            return None;
-        }
-        let from = self.head.saturating_sub(k - 1).max(self.oldest());
-        let mut folded = SketchCells::new();
-        for w in from..=self.head {
-            if let Some(c) = self.cells(w) {
-                c.fold_into(&mut folded);
-            }
-        }
-        sketch_percentile_of(&folded.buckets, p)
-    }
-
     /// Lifetime observation count, including evicted windows.
     pub fn total_count(&self) -> u64 {
         self.retained_count().saturating_add(self.evicted.count)
-    }
-
-    /// Lifetime saturating value sum, including evicted windows.
-    pub fn total_sum(&self) -> u64 {
-        let mut sum = self.evicted.sum;
-        for c in &self.ring {
-            sum = sum.saturating_add(c.sum);
-        }
-        sum
     }
 
     /// Observation count folded out of the ring by eviction.
@@ -446,7 +404,7 @@ impl WindowedHistogram {
             let Some(theirs) = other.cells(w) else {
                 continue;
             };
-            if theirs.count == 0 && theirs.sum == 0 {
+            if theirs.count == 0 {
                 continue;
             }
             self.advance_to(w);
@@ -522,11 +480,6 @@ impl WindowedScope {
         self.histograms.get(name)
     }
 
-    /// Counter series names, sorted.
-    pub fn counter_names(&self) -> Vec<&str> {
-        self.counters.keys().map(String::as_str).collect()
-    }
-
     /// Shared retained window range across every non-empty series:
     /// `(oldest, newest)`, or `None` if nothing has been observed.
     pub fn window_range(&self) -> Option<(u64, u64)> {
@@ -595,46 +548,6 @@ impl WindowedScope {
         out
     }
 
-    /// Canonical JSONL rendering: one line per series, sorted name
-    /// order (counters first), deltas over the shared window range.
-    pub fn render_jsonl(&self) -> String {
-        let mut out = String::new();
-        let Some((from, to)) = self.window_range() else {
-            return out;
-        };
-        for (name, series) in &self.counters {
-            let deltas: Vec<String> = (from..=to).map(|w| series.delta(w).to_string()).collect();
-            out.push_str(&format!(
-                "{{\"series\":\"{}\",\"kind\":\"counter\",\"width\":{},\"base\":{},\"deltas\":[{}],\"total\":{},\"evicted\":{}}}\n",
-                escape(name),
-                self.width,
-                from,
-                deltas.join(","),
-                series.total(),
-                series.evicted()
-            ));
-        }
-        for (name, series) in &self.histograms {
-            let counts: Vec<String> = (from..=to)
-                .map(|w| series.count_in(w).to_string())
-                .collect();
-            let p99s: Vec<String> = (from..=to)
-                .map(|w| series.percentile_in(w, 99.0).unwrap_or(0).to_string())
-                .collect();
-            out.push_str(&format!(
-                "{{\"series\":\"{}\",\"kind\":\"histogram\",\"width\":{},\"base\":{},\"counts\":[{}],\"p99\":[{}],\"total\":{},\"evicted\":{}}}\n",
-                escape(name),
-                self.width,
-                from,
-                counts.join(","),
-                p99s.join(","),
-                series.total_count(),
-                series.evicted_count()
-            ));
-        }
-        out
-    }
-
     /// Fold `other` into `self`, series by series (panics on width
     /// mismatch). Series missing on either side are created.
     pub fn merge(&mut self, other: &WindowedScope) {
@@ -646,22 +559,6 @@ impl WindowedScope {
             self.histogram(name).merge(series);
         }
     }
-}
-
-/// Minimal JSON string escaping for series names (which are
-/// identifier-like in practice; this keeps the rendering total).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -682,7 +579,6 @@ mod tests {
         assert_eq!(c.total(), 15);
         assert_eq!(c.evicted(), 0);
         assert_eq!(c.retained_sum(), 15);
-        assert_eq!(c.rate_milli(1), 1250);
         assert_eq!(c.sum_last(2), 12);
         assert_eq!(c.windows(), vec![(0, 3), (1, 5), (2, 7)]);
     }
@@ -747,14 +643,11 @@ mod tests {
         }
         h.record(5, 1000);
         assert_eq!(h.count_in(0), 4);
-        assert_eq!(h.sum_in(0), 206);
         // p50 of {1,2,3,200}: rank 2 → value 2 → bucket top 3.
         assert_eq!(h.percentile_in(0, 50.0), Some(3));
         assert_eq!(h.percentile_in(1, 99.0), Some(1023));
         assert_eq!(h.percentile_in(2, 99.0), None);
-        assert_eq!(h.percentile_last(2, 100.0), Some(1023));
         assert_eq!(h.total_count(), 5);
-        assert_eq!(h.total_sum(), 1206);
     }
 
     #[test]
@@ -766,7 +659,6 @@ mod tests {
         assert_eq!(h.total_count(), 32);
         assert_eq!(h.retained_count(), 4);
         assert_eq!(h.evicted_count(), 28);
-        assert_eq!(h.total_sum(), 32 * 7);
 
         let mut other = WindowedHistogram::new(1, 4);
         other.record(31, 9);
@@ -800,28 +692,9 @@ mod tests {
     }
 
     #[test]
-    fn scope_jsonl_is_line_per_series() {
-        let mut scope = WindowedScope::new(2, 4);
-        scope.counter("x").record(0, 3);
-        scope.histogram("y").record(2, 5);
-        let jsonl = scope.render_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(
-            lines[0],
-            "{\"series\":\"x\",\"kind\":\"counter\",\"width\":2,\"base\":0,\"deltas\":[3,0],\"total\":3,\"evicted\":0}"
-        );
-        assert_eq!(
-            lines[1],
-            "{\"series\":\"y\",\"kind\":\"histogram\",\"width\":2,\"base\":0,\"counts\":[0,1],\"p99\":[0,7],\"total\":1,\"evicted\":0}"
-        );
-    }
-
-    #[test]
     fn empty_scope_renders_empty_marker() {
         let scope = WindowedScope::new(4, 8);
         assert_eq!(scope.render_text(), "windows width=4 (empty)\n");
-        assert_eq!(scope.render_jsonl(), "");
     }
 
     #[test]

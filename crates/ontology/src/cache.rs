@@ -17,8 +17,7 @@
 //! (multi-tenant serving shares a single memo across every tenant
 //! pipeline). Each entry is namespaced by a caller-chosen `u64` scope —
 //! in serving, the tenant's schema fingerprint — so two schemas can
-//! never exchange plans, and [`JoinPathCache::evict_scope`] removes one
-//! tenant's entries without disturbing the others.
+//! never exchange plans.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,7 +36,7 @@ struct CacheInner {
 }
 
 /// Render the internal key for `(scope, terminals)`. The scope leads
-/// so [`JoinPathCache::evict_scope`] can match by prefix.
+/// so [`JoinPathCache::len_in_scope`] can match by prefix.
 fn scoped_key(scope: u64, terminals: &[&str]) -> String {
     let mut key = format!("{scope:016x}");
     for t in terminals {
@@ -98,23 +97,12 @@ impl JoinPathCache {
         }
     }
 
-    /// Look up `terminals`, running `compute` on a miss (single-flight:
-    /// `compute` runs under the cache lock).
+    /// Look up `terminals` in `scope`, running `compute` on a miss
+    /// (single-flight: `compute` runs under the cache lock).
     ///
     /// The key is the exact terminal sequence: plan growth starts from
     /// the first terminal, so order is semantically significant.
-    /// Equivalent to [`JoinPathCache::get_or_compute_scoped`] in the
-    /// default scope `0`.
-    pub fn get_or_compute(
-        &self,
-        terminals: &[&str],
-        compute: impl FnOnce() -> Option<JoinPlan>,
-    ) -> Option<JoinPlan> {
-        self.get_or_compute_scoped(0, terminals, compute)
-    }
-
-    /// [`JoinPathCache::get_or_compute`], namespaced under `scope` —
-    /// lookups in different scopes can never observe each other's
+    /// Lookups in different scopes can never observe each other's
     /// plans, which is what lets multi-tenant serving share one memo
     /// across schemas (scope = schema fingerprint).
     pub fn get_or_compute_scoped(
@@ -161,25 +149,6 @@ impl JoinPathCache {
         self.evictions.store(0, Ordering::Relaxed);
     }
 
-    /// Drop every entry in `scope`, returning how many were evicted.
-    /// Counters are left untouched: a tenant leaving does not rewrite
-    /// the history of lookups it performed. Other scopes' entries (and
-    /// their recency stamps) are unaffected.
-    pub fn evict_scope(&self, scope: u64) -> usize {
-        let prefix = format!("{scope:016x}\u{1}");
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let victims: Vec<String> = inner
-            .map
-            .keys()
-            .filter(|k| k.starts_with(&prefix))
-            .cloned()
-            .collect();
-        for k in &victims {
-            inner.map.remove(k);
-        }
-        victims.len()
-    }
-
     /// Resident entry count in `scope` alone.
     pub fn len_in_scope(&self, scope: u64) -> usize {
         let prefix = format!("{scope:016x}\u{1}");
@@ -215,7 +184,7 @@ mod tests {
         let cache = JoinPathCache::new(8);
         let mut computed = 0;
         for _ in 0..3 {
-            let p = cache.get_or_compute(&["a", "b"], || {
+            let p = cache.get_or_compute_scoped(0, &["a", "b"], || {
                 computed += 1;
                 plan("a")
             });
@@ -232,7 +201,7 @@ mod tests {
         let cache = JoinPathCache::new(8);
         let mut computed = 0;
         for _ in 0..2 {
-            let p = cache.get_or_compute(&["x", "island"], || {
+            let p = cache.get_or_compute_scoped(0, &["x", "island"], || {
                 computed += 1;
                 None
             });
@@ -255,39 +224,28 @@ mod tests {
         let again = cache.get_or_compute_scoped(1, &["order", "customer"], || plan("never"));
         assert_eq!(again.unwrap().concepts, vec!["a".to_string()]);
         assert_eq!(cache.stats().hits, 1);
-        // The default scope is scope 0.
-        cache.get_or_compute(&["order", "customer"], || plan("zero"));
+        // Scope 0 is a scope like any other.
+        cache.get_or_compute_scoped(0, &["order", "customer"], || plan("zero"));
         assert_eq!(cache.stats().misses, 3);
     }
 
     #[test]
-    fn evict_scope_removes_one_tenant_only() {
+    fn len_in_scope_counts_one_scope() {
         let cache = JoinPathCache::new(8);
         cache.get_or_compute_scoped(7, &["a", "b"], || plan("a"));
         cache.get_or_compute_scoped(7, &["c"], || plan("c"));
         cache.get_or_compute_scoped(9, &["a", "b"], || plan("x"));
         assert_eq!(cache.len_in_scope(7), 2);
         assert_eq!(cache.len_in_scope(9), 1);
-        assert_eq!(cache.evict_scope(7), 2);
-        assert_eq!(cache.len_in_scope(7), 0);
-        assert_eq!(cache.stats().len, 1, "scope 9 survives");
-        // Scope 9's entry still hits; scope 7 recomputes cold.
-        let kept = cache.get_or_compute_scoped(9, &["a", "b"], || plan("never"));
-        assert_eq!(kept.unwrap().concepts, vec!["x".to_string()]);
-        let mut recomputed = false;
-        cache.get_or_compute_scoped(7, &["a", "b"], || {
-            recomputed = true;
-            plan("a")
-        });
-        assert!(recomputed, "evicted scope must start cold");
-        assert_eq!(cache.evict_scope(12345), 0, "unknown scope is a no-op");
+        assert_eq!(cache.len_in_scope(12345), 0);
+        assert_eq!(cache.stats().len, 3);
     }
 
     #[test]
     fn terminal_order_is_part_of_the_key() {
         let cache = JoinPathCache::new(8);
-        cache.get_or_compute(&["a", "b"], || plan("a"));
-        let p = cache.get_or_compute(&["b", "a"], || plan("b"));
+        cache.get_or_compute_scoped(0, &["a", "b"], || plan("a"));
+        let p = cache.get_or_compute_scoped(0, &["b", "a"], || plan("b"));
         assert_eq!(p.unwrap().concepts, vec!["b".to_string()]);
         assert_eq!(cache.stats().misses, 2);
     }
@@ -295,20 +253,20 @@ mod tests {
     #[test]
     fn evicts_least_recently_used() {
         let cache = JoinPathCache::new(2);
-        cache.get_or_compute(&["a"], || plan("a"));
-        cache.get_or_compute(&["b"], || plan("b"));
-        cache.get_or_compute(&["a"], || plan("never"));
+        cache.get_or_compute_scoped(0, &["a"], || plan("a"));
+        cache.get_or_compute_scoped(0, &["b"], || plan("b"));
+        cache.get_or_compute_scoped(0, &["a"], || plan("never"));
         // Inserting c evicts b (a was touched more recently than b).
-        cache.get_or_compute(&["c"], || plan("c"));
+        cache.get_or_compute_scoped(0, &["c"], || plan("c"));
         let mut b_recomputed = false;
-        cache.get_or_compute(&["b"], || {
+        cache.get_or_compute_scoped(0, &["b"], || {
             b_recomputed = true;
             plan("b")
         });
         assert!(b_recomputed, "b must have been evicted by c");
         // b's reinsertion in turn evicted a — the LRU of {a, c}.
         let mut a_recomputed = false;
-        cache.get_or_compute(&["a"], || {
+        cache.get_or_compute_scoped(0, &["a"], || {
             a_recomputed = true;
             plan("a")
         });
@@ -320,7 +278,7 @@ mod tests {
     #[test]
     fn clear_resets_everything() {
         let cache = JoinPathCache::new(4);
-        cache.get_or_compute(&["a"], || plan("a"));
+        cache.get_or_compute_scoped(0, &["a"], || plan("a"));
         cache.clear();
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.len), (0, 0, 0));

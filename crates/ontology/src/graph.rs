@@ -37,13 +37,6 @@ pub struct JoinPlan {
     pub edges: Vec<JoinEdge>,
 }
 
-impl JoinPlan {
-    /// Number of join edges.
-    pub fn join_count(&self) -> usize {
-        self.edges.len()
-    }
-}
-
 /// Undirected join graph over ontology concepts.
 #[derive(Debug, Clone, Default)]
 pub struct JoinGraph {
@@ -303,7 +296,7 @@ mod tests {
         for t in ["customer", "product", "region", "order", "store"] {
             assert!(plan.concepts.contains(&t.to_string()), "missing {t}");
         }
-        assert_eq!(plan.join_count(), plan.concepts.len() - 1);
+        assert_eq!(plan.edges.len(), plan.concepts.len() - 1);
     }
 
     #[test]
@@ -311,7 +304,7 @@ mod tests {
         let g = JoinGraph::from_ontology(&star());
         let plan = g.steiner_plan(&["order", "order", "customer"]).unwrap();
         assert_eq!(plan.concepts.len(), 2);
-        assert_eq!(plan.join_count(), 1);
+        assert_eq!(plan.edges.len(), 1);
     }
 
     #[test]
@@ -367,7 +360,7 @@ mod tests {
         assert_eq!(p[0].to, "visit");
         let plan = g.steiner_plan(&["patient", "doctor", "visit"]).unwrap();
         assert_eq!(plan.concepts.len(), 3);
-        assert_eq!(plan.join_count(), 2);
+        assert_eq!(plan.edges.len(), 2);
     }
 
     #[test]

@@ -36,25 +36,33 @@ use nlidb_obs::{HealthEvent, SloEngine, SloKind, SloPolicy, WindowedScope};
 use crate::obs::ServeObs;
 use crate::server::Disposition;
 
-/// Knobs for a [`HealthHub`]: window geometry plus the two objective
-/// policies, in the same spirit as the other serve policy structs.
+/// Windows retained per series (ring capacity). Older windows fold
+/// into evicted totals — sums still reconcile exactly.
+const WINDOWS: usize = 64;
+
+/// Availability target in milli-units (990 = 99.0% served).
+const AVAILABILITY_TARGET_MILLI: u64 = 990;
+
+/// Latency target in milli-units over served requests.
+const LATENCY_TARGET_MILLI: u64 = 950;
+
+/// Sojourn ticks at or below which a served request counts as
+/// latency-good.
+const LATENCY_THRESHOLD_TICKS: u64 = 8;
+
+/// Short burn span, in windows (responsiveness).
+const SHORT_WINDOWS: u64 = 2;
+
+/// Knobs for a [`HealthHub`]: the window width and how the burn
+/// rule fires. The ring capacity, the two objectives' targets, the
+/// latency threshold and the short span are fixed (see the constants
+/// above).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthConfig {
     /// Logical ticks per window.
     pub window_ticks: u64,
-    /// Windows retained per series (ring capacity). Series older than
-    /// this fold into evicted totals — sums still reconcile exactly.
-    pub windows: usize,
-    /// Availability target in milli-units (990 = 99.0% served).
-    pub availability_target_milli: u64,
-    /// Latency target in milli-units over served requests.
-    pub latency_target_milli: u64,
-    /// Sojourn ticks at or below which a served request counts as
-    /// latency-good.
-    pub latency_threshold_ticks: u64,
-    /// Short burn span, in windows (responsiveness).
-    pub short_windows: u64,
-    /// Long burn span, in windows (memory); clamped to ≥ short.
+    /// Long burn span, in windows (memory); clamped to ≥ the short
+    /// span of 2.
     pub long_windows: u64,
     /// Burn (milli) at/above which — on both spans — an objective
     /// fires. 1000 = spending the error budget exactly on schedule.
@@ -65,11 +73,6 @@ impl Default for HealthConfig {
     fn default() -> HealthConfig {
         HealthConfig {
             window_ticks: 8,
-            windows: 64,
-            availability_target_milli: 990,
-            latency_target_milli: 950,
-            latency_threshold_ticks: 8,
-            short_windows: 2,
             long_windows: 8,
             fire_burn_milli: 2000,
         }
@@ -82,18 +85,18 @@ impl HealthConfig {
             SloPolicy {
                 objective: "availability".to_string(),
                 kind: SloKind::Availability,
-                target_milli: self.availability_target_milli,
-                short_windows: self.short_windows,
+                target_milli: AVAILABILITY_TARGET_MILLI,
+                short_windows: SHORT_WINDOWS,
                 long_windows: self.long_windows,
                 fire_burn_milli: self.fire_burn_milli,
             },
             SloPolicy {
                 objective: "latency".to_string(),
                 kind: SloKind::Latency {
-                    threshold_ticks: self.latency_threshold_ticks,
+                    threshold_ticks: LATENCY_THRESHOLD_TICKS,
                 },
-                target_milli: self.latency_target_milli,
-                short_windows: self.short_windows,
+                target_milli: LATENCY_TARGET_MILLI,
+                short_windows: SHORT_WINDOWS,
                 long_windows: self.long_windows,
                 fire_burn_milli: self.fire_burn_milli,
             },
@@ -115,18 +118,6 @@ pub struct WindowSample {
     pub p99: u64,
     /// Availability burn (milli) computed over this single window.
     pub burn_milli: u64,
-}
-
-/// A point-in-time view of one tenant's health, for callers that
-/// should not hold the hub lock ([`HealthHub::report`]).
-#[derive(Debug, Clone)]
-pub struct HealthReport {
-    /// Canonical window-matrix rendering of the tenant's scope.
-    pub matrix: String,
-    /// Canonical event-log rendering of the tenant's engine.
-    pub events: String,
-    /// `(objective, currently firing)` pairs, objective-sorted.
-    pub firing: Vec<(String, bool)>,
 }
 
 #[derive(Debug)]
@@ -179,9 +170,9 @@ impl HealthHub {
     /// An empty hub; tenant states appear on first feed.
     pub fn new(config: HealthConfig) -> HealthHub {
         let mut config = config;
-        config.long_windows = config.long_windows.max(config.short_windows.max(1));
+        config.long_windows = config.long_windows.max(SHORT_WINDOWS);
         assert!(
-            config.long_windows <= config.windows as u64,
+            config.long_windows <= WINDOWS as u64,
             "long span exceeds window ring capacity"
         );
         HealthHub {
@@ -194,23 +185,18 @@ impl HealthHub {
         }
     }
 
-    /// The hub's configuration.
-    pub fn config(&self) -> HealthConfig {
-        self.config
-    }
-
     /// Feed one completion: `sojourn` is drain tick − submit tick,
     /// `tick` the drain tick the completion surfaced at.
     pub fn feed(&self, tenant: &str, disposition: &Disposition, sojourn: u64, tick: u64) {
         let config = self.config;
         let mut inner = self.inner.lock().expect("health hub lock");
         let state = inner.tenants.entry(tenant.to_string()).or_insert_with(|| {
-            let mut engine = SloEngine::new(config.window_ticks, config.windows);
+            let mut engine = SloEngine::new(config.window_ticks, WINDOWS);
             for policy in config.policies() {
                 engine.add_objective(policy);
             }
             TenantHealth {
-                scope: WindowedScope::new(config.window_ticks, config.windows),
+                scope: WindowedScope::new(config.window_ticks, WINDOWS),
                 engine,
             }
         });
@@ -223,7 +209,7 @@ impl HealthHub {
             .engine
             .record("availability", tick, u64::from(served), u64::from(!served));
         if served {
-            let slow = sojourn > config.latency_threshold_ticks;
+            let slow = sojourn > LATENCY_THRESHOLD_TICKS;
             state
                 .engine
                 .record("latency", tick, u64::from(!slow), u64::from(slow));
@@ -319,26 +305,6 @@ impl HealthHub {
         out
     }
 
-    /// A point-in-time report for one tenant (`None` if the tenant
-    /// has fed nothing yet).
-    pub fn report(&self, tenant: &str) -> Option<HealthReport> {
-        let inner = self.inner.lock().expect("health hub lock");
-        let state = inner.tenants.get(tenant)?;
-        let matrix = state.scope.render_text();
-        let firing: Vec<(String, bool)> = state
-            .engine
-            .policies()
-            .iter()
-            .map(|p| (p.objective.clone(), state.engine.is_firing(&p.objective)))
-            .collect();
-        let events = state.engine.render_events();
-        Some(HealthReport {
-            matrix,
-            events,
-            firing,
-        })
-    }
-
     /// A clone of one tenant's windowed scope, for reconciliation
     /// assertions (E21 byte- and sum-compares it against the
     /// cumulative serve counters).
@@ -347,18 +313,12 @@ impl HealthHub {
         inner.tenants.get(tenant).map(|t| t.scope.clone())
     }
 
-    /// Tenant names that have fed at least one completion, sorted.
-    pub fn tenant_names(&self) -> Vec<String> {
-        let inner = self.inner.lock().expect("health hub lock");
-        inner.tenants.keys().cloned().collect()
-    }
-
     /// The merged (all-tenant) per-window series: served throughput,
     /// p99 sojourn, and single-window availability burn, oldest
     /// retained window first. What the soak binary serializes.
     pub fn window_series(&self) -> Vec<WindowSample> {
         let inner = self.inner.lock().expect("health hub lock");
-        let mut merged = WindowedScope::new(self.config.window_ticks, self.config.windows);
+        let mut merged = WindowedScope::new(self.config.window_ticks, WINDOWS);
         for state in inner.tenants.values() {
             merged.merge(&state.scope);
         }
@@ -367,7 +327,7 @@ impl HealthHub {
             return Vec::new();
         };
         let delta = |name: &str, w: u64| merged.counter_ref(name).map_or(0, |c| c.delta(w));
-        let budget = 1000 - self.config.availability_target_milli.min(999);
+        let budget = 1000 - AVAILABILITY_TARGET_MILLI;
         (from..=to)
             .map(|w| {
                 let served = delta("answered", w) + delta("session", w) + delta("degraded", w);
@@ -404,11 +364,19 @@ mod tests {
         }
     }
 
+    /// One-tick windows, a 4-window long span, firing at `fire`.
+    fn per_tick(fire_burn_milli: u64) -> HealthHub {
+        HealthHub::new(HealthConfig {
+            window_ticks: 1,
+            long_windows: 4,
+            fire_burn_milli,
+        })
+    }
+
     #[test]
     fn feed_and_reconcile() {
         let hub = HealthHub::new(HealthConfig {
             window_ticks: 4,
-            windows: 16,
             ..HealthConfig::default()
         });
         for tick in 0..20 {
@@ -420,19 +388,11 @@ mod tests {
         assert_eq!(scope.counter_ref("shed").unwrap().total(), 1);
         assert_eq!(scope.histogram_ref("sojourn").unwrap().total_count(), 20);
         assert!(hub.scope_snapshot("ghost").is_none());
-        assert_eq!(hub.tenant_names(), vec!["default".to_string()]);
     }
 
     #[test]
     fn burn_fires_and_is_visible_to_early_warning() {
-        let config = HealthConfig {
-            window_ticks: 1,
-            windows: 16,
-            short_windows: 2,
-            long_windows: 4,
-            ..HealthConfig::default()
-        };
-        let hub = HealthHub::new(config);
+        let hub = per_tick(2000);
         hub.feed("default", &served(), 1, 0);
         hub.evaluate(0, None);
         assert_eq!(hub.max_short_burn_milli(), 0);
@@ -443,21 +403,69 @@ mod tests {
             hub.evaluate(tick, None);
         }
         assert!(hub.is_firing("default", "availability"));
-        assert!(hub.max_short_burn_milli() >= 2000);
+        assert!(!hub.is_firing("default", "latency"));
+        // The short span (windows 1–2) holds only sheds: 1000‰ bad
+        // over a 10‰ budget.
+        assert_eq!(hub.max_short_burn_milli(), 100_000);
         let events = hub.events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].0, "default");
-        let report = hub.report("default").unwrap();
-        assert!(report.firing.contains(&("availability".to_string(), true)));
-        assert!(report.matrix.starts_with("windows width=1"));
+        let matrix = hub.scope_snapshot("default").unwrap().render_text();
+        assert!(matrix.starts_with("windows width=1 from=w0 to=w2\n"));
         assert!(hub.render_all().contains("events\n"));
+    }
+
+    #[test]
+    fn short_span_is_two_windows_against_a_99_percent_target() {
+        let hub = per_tick(2000);
+        for _ in 0..100 {
+            hub.feed("t", &served(), 1, 0);
+        }
+        hub.feed("t", &Disposition::Shed, 0, 1);
+        for _ in 0..49 {
+            hub.feed("t", &served(), 1, 1);
+        }
+        for _ in 0..50 {
+            hub.feed("t", &served(), 1, 2);
+        }
+        hub.evaluate(2, None);
+        // Windows 1–2 hold 1 bad of 100: 10‰ against a 10‰ budget.
+        // Window 0 alone (span 3) or window 2 alone (span 1) would
+        // read 500 or 0.
+        assert_eq!(hub.max_short_burn_milli(), 1000);
+    }
+
+    #[test]
+    fn latency_counts_sojourns_over_eight_ticks_against_a_95_percent_target() {
+        let hub = per_tick(1000);
+        for _ in 0..19 {
+            hub.feed("t", &served(), 8, 0);
+        }
+        hub.feed("t", &served(), 9, 0);
+        hub.evaluate(0, None);
+        // One slow sample of 20: 50‰ against a 50‰ budget.
+        assert_eq!(hub.max_short_burn_milli(), 1000);
+        assert!(hub.is_firing("t", "latency"));
+        assert!(!hub.is_firing("t", "availability"));
+    }
+
+    #[test]
+    fn ring_keeps_sixty_four_windows() {
+        let hub = per_tick(2000);
+        hub.feed("t", &served(), 1, 0);
+        hub.feed("t", &served(), 1, 64);
+        let matrix = hub.scope_snapshot("t").unwrap().render_text();
+        assert!(
+            matrix.starts_with("windows width=1 from=w1 to=w64\n"),
+            "{matrix}"
+        );
+        assert!(matrix.contains("total=2 evicted=1\n"), "{matrix}");
     }
 
     #[test]
     fn window_series_merges_tenants() {
         let hub = HealthHub::new(HealthConfig {
             window_ticks: 4,
-            windows: 8,
             ..HealthConfig::default()
         });
         hub.feed("a", &served(), 3, 0);
@@ -476,17 +484,12 @@ mod tests {
 
     #[test]
     fn latency_objective_counts_only_served() {
-        let hub = HealthHub::new(HealthConfig {
-            window_ticks: 1,
-            windows: 8,
-            latency_threshold_ticks: 2,
-            ..HealthConfig::default()
-        });
-        hub.feed("t", &served(), 3, 0); // slow
+        let hub = per_tick(2000);
+        hub.feed("t", &served(), 9, 0); // slow
         hub.feed("t", &served(), 1, 0); // fast
         hub.feed("t", &Disposition::Shed, 9, 0); // no latency sample
-        let report = hub.report("t").unwrap();
-        assert!(report.firing.iter().any(|(o, _)| o == "latency"));
+        hub.evaluate(0, None);
+        assert!(hub.is_firing("t", "latency"));
         let scope = hub.scope_snapshot("t").unwrap();
         assert_eq!(scope.histogram_ref("sojourn").unwrap().total_count(), 2);
     }

@@ -87,16 +87,6 @@ impl SessionJournal {
             .copied()
             .collect()
     }
-
-    /// Total committed turns across all sessions.
-    pub fn total_turns(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("journal lock")
-            .values()
-            .map(Vec::len)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -124,7 +114,6 @@ mod tests {
         assert_eq!(turns[1].utterance, "only shipped ones");
         assert_eq!(j.turn_count(7), 2);
         assert_eq!(j.turn_count(3), 1);
-        assert_eq!(j.total_turns(), 3);
     }
 
     #[test]
@@ -141,6 +130,6 @@ mod tests {
         let j = SessionJournal::new();
         assert!(j.turns(42).is_empty());
         assert_eq!(j.turn_count(42), 0);
-        assert_eq!(j.total_turns(), 0);
+        assert!(j.sessions().is_empty());
     }
 }

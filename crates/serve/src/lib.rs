@@ -42,9 +42,11 @@
 //!   completions fold into a streaming [`loadgen::SoakReport`] —
 //!   O(1) memory at 10⁵–10⁶ requests.
 //! * [`fault`] / [`retry`] — the robustness layer: seeded fault
-//!   injection through the request hook, retry with logical backoff,
-//!   per-interpreter circuit breakers, graceful degradation down the
-//!   §4 family ladder, and contained worker panics.
+//!   injection through the request hook, retry with logical backoff
+//!   (2 retries, `1 << n` ticks), per-interpreter circuit breakers
+//!   (open after 3 consecutive failures, for 8 requests), graceful
+//!   degradation down the §4 family ladder, and contained worker
+//!   panics. None of these numbers is a setting.
 //! * [`journal`] — the write-ahead session journal behind crash
 //!   recovery: every committed dialogue turn is journaled before its
 //!   reply is released, a panicked worker's queued work bounces back
@@ -63,7 +65,9 @@
 //!   buckets every drained completion into per-tenant logical-tick
 //!   windows, computes error-budget burn rates over short+long window
 //!   pairs, and emits deterministic fire/clear health events into the
-//!   trace sink and a `health.*` metrics scope. The overload
+//!   trace sink and a `health.*` metrics scope. A [`HealthConfig`]
+//!   sets the window width, the long span and the fire threshold; the
+//!   ring size, objectives and short span are fixed. The overload
 //!   controller's opt-in [`OverloadPolicy::early_warning`] knob
 //!   consults the short-window burn to open episodes before the high
 //!   watermark — E21's claim.
@@ -93,7 +97,7 @@ pub mod tenant;
 
 pub use clock::{Clock, ManualClock};
 pub use fault::{fault_plan_hook, silence_worker_panics, HookCtx, InjectedFault};
-pub use health::{HealthConfig, HealthHub, HealthReport, WindowSample};
+pub use health::{HealthConfig, HealthHub, WindowSample};
 pub use journal::{JournalEntry, SessionJournal};
 pub use loadgen::{
     open_loop, run_closed_loop, run_closed_loop_tenants, run_open_loop, run_open_loop_tenants,
@@ -102,7 +106,7 @@ pub use loadgen::{
 pub use lru::LruCache;
 pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use obs::ServeObs;
-pub use retry::{BreakerPolicy, CircuitBreaker, RetryPolicy};
+pub use retry::CircuitBreaker;
 pub use server::{
     normalize_question, Admission, Completion, Disposition, OverloadPolicy, RequestHook, Server,
     ServerConfig,

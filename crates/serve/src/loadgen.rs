@@ -494,7 +494,6 @@ mod tests {
         let policy = OverloadPolicy {
             high_watermark: 8,
             low_watermark: 2,
-            cost_threshold: 0,
             early_warning: None,
         };
         let (mut server, clock) = setup(1, Some(policy));

@@ -179,18 +179,6 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
         self.push_front(idx);
         evicted
     }
-
-    /// Keys from most- to least-recent (test/diagnostic helper).
-    pub fn keys_by_recency(&self) -> Vec<&K> {
-        let mut out = Vec::with_capacity(self.map.len());
-        let mut idx = self.head;
-        while idx != NIL {
-            let s = self.slot(idx);
-            out.push(&s.key);
-            idx = s.next;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -217,7 +205,7 @@ mod tests {
         assert_eq!(evicted, Some(("b", 2)));
         assert!(c.peek(&"a").is_some());
         assert!(c.peek(&"b").is_none());
-        assert_eq!(c.keys_by_recency(), vec![&"c", &"a"]);
+        assert_eq!(c.put("d", 4), Some(("a", 1)), "a is now least-recent");
     }
 
     #[test]

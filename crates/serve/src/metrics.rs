@@ -299,15 +299,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Fraction of submitted requests rejected (shed or deadline).
-    pub fn shed_rate(&self) -> f64 {
-        if self.submitted == 0 {
-            0.0
-        } else {
-            (self.shed_full + self.shed_deadline) as f64 / self.submitted as f64
-        }
-    }
-
     /// Every scalar counter as `(bare_name, value)`, in export order.
     fn scalar_fields(&self) -> [(&'static str, u64); 27] {
         [
@@ -455,7 +446,6 @@ mod tests {
     fn rates_default_to_zero() {
         let s = ServeMetrics::new(1, false).snapshot();
         assert_eq!(s.interp_hit_rate(), 0.0);
-        assert_eq!(s.shed_rate(), 0.0);
     }
 
     #[test]

@@ -8,50 +8,21 @@
 //! the whole failure-handling state machine replays identically run
 //! over run.
 
-/// Retry budget for transient faults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries allowed after the first attempt (0 disables retrying).
-    pub max_retries: u32,
-    /// Backoff for the `n`-th retry is `backoff_base << n` ticks,
-    /// accounted in `retry_backoff_ticks` — logical time only.
-    pub backoff_base: u64,
-}
+/// Retries allowed after the first attempt. It also bounds how often
+/// a bounced job is redelivered.
+pub(crate) const MAX_RETRIES: u32 = 2;
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 2,
-            backoff_base: 1,
-        }
-    }
-}
+/// Consecutive infrastructure failures that open a circuit.
+const BREAKER_THRESHOLD: u32 = 3;
 
-impl RetryPolicy {
-    /// Backoff charged for retry number `attempt` (0-based): an
-    /// exponential `base << attempt`, saturating.
-    pub fn backoff(&self, attempt: u32) -> u64 {
-        self.backoff_base
-            .saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX))
-    }
-}
+/// Requests an open circuit turns away before a half-open probe.
+const BREAKER_COOLDOWN: u32 = 8;
 
-/// Trip/cooldown thresholds for a [`CircuitBreaker`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerPolicy {
-    /// Consecutive infrastructure failures that open the circuit (≥ 1).
-    pub threshold: u32,
-    /// Requests turned away while open before a half-open probe.
-    pub cooldown: u32,
-}
-
-impl Default for BreakerPolicy {
-    fn default() -> BreakerPolicy {
-        BreakerPolicy {
-            threshold: 3,
-            cooldown: 8,
-        }
-    }
+/// Backoff charged for retry number `attempt` (0-based): `1 << attempt`
+/// ticks, saturating, accounted in `retry_backoff_ticks` — logical
+/// time only.
+pub(crate) fn backoff(attempt: u32) -> u64 {
+    1u64.checked_shl(attempt).unwrap_or(u64::MAX)
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,27 +39,28 @@ enum BreakerState {
 /// A per-(worker, interpreter-family) circuit breaker.
 ///
 /// Counts *infrastructure* failures only — a semantic refusal means
-/// the family is healthy and resets the streak. After `threshold`
-/// consecutive failures the circuit opens: the next `cooldown`
-/// requests skip this family outright (falling further down the
-/// ladder), then one probe is allowed through; its outcome decides
-/// between closing and re-opening.
+/// the family is healthy and resets the streak. After 3 consecutive
+/// failures the circuit opens: the next 8 requests skip this family
+/// outright (falling further down the ladder), then one probe is
+/// allowed through; its outcome decides between closing and
+/// re-opening.
 #[derive(Debug, Clone)]
 pub struct CircuitBreaker {
-    policy: BreakerPolicy,
     state: BreakerState,
     consecutive_failures: u32,
     trips: u64,
 }
 
+impl Default for CircuitBreaker {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl CircuitBreaker {
-    /// A closed breaker under `policy`.
-    pub fn new(policy: BreakerPolicy) -> CircuitBreaker {
+    /// A closed breaker.
+    pub fn new() -> CircuitBreaker {
         CircuitBreaker {
-            policy: BreakerPolicy {
-                threshold: policy.threshold.max(1),
-                ..policy
-            },
             state: BreakerState::Closed,
             consecutive_failures: 0,
             trips: 0,
@@ -130,7 +102,7 @@ impl CircuitBreaker {
             }
             BreakerState::Closed => {
                 self.consecutive_failures += 1;
-                if self.consecutive_failures >= self.policy.threshold {
+                if self.consecutive_failures >= BREAKER_THRESHOLD {
                     self.open();
                     true
                 } else {
@@ -145,7 +117,7 @@ impl CircuitBreaker {
 
     fn open(&mut self) {
         self.state = BreakerState::Open {
-            remaining: self.policy.cooldown.max(1),
+            remaining: BREAKER_COOLDOWN,
         };
         self.consecutive_failures = 0;
         self.trips += 1;
@@ -166,53 +138,50 @@ impl CircuitBreaker {
 mod tests {
     use super::*;
 
+    /// Trip a fresh breaker with exactly the threshold's failures.
+    fn tripped() -> CircuitBreaker {
+        let mut b = CircuitBreaker::new();
+        assert!(!b.on_failure());
+        assert!(!b.on_failure());
+        assert!(b.allow(), "still closed below the threshold");
+        assert!(b.on_failure(), "the third consecutive failure trips");
+        b
+    }
+
     #[test]
     fn backoff_is_exponential_and_saturating() {
-        let p = RetryPolicy {
-            max_retries: 3,
-            backoff_base: 2,
-        };
-        assert_eq!(p.backoff(0), 2);
-        assert_eq!(p.backoff(1), 4);
-        assert_eq!(p.backoff(2), 8);
-        assert_eq!(p.backoff(200), u64::MAX, "saturates, never wraps");
+        assert_eq!(backoff(0), 1);
+        assert_eq!(backoff(1), 2);
+        assert_eq!(backoff(2), 4);
+        assert_eq!(backoff(63), 1 << 63);
+        assert_eq!(backoff(200), u64::MAX, "saturates, never wraps");
     }
 
     #[test]
     fn breaker_trips_after_threshold_consecutive_failures() {
-        let mut b = CircuitBreaker::new(BreakerPolicy {
-            threshold: 3,
-            cooldown: 2,
-        });
-        assert!(!b.on_failure());
-        assert!(!b.on_failure());
-        assert!(b.allow(), "still closed below threshold");
-        assert!(b.on_failure(), "third consecutive failure trips");
+        let b = tripped();
         assert!(b.is_open());
         assert_eq!(b.trips(), 1);
     }
 
     #[test]
     fn success_resets_the_streak() {
-        let mut b = CircuitBreaker::new(BreakerPolicy {
-            threshold: 2,
-            cooldown: 2,
-        });
+        let mut b = CircuitBreaker::new();
+        b.on_failure();
         b.on_failure();
         b.on_success();
         assert!(!b.on_failure(), "streak restarted from zero");
+        assert!(!b.on_failure());
         assert!(!b.is_open());
     }
 
     #[test]
     fn cooldown_counts_requests_then_probes() {
-        let mut b = CircuitBreaker::new(BreakerPolicy {
-            threshold: 1,
-            cooldown: 2,
-        });
-        assert!(b.on_failure());
-        assert!(!b.allow(), "skip 1");
-        assert!(!b.allow(), "skip 2 — moves to half-open");
+        let mut b = tripped();
+        for skip in 1..=8 {
+            assert!(!b.allow(), "skip {skip} of the cooldown");
+        }
+        assert!(!b.is_open(), "the eighth skip moves to half-open");
         assert!(b.allow(), "probe allowed");
         b.on_success();
         assert!(b.allow(), "probe success closes the circuit");
@@ -221,14 +190,12 @@ mod tests {
 
     #[test]
     fn failed_probe_reopens() {
-        let mut b = CircuitBreaker::new(BreakerPolicy {
-            threshold: 1,
-            cooldown: 1,
-        });
-        assert!(b.on_failure());
-        assert!(!b.allow());
+        let mut b = tripped();
+        for _ in 0..8 {
+            assert!(!b.allow());
+        }
         assert!(b.allow(), "probe");
-        assert!(b.on_failure(), "failed probe re-trips");
+        assert!(b.on_failure(), "failed probe re-trips at once");
         assert!(b.is_open());
         assert_eq!(b.trips(), 2);
     }

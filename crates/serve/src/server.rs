@@ -77,7 +77,7 @@ use crate::journal::{JournalEntry, SessionJournal};
 use crate::lru::LruCache;
 use crate::metrics::{MetricsSnapshot, ScopedMetrics, ServeMetrics};
 use crate::obs::ServeObs;
-use crate::retry::{BreakerPolicy, CircuitBreaker, RetryPolicy};
+use crate::retry::{self, CircuitBreaker};
 use crate::tenant::{TenantPolicy, TenantRegistry};
 
 /// Per-request work hook, consulted by the owning worker before every
@@ -126,9 +126,6 @@ pub struct OverloadPolicy {
     /// credit, so pressure reaches 0 ≤ `low_watermark` there — the
     /// drain-to-empty invariant that guarantees recovery.
     pub low_watermark: usize,
-    /// Learned plan cost above which an engaged standalone repeat is
-    /// shed — the "expensive work goes first" half of degradation.
-    pub cost_threshold: u64,
     /// Opt-in early warning: when the server runs with a
     /// [`crate::HealthHub`] (see [`crate::ServeObs::with_health`]) and
     /// the maximum short-span SLO burn rate (milli) reaches this
@@ -645,12 +642,6 @@ impl Server {
         self.shared.obs.as_ref().and_then(|o| o.health.as_ref())
     }
 
-    /// The attached health hub, if any — per-tenant window matrices,
-    /// burn rates, and the fire/clear event log live there.
-    pub fn health(&self) -> Option<Arc<crate::health::HealthHub>> {
-        self.health_hub().cloned()
-    }
-
     /// [`Server::submit_to`] for tenant 0, the only tenant of a server
     /// started with [`Server::start_observed`].
     pub fn submit(&mut self, spec: &RequestSpec) -> Admission {
@@ -741,19 +732,19 @@ impl Server {
             }
         }
         // Overload shedding: while an episode is open, standalone work
-        // degrades along two axes — learned-expensive repeats go
-        // first, and tenants over their fair share of the episode's
-        // admissions are trimmed back. Dialogue turns always pass:
-        // session state must advance (the deliberate non-backpressure
-        // documented in DESIGN.md's soak & overload model). First
-        // sightings have no learned cost and pass the cost axis.
+        // degrades along two axes — repeats whose (positive) plan cost
+        // the server has already learned go first, and tenants over
+        // their fair share of the episode's admissions are trimmed
+        // back. Dialogue turns always pass: session state must advance
+        // (the deliberate non-backpressure documented in DESIGN.md's
+        // soak & overload model). First sightings have no learned cost
+        // and pass the cost axis.
         if self.overloaded && spec.session.is_none() {
-            let policy = self.config.overload.expect("overloaded implies a policy");
             let learned = self
                 .plan_costs
                 .get(&(tenant, normalize_question(&spec.question)))
                 .copied();
-            let expensive = learned.is_some_and(|c| c > policy.cost_threshold);
+            let expensive = learned.is_some_and(|c| c > 0);
             // Fair share with slack: tenant t is over when its episode
             // admissions exceed (total + N) / N — impossible for a
             // single tenant, where admissions equal the total.
@@ -1019,7 +1010,7 @@ impl Server {
         job.bounced_from = Some(from);
         // Redelivery rides the retry budget: a request does not get to
         // chase crashing workers forever.
-        if job.redeliveries > RetryPolicy::default().max_retries {
+        if job.redeliveries > retry::MAX_RETRIES {
             let reason = format!(
                 "redelivery budget exhausted after {} bounces",
                 job.redeliveries
@@ -1231,9 +1222,9 @@ impl FaultRide {
 /// `attempt_base` is the job's redelivery count: a request re-admitted
 /// after bouncing off a dead worker presents attempt numbers ≥ 1 to
 /// the hook, so a panic pinned at attempt 0 fires exactly once and the
-/// recovered delivery proceeds. The retry budget
-/// ([`RetryPolicy::default`]) stays absolute (`attempt < max_retries`)
-/// — it is per request, not per delivery.
+/// recovered delivery proceeds. The retry budget stays absolute
+/// (`attempt < retry::MAX_RETRIES`) — it is per request, not per
+/// delivery.
 fn ride_out_faults(
     hook: Option<&RequestHook>,
     metrics: ScopedMetrics<'_>,
@@ -1247,16 +1238,16 @@ fn ride_out_faults(
         backoff: 0,
     };
     let Some(hook) = hook else { return ride };
-    let retry = RetryPolicy::default();
     let mut attempt = attempt_base;
     loop {
         match hook(&HookCtx { id, rung, attempt }) {
             None => return ride,
-            Some(InjectedFault::Transient) if attempt < retry.max_retries => {
+            Some(InjectedFault::Transient) if attempt < retry::MAX_RETRIES => {
+                let backoff = retry::backoff(attempt);
                 metrics.add(|m| &m.retries, 1);
-                metrics.add(|m| &m.retry_backoff_ticks, retry.backoff(attempt));
+                metrics.add(|m| &m.retry_backoff_ticks, backoff);
                 ride.retries += 1;
-                ride.backoff += retry.backoff(attempt);
+                ride.backoff += backoff;
                 attempt += 1;
             }
             Some(InjectedFault::WorkerPanic) => {
@@ -1436,7 +1427,7 @@ fn worker_loop(
         .map(|_| {
             degradation_ladder(InterpreterKind::Hybrid)
                 .iter()
-                .map(|_| CircuitBreaker::new(BreakerPolicy::default()))
+                .map(|_| CircuitBreaker::new())
                 .collect()
         })
         .collect();
@@ -1878,7 +1869,6 @@ mod tests {
             overload: Some(OverloadPolicy {
                 high_watermark: 1,
                 low_watermark: 0,
-                cost_threshold: 0,
                 early_warning: None,
             }),
             ..ServerConfig::default()
@@ -1937,7 +1927,6 @@ mod tests {
             overload: Some(OverloadPolicy {
                 high_watermark: 2,
                 low_watermark: 0,
-                cost_threshold: 0,
                 early_warning: None,
             }),
             ..ServerConfig::default()
@@ -1988,7 +1977,6 @@ mod tests {
                 overload: Some(OverloadPolicy {
                     high_watermark: high,
                     low_watermark: 0,
-                    cost_threshold: 0,
                     early_warning: None,
                 }),
                 ..ServerConfig::default()
@@ -2046,8 +2034,6 @@ mod tests {
             overload: Some(OverloadPolicy {
                 high_watermark: 2,
                 low_watermark: 0,
-                // No learned-cost axis: isolate the fair-share axis.
-                cost_threshold: u64::MAX,
                 early_warning: None,
             }),
             ..ServerConfig::default()
@@ -2055,7 +2041,9 @@ mod tests {
         let mut srv = Server::start_tenants(&registry, cfg, clock as Arc<dyn Clock>, None, None);
         let q = RequestSpec::single("how many customers are there");
         let [hog, quiet] = [0, 1].map(|t| registry.entries()[t].fingerprint());
-        // Open the episode, then let the hog tenant hog it.
+        // Nothing drains before the episode, so no plan cost is
+        // learned and only the fair-share axis can shed. Open the
+        // episode, then let the hog tenant hog it.
         srv.submit_to(hog, &q);
         srv.submit_to(hog, &q);
         assert!(!srv.is_overloaded());

@@ -135,13 +135,6 @@ impl TenantRegistry {
     pub fn entries(&self) -> &[TenantEntry] {
         &self.entries
     }
-
-    /// Registration index of `fingerprint`, if registered.
-    pub fn index_of(&self, fingerprint: u64) -> Option<usize> {
-        self.entries
-            .iter()
-            .position(|e| e.fingerprint == fingerprint)
-    }
 }
 
 /// Hash the parts of a schema that determine interpretations: concept
@@ -253,8 +246,6 @@ mod tests {
             },
         );
         assert_eq!(reg.len(), 1);
-        assert_eq!(reg.index_of(fp), Some(0));
-        assert_eq!(reg.index_of(fp ^ 1), None);
         let e = &reg.entries()[0];
         assert_eq!(e.name(), "retail");
         assert_eq!(e.fingerprint(), fp);

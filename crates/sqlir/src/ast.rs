@@ -87,16 +87,6 @@ pub enum BinOp {
     Div,
 }
 
-impl BinOp {
-    /// Is this a comparison operator?
-    pub fn is_comparison(&self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq
-        )
-    }
-}
-
 /// Unary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnaryOp {
@@ -432,14 +422,6 @@ impl TableSource {
         TableSource::Table {
             name: name.into(),
             alias: None,
-        }
-    }
-
-    /// The name this source is addressable by (alias, else table name).
-    pub fn binding_name(&self) -> &str {
-        match self {
-            TableSource::Table { name, alias } => alias.as_deref().unwrap_or(name),
-            TableSource::Subquery { alias, .. } => alias,
         }
     }
 }
@@ -867,16 +849,6 @@ mod tests {
         e.columns(&mut cols);
         assert_eq!(cols.len(), 3);
         assert_eq!(cols[1], ColumnRef::qualified("t", "b"));
-    }
-
-    #[test]
-    fn binding_name_prefers_alias() {
-        let t = TableSource::Table {
-            name: "customers".into(),
-            alias: Some("c".into()),
-        };
-        assert_eq!(t.binding_name(), "c");
-        assert_eq!(TableSource::table("x").binding_name(), "x");
     }
 
     #[test]

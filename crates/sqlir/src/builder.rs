@@ -31,19 +31,6 @@ impl QueryBuilder {
         }
     }
 
-    /// Start from an aliased base table.
-    pub fn from_aliased(name: impl Into<String>, alias: impl Into<String>) -> Self {
-        QueryBuilder {
-            query: Query {
-                from: Some(TableSource::Table {
-                    name: name.into(),
-                    alias: Some(alias.into()),
-                }),
-                ..Query::default()
-            },
-        }
-    }
-
     /// Start from a derived table.
     pub fn from_subquery(query: Query, alias: impl Into<String>) -> Self {
         QueryBuilder {
@@ -55,12 +42,6 @@ impl QueryBuilder {
                 ..Query::default()
             },
         }
-    }
-
-    /// Project `*`.
-    pub fn select_star(mut self) -> Self {
-        self.query.select.push(SelectItem::Wildcard);
-        self
     }
 
     /// Project a bare column.
@@ -93,16 +74,6 @@ impl QueryBuilder {
     pub fn join(mut self, table: impl Into<String>, on: Expr) -> Self {
         self.query.joins.push(Join {
             kind: JoinKind::Inner,
-            source: TableSource::table(table),
-            on,
-        });
-        self
-    }
-
-    /// Add a left join.
-    pub fn left_join(mut self, table: impl Into<String>, on: Expr) -> Self {
-        self.query.joins.push(Join {
-            kind: JoinKind::Left,
             source: TableSource::table(table),
             on,
         });
@@ -177,14 +148,14 @@ mod tests {
 
     #[test]
     fn builder_output_parses_back() {
-        let q = QueryBuilder::from_aliased("customers", "c")
-            .select_expr(Expr::qcol("c", "name"), None)
+        let q = QueryBuilder::from_table("customers")
+            .select_expr(Expr::qcol("customers", "name"), None)
             .join(
                 "orders",
-                Expr::qcol("c", "id").eq(Expr::qcol("orders", "customer_id")),
+                Expr::qcol("customers", "id").eq(Expr::qcol("orders", "customer_id")),
             )
             .and_where(Expr::qcol("orders", "amount").binary(BinOp::GtEq, Expr::float(10.5)))
-            .group_by(Expr::qcol("c", "name"))
+            .group_by(Expr::qcol("customers", "name"))
             .and_having(Expr::count_star().binary(BinOp::Gt, Expr::int(2)))
             .order_by(Expr::count_star(), false)
             .limit(10)
@@ -201,13 +172,15 @@ mod tests {
     }
 
     #[test]
-    fn left_join_and_distinct() {
+    fn join_and_distinct() {
         let q = QueryBuilder::from_table("a")
             .distinct()
             .select_col("x")
-            .left_join("b", Expr::qcol("a", "id").eq(Expr::qcol("b", "a_id")))
+            .join("b", Expr::qcol("a", "id").eq(Expr::qcol("b", "a_id")))
             .build();
-        assert!(q.to_string().contains("SELECT DISTINCT x"));
-        assert!(q.to_string().contains("LEFT JOIN b"));
+        assert_eq!(
+            q.to_string(),
+            "SELECT DISTINCT x FROM a JOIN b ON a.id = b.a_id"
+        );
     }
 }

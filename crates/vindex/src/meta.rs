@@ -65,20 +65,6 @@ impl MetadataIndex {
             .collect()
     }
 
-    /// Best concept hit for a term.
-    pub fn best_concept(&self, term: &str) -> Option<MetaHit> {
-        self.lookup(term)
-            .into_iter()
-            .find(|h| h.kind == MetaKind::Concept)
-    }
-
-    /// Best property hit for a term, optionally restricted to a concept.
-    pub fn best_property(&self, term: &str, concept: Option<&str>) -> Option<MetaHit> {
-        self.lookup(term).into_iter().find(|h| {
-            h.kind == MetaKind::Property && concept.map(|c| h.concept == c).unwrap_or(true)
-        })
-    }
-
     /// The wrapped ontology (for interpreters needing structure).
     pub fn ontology(&self) -> &Ontology {
         &self.ontology
@@ -114,10 +100,18 @@ mod tests {
         MetadataIndex::build(&onto, &Lexicon::business_default())
     }
 
+    /// `lookup`'s hits of one kind, best first.
+    fn hits(idx: &MetadataIndex, term: &str, kind: MetaKind) -> Vec<MetaHit> {
+        idx.lookup(term)
+            .into_iter()
+            .filter(|h| h.kind == kind)
+            .collect()
+    }
+
     #[test]
     fn concept_lookup() {
         let idx = index();
-        let hit = idx.best_concept("customers").unwrap();
+        let hit = &hits(&idx, "customers", MetaKind::Concept)[0];
         assert_eq!(hit.concept, "customer");
         assert!(hit.score > 0.9);
     }
@@ -125,23 +119,24 @@ mod tests {
     #[test]
     fn synonym_concept_lookup() {
         let idx = index();
-        let hit = idx.best_concept("clients").unwrap();
+        let hit = &hits(&idx, "clients", MetaKind::Concept)[0];
         assert_eq!(hit.concept, "customer");
     }
 
     #[test]
     fn property_lookup_scoped() {
         let idx = index();
-        let hit = idx.best_property("amount", Some("order")).unwrap();
+        let props = hits(&idx, "amount", MetaKind::Property);
+        let hit = props.iter().find(|h| h.concept == "order").unwrap();
         assert_eq!(hit.property, "amount");
-        assert!(idx.best_property("amount", Some("customer")).is_none());
+        assert!(!props.iter().any(|h| h.concept == "customer"));
     }
 
     #[test]
     fn property_synonym() {
         let idx = index();
         // "price" ~ "amount" via the price/cost/amount/value ring.
-        let hit = idx.best_property("price", None).unwrap();
+        let hit = &hits(&idx, "price", MetaKind::Property)[0];
         assert_eq!(hit.property, "amount");
     }
 
@@ -149,7 +144,6 @@ mod tests {
     fn no_hit_for_unknown() {
         let idx = index();
         assert!(idx.lookup("zeppelin").is_empty());
-        assert!(idx.best_concept("zeppelin").is_none());
     }
 
     #[test]

@@ -143,11 +143,6 @@ impl ValueIndex {
         });
         out
     }
-
-    /// Best hit for a mention restricted to one table, if any.
-    pub fn lookup_in_table(&self, mention: &str, table: &str) -> Option<ValueHit> {
-        self.lookup(mention).into_iter().find(|h| h.table == table)
-    }
 }
 
 /// Tokens under which a value is indexed: surface words plus their
@@ -238,10 +233,11 @@ mod tests {
     }
 
     #[test]
-    fn lookup_in_table_filters() {
+    fn hits_name_the_owning_table() {
         let idx = ValueIndex::build(&db());
-        assert!(idx.lookup_in_table("New York", "customers").is_some());
-        assert!(idx.lookup_in_table("New York", "orders").is_none());
+        let hits = idx.lookup("New York");
+        assert!(hits.iter().any(|h| h.table == "customers"));
+        assert!(!hits.iter().any(|h| h.table == "orders"));
     }
 
     #[test]

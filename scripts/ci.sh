@@ -5,7 +5,8 @@
 #
 # Mirrors the acceptance bar for every PR: release build, full test
 # suite, the perfbench self-test, clippy at zero warnings, rustfmt
-# check, warning-free rustdoc. The workspace vendors its two
+# check, warning-free rustdoc, no public function without a non-test
+# caller, every example run to completion. The workspace vendors its two
 # dependencies (crates/compat/*), so everything runs with --offline and
 # no registry access, and with --locked, so a dependency edge that
 # leaves Cargo.lock stale fails the gate instead of rewriting the lock.
@@ -35,6 +36,16 @@ cargo fmt --all -- --check
 # so a renamed or removed item cannot leave dangling doc links behind.
 echo "== cargo doc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --locked
+
+echo "== dead public API (scripts/dead_api_allowlist.txt) =="
+python3 scripts/check_dead_api.py
+
+# `cargo test` only compiles the examples; run each one, so an example
+# that panics or exits non-zero fails the gate.
+echo "== examples (release) =="
+for example in examples/*.rs; do
+  cargo run --release --offline --locked -q --example "$(basename "$example" .rs)" > /dev/null
+done
 
 # E7 is hand-kept (the drift check skips it) and E20 has its own step.
 echo "== experiment smoke (E1–E6, E8–E19, E21 @ seed 42 vs EXPERIMENTS.md) =="

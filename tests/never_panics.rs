@@ -8,10 +8,9 @@ use std::sync::{Arc, OnceLock};
 use proptest::prelude::*;
 
 use nlidb_benchdata::{retail_database, RequestSpec};
-use nlidb_core::hybrid::HybridInterpreter;
 use nlidb_core::neural::TrainingExample;
 use nlidb_core::pipeline::NliPipeline;
-use nlidb_core::{Interpreter, InterpreterKind};
+use nlidb_core::InterpreterKind;
 use nlidb_dialogue::{ConversationSession, ManagerKind};
 use nlidb_serve::{Clock, ManualClock, Server, ServerConfig};
 
@@ -47,17 +46,6 @@ fn pipeline() -> &'static Arc<NliPipeline> {
     })
 }
 
-/// A hybrid trained with its HMM tagger as well: the pipeline's hybrid
-/// embeds only the neural model, so the tagger is fuzzed here.
-fn tagged_hybrid() -> &'static HybridInterpreter {
-    static HYBRID: OnceLock<HybridInterpreter> = OnceLock::new();
-    HYBRID.get_or_init(|| {
-        let mut h = HybridInterpreter::new();
-        h.train(&training(), pipeline().context(), 7);
-        h
-    })
-}
-
 /// Arbitrary Unicode scalar values (surrogate range excluded), joined
 /// into a string — covers control characters, emoji, astral-plane
 /// text, and every separator the tokenizer might trip on.
@@ -72,14 +60,13 @@ proptest! {
     #[test]
     fn ask_never_panics_on_arbitrary_utf8(input in arbitrary_utf8()) {
         // Ok and Err are both acceptable; unwinding is not. Every
-        // family, classic and approved, plus `suggest` and the tagger.
+        // family, classic and approved, plus `suggest`.
         let p = pipeline();
         for kind in InterpreterKind::all() {
             let _ = p.ask_bounded(&input, kind, None);
             let _ = p.ask_approved(&input, kind, None, None);
         }
         let _ = p.suggest(&input);
-        let _ = tagged_hybrid().best(&input, p.context());
     }
 
     #[test]
