@@ -1,7 +1,7 @@
 //! Render the perf-drift baseline: per-stage profiles, the
 //! clean-vs-faulted diff, the full metric/counter export for the
-//! seeded retail stream, the engine's row-vs-batch tick totals per
-//! complexity rung, and execute-span cost bucketed by plan shape —
+//! seeded retail stream, the engine's tick totals per complexity
+//! rung, and execute-span cost bucketed by plan shape —
 //! every number a logical-tick cost, so the output is a pure function
 //! of the seed and `scripts/check_perf_drift.py` can compare it
 //! byte-for-byte against `scripts/perf_baseline_seed42.txt`. Any
@@ -50,11 +50,10 @@ fn main() {
     let mut engine_text = String::new();
     for (k, class) in ComplexityClass::all().iter().enumerate() {
         engine_text.push_str(&format!(
-            "rung {} queries={} row={} batch={}\n",
+            "rung {} queries={} ticks={}\n",
             class.label(),
             engine.queries[k],
-            engine.row_ticks[k],
-            engine.batch_ticks[k]
+            engine.ticks[k]
         ));
     }
     let mut shape_text = String::new();
@@ -69,7 +68,7 @@ fn main() {
          == diff faulted-clean ==\n{}\
          == metrics clean ==\n{}\
          == metrics faulted ==\n{}\
-         == engine row-vs-batch ==\n{engine_text}\
+         == engine ticks per rung ==\n{engine_text}\
          == execute cost by plan shape ==\n{shape_text}",
         clean.export_text(),
         faulted.export_text(),

@@ -13,7 +13,7 @@ use nlidb_benchdata::{
 use nlidb_core::clarify;
 use nlidb_core::interpretation::InterpreterKind;
 use nlidb_dialogue::{bootstrap_from_ontology, ConversationSession, IntentClassifier, ManagerKind};
-use nlidb_engine::{execute, execute_rowwise_with_stats, execute_with_stats, explain};
+use nlidb_engine::{execute, execute_with_stats, explain, ResultSet};
 use nlidb_evalkit::table::pct;
 use nlidb_evalkit::{execution_match, EvalOutcome, Table};
 use nlidb_nlp::Lexicon;
@@ -91,7 +91,7 @@ pub const EXPERIMENT_SUMMARIES: [(&str, &str); 21] = [
     ),
     (
         "e18",
-        "engine equivalence: batch ≡ row oracle, vectorized tick savings",
+        "engine cost: ticks charged vs EXPLAIN estimates per rung",
     ),
     (
         "e19",
@@ -127,7 +127,7 @@ pub fn run_experiment(id: &str, seed: u64) -> Option<Table> {
         "e15" => Some(e15_crash_recovery(seed)),
         "e16" => Some(e16_trace_profile(seed)),
         "e17" => Some(e17_multi_tenant(seed)),
-        "e18" => Some(e18_engine_equivalence(seed)),
+        "e18" => Some(e18_engine_cost(seed)),
         "e19" => Some(e19_candidate_validation(seed)),
         "e20" => Some(e20_soak(seed)),
         "e21" => Some(e21_windowed_slo(seed)),
@@ -1985,119 +1985,88 @@ pub fn e17_multi_tenant_with(seed: u64, tenants: usize) -> Table {
     t
 }
 
-/// Per-rung tick accounting for one E18 corpus pass, plus the
-/// concatenation of every `EXPLAIN` rendering in corpus order, so a
+/// Per-rung tick and estimate accounting for one E18 corpus pass,
+/// plus every result and `EXPLAIN` rendering in corpus order, so a
 /// second pass can be compared wholesale for byte-identity.
-#[derive(PartialEq, Eq)]
+#[derive(PartialEq)]
 pub struct EnginePass {
     /// Gold queries executed per §3 rung ([`ComplexityClass::all`] order).
     pub queries: [u64; 4],
-    /// Row-engine logical ticks per rung.
-    pub row_ticks: [u64; 4],
-    /// Batch-engine logical ticks per rung.
-    pub batch_ticks: [u64; 4],
+    /// Logical ticks charged per rung.
+    pub ticks: [u64; 4],
+    /// Summed `EXPLAIN` `est_cost` per rung.
+    pub est_cost: [u64; 4],
+    /// Every result, in corpus order.
+    pub results: Vec<ResultSet>,
     /// Every plan rendering, concatenated in corpus order.
     pub explains: String,
 }
 
-/// Execute the full spider-like gold corpus (six domains × 48 queries)
-/// through *both* engines, asserting per query that the batch engine's
-/// result is row-identical to the row-at-a-time oracle (and bag-equal,
-/// the execution-accuracy notion), and accumulating logical ticks per
-/// complexity rung. Shared by E18 and the perf-drift gate.
+/// Execute the full spider-like gold corpus (six domains × 48 queries),
+/// accumulating per complexity rung the logical ticks charged and the
+/// `EXPLAIN` estimate made before execution. Shared by E18 and the
+/// perf-drift gate.
 pub fn engine_corpus_pass(seed: u64) -> EnginePass {
     let mut pass = EnginePass {
         queries: [0; 4],
-        row_ticks: [0; 4],
-        batch_ticks: [0; 4],
+        ticks: [0; 4],
+        est_cost: [0; 4],
+        results: Vec::new(),
         explains: String::new(),
     };
     for (i, db) in all_domains(seed).iter().enumerate() {
         let slots = derive_slots(db);
         for pair in spider_like(&slots, seed.wrapping_add(1000 + i as u64), 48) {
-            let (row_rs, row_stats) = execute_rowwise_with_stats(db, &pair.sql)
-                .unwrap_or_else(|e| panic!("E18: row engine failed on {}: {e}", pair.id));
-            let (batch_rs, batch_stats) = execute_with_stats(db, &pair.sql)
-                .unwrap_or_else(|e| panic!("E18: batch engine failed on {}: {e}", pair.id));
-            assert!(
-                batch_rs.unordered_eq(&row_rs),
-                "E18: engines disagree as bags on {}",
-                pair.id
-            );
-            assert_eq!(
-                batch_rs, row_rs,
-                "E18: engines disagree on row order for {}",
-                pair.id
-            );
+            let plan = explain(db, &pair.sql);
+            let (rs, stats) = execute_with_stats(db, &pair.sql)
+                .unwrap_or_else(|e| panic!("E18: gold query {} failed: {e}", pair.id));
             let k = ComplexityClass::all()
                 .iter()
                 .position(|c| *c == pair.class)
                 .expect("spider_like classifies every query");
             pass.queries[k] += 1;
-            pass.row_ticks[k] += row_stats.ticks;
-            pass.batch_ticks[k] += batch_stats.ticks;
-            pass.explains.push_str(&explain(db, &pair.sql).render());
+            pass.ticks[k] += stats.ticks;
+            pass.est_cost[k] += plan.est_cost;
+            pass.results.push(rs);
+            pass.explains.push_str(&plan.render());
         }
     }
     pass
 }
 
-/// E18 — engine equivalence and vectorization payoff. The batch
-/// engine (the default [`nlidb_engine::execute`]) must return exactly
-/// the oracle's rows — identical order *and* bag-equal — on every
-/// gold query of the full spider-like corpus, while spending fewer
-/// logical ticks on the join rung its hash paths vectorize. A second
-/// full pass (results, tick totals, and every `EXPLAIN` rendering) is
-/// asserted byte-identical to the first.
-pub fn e18_engine_equivalence(seed: u64) -> Table {
+/// E18 — what the engine's work costs against what `EXPLAIN` promised.
+/// Every gold query of the full spider-like corpus executes; per §3
+/// rung the table sets the logical ticks charged beside the summed
+/// catalog-only estimate that admission acts on. A second full pass
+/// (results, tick totals, and every `EXPLAIN` rendering) is asserted
+/// byte-identical to the first.
+pub fn e18_engine_cost(seed: u64) -> Table {
     let pass = engine_corpus_pass(seed);
     let rerun = engine_corpus_pass(seed);
     assert!(pass == rerun, "E18: rerun diverged");
-    let join = ComplexityClass::all()
-        .iter()
-        .position(|c| *c == ComplexityClass::MultiTableJoin)
-        .expect("ladder has a join rung");
-    assert!(
-        pass.batch_ticks[join] < pass.row_ticks[join],
-        "E18: batch engine must beat the row oracle on the join rung \
-         ({} >= {})",
-        pass.batch_ticks[join],
-        pass.row_ticks[join]
-    );
-    let mut t = Table::new([
-        "rung",
-        "queries",
-        "row ticks",
-        "batch ticks",
-        "batch/row",
-        "results",
-    ])
-    .title("E18 — engine equivalence (batch vs row-oracle ticks per §3 rung)");
+    let mut t = Table::new(["rung", "queries", "ticks", "est_cost", "ticks/est"])
+        .title("E18 — engine cost (ticks charged vs EXPLAIN estimate per §3 rung)");
+    let ratio = |ticks: u64, est: u64| format!("{:.2}×", ticks as f64 / est as f64);
     for (k, class) in ComplexityClass::all().iter().enumerate() {
         t.row([
             class.label().to_string(),
             pass.queries[k].to_string(),
-            pass.row_ticks[k].to_string(),
-            pass.batch_ticks[k].to_string(),
-            format!(
-                "{:.2}×",
-                pass.batch_ticks[k] as f64 / pass.row_ticks[k] as f64
-            ),
-            "identical".to_string(),
+            pass.ticks[k].to_string(),
+            pass.est_cost[k].to_string(),
+            ratio(pass.ticks[k], pass.est_cost[k]),
         ]);
     }
-    let (q, r, b) = (
+    let (q, ticks, est) = (
         pass.queries.iter().sum::<u64>(),
-        pass.row_ticks.iter().sum::<u64>(),
-        pass.batch_ticks.iter().sum::<u64>(),
+        pass.ticks.iter().sum::<u64>(),
+        pass.est_cost.iter().sum::<u64>(),
     );
     t.row([
         "all".to_string(),
         q.to_string(),
-        r.to_string(),
-        b.to_string(),
-        format!("{:.2}×", b as f64 / r as f64),
-        "rerun byte-identical".to_string(),
+        ticks.to_string(),
+        est.to_string(),
+        ratio(ticks, est),
     ]);
     t
 }

@@ -2,12 +2,17 @@
 //!
 //! [`explain`] walks the query AST against catalog row counts only —
 //! no data inspection, no RNG, no wall-clock — so the same (database,
-//! query) pair always renders the identical plan. Costs are quoted in
-//! the same logical-tick currency as the batch engine's cost model
-//! (vectorized operators amortize at `1 + n/64`, per-row fallbacks pay
-//! row rate), which makes `est_cost` a usable admission signal: `serve`
-//! sheds expensive plans first under pressure and enforces per-tenant
-//! cost ceilings against it (see `serve::TenantPolicy`).
+//! query) pair always renders the identical plan. `est_cost` is in the
+//! estimator's own units: a scan, filter, key, projection or
+//! de-duplication pass over `n` rows costs `1 + n/64`, while nested
+//! loops, aggregation and sorts pay one per row. No executor charges
+//! these units — [`crate::execute_with_stats`] counts one tick per
+//! operator application, and E18 sets the two side by side — but the
+//! estimate is deterministic and known before anything runs, which
+//! makes `est_cost` a usable admission signal: a cost ceiling passed
+//! to an ask refuses a plan whose estimate exceeds it before
+//! execution, and `serve`'s overload controller sheds repeats whose
+//! (positive) plan cost it has already learned.
 //!
 //! The estimator is a *total* function: unknown tables estimate as
 //! empty rather than erroring, so admission control never rejects a
@@ -192,7 +197,7 @@ fn source_estimate(db: &Database, source: &TableSource, lines: &mut Vec<String>)
 }
 
 /// Estimate `q` against `db`: cardinalities from catalog row counts and
-/// coarse selectivities, cost in batch-engine logical ticks.
+/// coarse selectivities, cost in the estimator's units (module docs).
 pub fn explain(db: &Database, q: &Query) -> Explain {
     let mut lines = Vec::new();
     let mut cost: u64 = 0;
@@ -252,7 +257,7 @@ pub fn explain(db: &Database, q: &Query) -> Explain {
         } else {
             scale_down(est, 3)
         };
-        // Vectorized grouping keys plus per-row aggregate evaluation.
+        // One pass per grouping key plus per-row aggregate evaluation.
         cost = cost
             .saturating_add(q.group_by.len() as u64 * vec_op(est))
             .saturating_add(est);

@@ -8,7 +8,7 @@ use nlidb_sqlir::ast::{AggFunc, BinOp, ColumnRef, Expr, Literal, Query, UnaryOp}
 
 use crate::catalog::Database;
 use crate::error::EngineError;
-use crate::exec::ResultSet;
+use crate::exec::{exec_query, ResultSet};
 use crate::value::Value;
 
 /// Column layout of a (possibly joined) relation: each binding is one
@@ -120,21 +120,17 @@ impl<'a> Scope<'a> {
     }
 }
 
-/// Sub-query dispatch used by the evaluator; implemented by the
-/// executor (`exec::ExecCtx`). Keyed caching of uncorrelated
-/// sub-queries lives behind this trait.
+/// State of one execution, shared by the executor and the evaluator:
+/// the database, the cache of uncorrelated sub-query results, and the
+/// tick counter.
 pub struct EvalCtx<'a> {
     /// The database queried.
     pub db: &'a Database,
     /// Cache of uncorrelated sub-query results keyed by AST address.
     pub sub_cache: RefCell<HashMap<usize, Option<ResultSet>>>,
-    /// Executor entry point (injected to avoid a module cycle).
-    pub exec: fn(&EvalCtx<'_>, &Query, Option<&Scope<'_>>) -> Result<ResultSet, EngineError>,
-    /// Logical work counter in *ticks*: one tick per row-wise operator
-    /// application, `1 + n/VECTOR_WIDTH` per vectorized column
-    /// operation (see [`crate::batch`]). Deterministic by construction
-    /// — no wall-clock — so tick totals are comparable across engines
-    /// and reproducible across runs.
+    /// Logical work counter in *ticks*: one per operator application.
+    /// Deterministic by construction — no wall-clock — so tick totals
+    /// are reproducible across runs.
     pub ticks: std::cell::Cell<u64>,
 }
 
@@ -151,17 +147,17 @@ impl<'a> EvalCtx<'a> {
         if let Some(cached) = self.sub_cache.borrow().get(&key) {
             match cached {
                 Some(rs) => return Ok(rs.clone()),
-                None => return (self.exec)(self, q, scope), // known correlated
+                None => return exec_query(self, q, scope), // known correlated
             }
         }
-        match (self.exec)(self, q, None) {
+        match exec_query(self, q, None) {
             Ok(rs) => {
                 self.sub_cache.borrow_mut().insert(key, Some(rs.clone()));
                 Ok(rs)
             }
             Err(EngineError::UnknownColumn(_)) if scope.is_some() => {
                 self.sub_cache.borrow_mut().insert(key, None);
-                (self.exec)(self, q, scope)
+                exec_query(self, q, scope)
             }
             Err(e) => Err(e),
         }
@@ -371,7 +367,7 @@ pub fn eval(ctx: &EvalCtx<'_>, expr: &Expr, scope: &Scope<'_>) -> Result<Value, 
     }
 }
 
-pub(crate) fn literal_value(l: &Literal) -> Value {
+fn literal_value(l: &Literal) -> Value {
     match l {
         Literal::Int(i) => Value::Int(*i),
         Literal::Float(f) => Value::Float(*f),
@@ -381,7 +377,7 @@ pub(crate) fn literal_value(l: &Literal) -> Value {
     }
 }
 
-pub(crate) fn binary_op(l: &Value, op: BinOp, r: &Value) -> Result<Value, EngineError> {
+fn binary_op(l: &Value, op: BinOp, r: &Value) -> Result<Value, EngineError> {
     use BinOp::*;
     match op {
         Eq => Ok(bool3(l.sql_eq(r))),

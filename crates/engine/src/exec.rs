@@ -1,4 +1,4 @@
-//! Query execution.
+//! Query execution, one row at a time.
 //!
 //! Pipeline: FROM → JOINs (hash join on equi-conjuncts, nested loop
 //! otherwise) → WHERE → GROUP BY/aggregate → HAVING → project →
@@ -88,28 +88,25 @@ impl ResultSet {
 /// Deterministic logical-work statistics for one execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecStats {
-    /// Logical ticks charged: one per row-wise operator application,
-    /// `1 + n/64` per vectorized column operation (batch engine).
+    /// Logical ticks charged: one per operator application — a row
+    /// scanned, probed, joined, de-duplicated or sorted, or one
+    /// expression node evaluated on one row.
     pub ticks: u64,
 }
 
-/// Execute `query` against `db` with the row-at-a-time reference
-/// engine. The default [`crate::execute`] entry point runs the batch
-/// engine; this one is kept as the semantics oracle (E18 asserts both
-/// agree over the full corpus).
-pub fn execute_rowwise(db: &Database, query: &Query) -> Result<ResultSet, EngineError> {
-    execute_rowwise_with_stats(db, query).map(|(rs, _)| rs)
+/// Execute `query` against `db`.
+pub fn execute(db: &Database, query: &Query) -> Result<ResultSet, EngineError> {
+    execute_with_stats(db, query).map(|(rs, _)| rs)
 }
 
-/// Row engine entry point that also reports logical tick counts.
-pub fn execute_rowwise_with_stats(
+/// [`execute`], also reporting the logical ticks the run charged.
+pub fn execute_with_stats(
     db: &Database,
     query: &Query,
 ) -> Result<(ResultSet, ExecStats), EngineError> {
     let ctx = EvalCtx {
         db,
         sub_cache: RefCell::new(HashMap::new()),
-        exec: exec_entry,
         ticks: std::cell::Cell::new(0),
     };
     let rs = exec_query(&ctx, query, None)?;
@@ -121,12 +118,13 @@ pub fn execute_rowwise_with_stats(
     ))
 }
 
-fn exec_entry(
-    ctx: &EvalCtx<'_>,
-    q: &Query,
-    scope: Option<&Scope<'_>>,
-) -> Result<ResultSet, EngineError> {
-    exec_query(ctx, q, scope)
+/// [`execute_with_stats`] under its former row-engine name, kept for
+/// the benchmark's traced mode, which still calls it.
+pub fn execute_rowwise_with_stats(
+    db: &Database,
+    query: &Query,
+) -> Result<(ResultSet, ExecStats), EngineError> {
+    execute_with_stats(db, query)
 }
 
 /// Materialized intermediate relation.
@@ -173,9 +171,9 @@ fn relation_of(
 }
 
 /// Split an ON condition into equi-join pairs (left index, right index)
-/// plus residual conjuncts. Returns `None` for the pairs when no
-/// equi-conjunct is found.
-pub(crate) fn split_equi(
+/// plus residual conjuncts. `pairs` stays empty when no equi-conjunct
+/// is found.
+fn split_equi(
     on: &Expr,
     left: &RelSchema,
     right: &RelSchema,
@@ -321,7 +319,7 @@ fn do_join(
 }
 
 /// Output column name for a select item.
-pub(crate) fn item_name(item: &SelectItem) -> String {
+fn item_name(item: &SelectItem) -> String {
     match item {
         SelectItem::Wildcard => "*".to_string(),
         SelectItem::Expr { expr, alias } => match alias {
@@ -334,7 +332,7 @@ pub(crate) fn item_name(item: &SelectItem) -> String {
     }
 }
 
-fn exec_query(
+pub(crate) fn exec_query(
     ctx: &EvalCtx<'_>,
     q: &Query,
     outer: Option<&Scope<'_>>,
@@ -557,15 +555,8 @@ mod tests {
         db
     }
 
-    /// Run through BOTH engines and insist on byte-identical results —
-    /// every unit test in this module doubles as a batch-vs-row
-    /// equivalence check.
     fn run(db: &Database, sql: &str) -> ResultSet {
-        let q = parse_query(sql).unwrap();
-        let row = execute_rowwise(db, &q).unwrap();
-        let batch = crate::batch::execute(db, &q).unwrap();
-        assert_eq!(row, batch, "batch engine diverged from row engine: {sql}");
-        row
+        execute(db, &parse_query(sql).unwrap()).unwrap()
     }
 
     #[test]
@@ -720,11 +711,7 @@ mod tests {
         let q =
             parse_query("SELECT name FROM people JOIN pets ON people.id = pets.owner_id").unwrap();
         assert!(matches!(
-            execute_rowwise(&db, &q),
-            Err(EngineError::AmbiguousColumn(_))
-        ));
-        assert!(matches!(
-            crate::batch::execute(&db, &q),
+            execute(&db, &q),
             Err(EngineError::AmbiguousColumn(_))
         ));
     }
@@ -829,8 +816,9 @@ mod tests {
     }
 
     /// Two-column tables whose values embed U+001F so the *joined*
-    /// key strings of non-matching rows coincide: `("a\u{1f}", "b")`
-    /// vs `("a", "\u{1f}b")`.
+    /// key strings of non-matching rows coincide once each value
+    /// carries its `group_key` tag (U+0003 for strings):
+    /// `("a\u{1f}\u{3}", "b")` vs `("a", "\u{1f}\u{3}b")`.
     fn unit_sep_db() -> Database {
         let mut db = Database::new("sep");
         db.create_table(
@@ -846,11 +834,15 @@ mod tests {
                 .column("tag", ColumnType::Text),
         )
         .unwrap();
-        db.insert("l", vec![Value::from("a\u{1f}"), Value::from("b")])
+        db.insert("l", vec![Value::from("a\u{1f}\u{3}"), Value::from("b")])
             .unwrap();
         db.insert(
             "r",
-            vec![Value::from("a"), Value::from("\u{1f}b"), Value::from("x")],
+            vec![
+                Value::from("a"),
+                Value::from("\u{1f}\u{3}b"),
+                Value::from("x"),
+            ],
         )
         .unwrap();
         db
@@ -870,7 +862,7 @@ mod tests {
     #[test]
     fn group_keys_do_not_collide_across_boundaries() {
         let mut db = unit_sep_db();
-        db.insert("l", vec![Value::from("a"), Value::from("\u{1f}b")])
+        db.insert("l", vec![Value::from("a"), Value::from("\u{1f}\u{3}b")])
             .unwrap();
         // Two distinct (k1, k2) pairs whose joined keys coincide must
         // stay two groups / two distinct rows.
@@ -917,14 +909,53 @@ mod tests {
     }
 
     #[test]
-    fn row_engine_reports_ticks() {
+    fn execution_reports_ticks() {
         let db = db();
         let q = parse_query("SELECT name FROM people WHERE age > 30").unwrap();
-        let (_, stats) = execute_rowwise_with_stats(&db, &q).unwrap();
+        let (_, stats) = execute_with_stats(&db, &q).unwrap();
         // 4-row scan + per-row predicate evaluation + projection.
         assert!(stats.ticks > 4, "ticks should count scan + eval work");
-        let (_, again) = execute_rowwise_with_stats(&db, &q).unwrap();
+        let (_, again) = execute_with_stats(&db, &q).unwrap();
         assert_eq!(stats, again, "tick accounting must be deterministic");
+    }
+
+    #[test]
+    fn and_short_circuits_past_an_erroring_arm() {
+        // `id LIKE` over an Int column errors, but only where the left
+        // arm leaves the conjunction undecided.
+        let db = db();
+        let rs = run(
+            &db,
+            "SELECT name FROM people WHERE city = 'nowhere' AND id LIKE 'x%'",
+        );
+        assert!(rs.rows.is_empty());
+        let q =
+            parse_query("SELECT name FROM people WHERE city = 'austin' AND id LIKE 'x%'").unwrap();
+        assert_eq!(
+            execute(&db, &q),
+            Err(EngineError::InvalidExpression(
+                "LIKE applied to Int(1)".into()
+            ))
+        );
+    }
+
+    #[test]
+    fn unknown_column_over_an_empty_table_is_never_resolved() {
+        // Expressions are evaluated per row, so over zero rows a
+        // misspelled column goes unnoticed and the answer is empty.
+        let mut db = Database::new("e");
+        db.create_table(TableSchema::new("t").column("v", ColumnType::Int))
+            .unwrap();
+        let q = parse_query("SELECT v FROM t WHERE ghost > 1").unwrap();
+        let rs = execute(&db, &q).unwrap();
+        assert_eq!(rs.columns, vec!["v"]);
+        assert!(rs.rows.is_empty());
+        // One row is enough to surface it.
+        db.insert("t", vec![Value::Int(1)]).unwrap();
+        assert_eq!(
+            execute(&db, &q),
+            Err(EngineError::UnknownColumn("ghost".into()))
+        );
     }
 
     #[test]

@@ -14,19 +14,16 @@
 //! including correlated forms — i.e. all four rungs of the survey's
 //! complexity ladder.
 //!
-//! Design: deterministic and single-threaded, with **two engines over
-//! one semantics**. The default [`execute`] runs the batch-vectorized
-//! columnar engine ([`batch`]): relations flow as column vectors,
-//! predicates/projections evaluate column-at-a-time, and hash join /
-//! hash aggregation key on vectorized per-column strings. The original
-//! row-at-a-time volcano-lite engine survives as [`execute_rowwise`]
-//! — the semantics oracle the batch engine is asserted row-identical
-//! to (experiment E18).
-//! Hash joins are used for equi-join conjuncts; anything else falls
-//! back to nested loops. [`cost`] estimates cardinality and logical
-//! cost per plan ([`explain`]), feeding cost-aware admission upstream.
+//! Design: deterministic and single-threaded, with **one executor**.
+//! [`execute`] runs a row-at-a-time, volcano-lite pipeline ([`exec`])
+//! and [`execute_with_stats`] also reports the logical ticks it
+//! charged: one per operator application. Hash joins are used for
+//! equi-join conjuncts, keyed per column so no separator byte inside a
+//! value can shift a key boundary; anything else falls back to nested
+//! loops. [`cost`] estimates cardinality and logical cost per plan
+//! ([`explain`]) from the catalog alone, feeding cost-aware admission
+//! upstream; E18 sets its estimates beside the ticks actually charged.
 
-pub mod batch;
 pub mod catalog;
 pub mod cost;
 pub mod error;
@@ -34,11 +31,10 @@ pub mod eval;
 pub mod exec;
 pub mod value;
 
-pub use batch::{execute, execute_with_stats};
 pub use catalog::{Column, ColumnType, Database, ForeignKey, Table, TableSchema};
 pub use cost::{explain, Explain};
 pub use error::EngineError;
-pub use exec::{execute_rowwise, execute_rowwise_with_stats, ExecStats, ResultSet};
+pub use exec::{execute, execute_rowwise_with_stats, execute_with_stats, ExecStats, ResultSet};
 pub use value::Value;
 
 #[cfg(test)]

@@ -740,9 +740,9 @@ mod tests {
             db.insert("patients", vec![Value::Int(i), Value::from("Austin")])
                 .unwrap();
         }
-        // Cost model vectorizes at 64-row granularity; the doctor side
-        // must clear several batches for the two readings to price
-        // differently.
+        // The estimator prices a pass over n rows at 1 + n/64; the
+        // doctor side must span several 64-row steps for the two
+        // readings to price differently.
         for i in 0..500i64 {
             db.insert("doctors", vec![Value::Int(i), Value::from("Austin")])
                 .unwrap();

@@ -34,7 +34,7 @@ pub mod token;
 pub use hash::{fnv1a, FNV1A_OFFSET};
 pub use lexicon::{Lexicon, LexiconBuilder};
 pub use literal::{parse_date, parse_number, ComparisonCue, DateValue};
-pub use similarity::{jaro_winkler, mention_score, ngram_dice, token_set_ratio};
+pub use similarity::mention_score;
 pub use stem::porter_stem;
 pub use stopwords::is_stopword;
 pub use token::{tokenize, Span, Token, TokenKind};

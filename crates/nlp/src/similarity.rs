@@ -54,12 +54,7 @@ fn jaro(a: &str, b: &str) -> f64 {
 
 /// Jaro-Winkler similarity in `[0, 1]` with the standard prefix scale
 /// of 0.1 over at most 4 common leading characters.
-///
-/// ```
-/// let s = nlidb_nlp::jaro_winkler("customer", "customers");
-/// assert!(s > 0.95);
-/// ```
-pub fn jaro_winkler(a: &str, b: &str) -> f64 {
+fn jaro_winkler(a: &str, b: &str) -> f64 {
     let j = jaro(a, b);
     let prefix = a
         .chars()
@@ -74,7 +69,7 @@ pub fn jaro_winkler(a: &str, b: &str) -> f64 {
 ///
 /// Strings shorter than `n` compare by equality. Uses sorted gram
 /// vectors with two-pointer intersection (no hashing needed).
-pub fn ngram_dice(a: &str, b: &str, n: usize) -> f64 {
+fn ngram_dice(a: &str, b: &str, n: usize) -> f64 {
     let grams = |s: &str| -> Vec<String> {
         let chars: Vec<char> = s.chars().collect();
         if chars.len() < n {
@@ -104,7 +99,7 @@ pub fn ngram_dice(a: &str, b: &str, n: usize) -> f64 {
 /// Token-set overlap ratio in `[0, 1]`: `|A ∩ B| / max(|A|, |B|)` over
 /// whitespace-split, lowercased tokens. Good for multi-word mentions
 /// where order differs ("sales total" vs "total sales").
-pub fn token_set_ratio(a: &str, b: &str) -> f64 {
+fn token_set_ratio(a: &str, b: &str) -> f64 {
     let set = |s: &str| -> Vec<String> {
         let mut v: Vec<String> = s.split_whitespace().map(|w| w.to_lowercase()).collect();
         v.sort_unstable();
@@ -132,6 +127,7 @@ pub fn mention_score(mention: &str, candidate: &str) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn jaro_winkler_reference() {
@@ -147,6 +143,11 @@ mod tests {
     fn jaro_winkler_identity_and_disjoint() {
         assert_eq!(jaro_winkler("same", "same"), 1.0);
         assert_eq!(jaro_winkler("abc", "xyz"), 0.0);
+    }
+
+    #[test]
+    fn jaro_winkler_rewards_a_shared_prefix() {
+        assert!(jaro_winkler("customer", "customers") > 0.95);
     }
 
     #[test]
@@ -190,6 +191,34 @@ mod tests {
             ] {
                 assert!((0.0..=1.0).contains(&s), "{a} vs {b} gave {s}");
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn similarities_in_unit_interval(a in "[a-z ]{0,12}", b in "[a-z ]{0,12}") {
+            for s in [
+                jaro_winkler(&a, &b),
+                ngram_dice(&a, &b, 2),
+                ngram_dice(&a, &b, 3),
+                token_set_ratio(&a, &b),
+            ] {
+                prop_assert!((0.0..=1.0).contains(&s), "{a:?} vs {b:?}: {s}");
+            }
+        }
+
+        #[test]
+        fn jaro_winkler_identity(a in "[a-z]{1,12}") {
+            prop_assert!((jaro_winkler(&a, &a) - 1.0).abs() < 1e-12);
+        }
+
+        #[test]
+        fn jaro_winkler_symmetric(a in "[a-z]{0,10}", b in "[a-z]{0,10}") {
+            // Jaro is symmetric; the Winkler prefix bonus uses the common
+            // prefix, also symmetric.
+            prop_assert!((jaro_winkler(&a, &b) - jaro_winkler(&b, &a)).abs() < 1e-12);
         }
     }
 }

@@ -106,7 +106,6 @@ pub use loadgen::{
 pub use lru::LruCache;
 pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use obs::ServeObs;
-pub use retry::CircuitBreaker;
 pub use server::{
     normalize_question, Admission, Completion, Disposition, OverloadPolicy, RequestHook, Server,
     ServerConfig,

@@ -45,7 +45,7 @@ enum BreakerState {
 /// allowed through; its outcome decides between closing and
 /// re-opening.
 #[derive(Debug, Clone)]
-pub struct CircuitBreaker {
+pub(crate) struct CircuitBreaker {
     state: BreakerState,
     consecutive_failures: u32,
     trips: u64,
@@ -124,11 +124,13 @@ impl CircuitBreaker {
     }
 
     /// Times the circuit has opened.
+    #[cfg(test)]
     pub fn trips(&self) -> u64 {
         self.trips
     }
 
     /// Whether the breaker is currently turning requests away.
+    #[cfg(test)]
     pub fn is_open(&self) -> bool {
         matches!(self.state, BreakerState::Open { .. })
     }

@@ -6,7 +6,7 @@
 # Mirrors the acceptance bar for every PR: release build, full test
 # suite, the perfbench self-test, clippy at zero warnings, rustfmt
 # check, warning-free rustdoc, no public function without a non-test
-# caller, every example run to completion. The workspace vendors its two
+# caller, no clock in library code, every example run to completion. The workspace vendors its two
 # dependencies (crates/compat/*), so everything runs with --offline and
 # no registry access, and with --locked, so a dependency edge that
 # leaves Cargo.lock stale fails the gate instead of rewriting the lock.
@@ -39,6 +39,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --locked
 
 echo "== dead public API (scripts/dead_api_allowlist.txt) =="
 python3 scripts/check_dead_api.py
+
+# Library code is deterministic: it counts logical ticks and never
+# reads a clock. Only the bench binaries (experiments, soak) time
+# their runs, so every artifact built from the libraries replays
+# byte-identically.
+echo "== no clock in library code =="
+if git grep -nE '\b(Instant|SystemTime)\b|std::time' -- \
+  'crates/*/src/*.rs' 'src/*.rs' ':!crates/bench/src/bin/*'; then
+  echo "library code reads a clock (lines above); time runs in crates/bench/src/bin only"
+  exit 1
+fi
 
 # `cargo test` only compiles the examples; run each one, so an example
 # that panics or exits non-zero fails the gate.
