@@ -2211,7 +2211,7 @@ const E20_REQUESTS: usize = 100_000;
 /// latency sketch percentiles, rolling signature digest — are
 /// asserted byte-identical. The overload regime additionally proves
 /// robustness, not collapse: episodes open under pressure and every
-/// one closes at a drain; shedding targets learned-expensive repeats;
+/// one closes at a drain; shedding targets already-answered repeats;
 /// and an audited replay shows each *served* answer byte-identical to
 /// an unloaded closed-loop oracle — overload changes which requests
 /// get answered, never what an answer says.

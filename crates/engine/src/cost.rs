@@ -8,14 +8,14 @@
 //! loops, aggregation and sorts pay one per row. No executor charges
 //! these units — [`crate::execute_with_stats`] counts one tick per
 //! operator application, and E18 sets the two side by side — but the
-//! estimate is deterministic and known before anything runs, which
-//! makes `est_cost` a usable admission signal: a cost ceiling passed
-//! to an ask refuses a plan whose estimate exceeds it before
-//! execution, and `serve`'s overload controller sheds repeats whose
-//! (positive) plan cost it has already learned.
+//! estimate is deterministic and known before anything runs. A cost
+//! ceiling passed to an ask refuses a plan whose estimate exceeds it
+//! before execution, and the pipeline's execute span records the
+//! plan's shape, `est_cost` and `est_rows`. No serving decision reads
+//! the estimate.
 //!
 //! The estimator is a *total* function: unknown tables estimate as
-//! empty rather than erroring, so admission control never rejects a
+//! empty rather than erroring, so a cost ceiling never refuses a
 //! query the engine could have answered with a proper error.
 
 use nlidb_sqlir::ast::{BinOp, Expr, JoinKind, Query, SelectItem, TableSource};

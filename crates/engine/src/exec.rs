@@ -2,8 +2,8 @@
 //!
 //! Pipeline: FROM → JOINs (hash join on equi-conjuncts, nested loop
 //! otherwise) → WHERE → GROUP BY/aggregate → HAVING → project →
-//! DISTINCT → ORDER BY → LIMIT. Sub-queries execute through
-//! [`EvalCtx::subquery`], which caches uncorrelated results.
+//! DISTINCT → ORDER BY → LIMIT. Sub-queries execute through the
+//! evaluator's `EvalCtx::subquery`, which caches uncorrelated results.
 
 use std::cell::RefCell;
 use std::collections::HashMap;

@@ -21,13 +21,15 @@
 //! equi-join conjuncts, keyed per column so no separator byte inside a
 //! value can shift a key boundary; anything else falls back to nested
 //! loops. [`cost`] estimates cardinality and logical cost per plan
-//! ([`explain`]) from the catalog alone, feeding cost-aware admission
-//! upstream; E18 sets its estimates beside the ticks actually charged.
+//! ([`explain`]) from the catalog alone: the pipeline refuses a plan
+//! over an ask's cost ceiling before executing it and records the
+//! estimate on its execute span, and E18 sets the estimates beside
+//! the ticks actually charged.
 
 pub mod catalog;
 pub mod cost;
 pub mod error;
-pub mod eval;
+mod eval;
 pub mod exec;
 pub mod value;
 

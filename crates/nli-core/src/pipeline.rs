@@ -1,7 +1,7 @@
 //! The one-call facade: build every index and interpreter for a
 //! database, ask questions, get executed answers.
 
-use nlidb_engine::{execute, explain, Database, Explain, ResultSet};
+use nlidb_engine::{execute, explain, Database, ResultSet};
 use nlidb_nlp::Lexicon;
 use nlidb_obs::TraceBuilder;
 use nlidb_ontology::{generate_ontology, JoinGraph, Ontology};
@@ -62,9 +62,6 @@ pub struct Answer {
     pub result: ResultSet,
     /// The winning interpretation (confidence + explanation).
     pub interpretation: Interpretation,
-    /// Deterministic pre-execution plan estimate (shape, cardinality,
-    /// logical cost) — what cost-aware admission reasoned about.
-    pub explain: Explain,
 }
 
 /// Clarification margin the approved path uses to flag close
@@ -346,7 +343,6 @@ impl NliPipeline {
                 query: interp.sql.clone(),
                 result,
                 interpretation: interp,
-                explain: plan,
             };
             Ok((answer, report))
         };
@@ -982,13 +978,18 @@ mod tests {
                 Some(&mut tb),
             )
             .unwrap();
-        assert_eq!(a.explain.shape, a.query.shape());
+        let plan = explain(&db, &a.query);
+        assert_eq!(plan.shape, a.query.shape());
         let t = tb.finish();
         let exec = t.spans_named("execute").next().unwrap();
-        assert_eq!(exec.attr("plan_shape"), Some(a.explain.shape.as_str()));
+        assert_eq!(exec.attr("plan_shape"), Some(plan.shape.as_str()));
         assert_eq!(
             exec.attr("est_cost"),
-            Some(a.explain.est_cost.to_string().as_str())
+            Some(plan.est_cost.to_string().as_str())
+        );
+        assert_eq!(
+            exec.attr("est_rows"),
+            Some(plan.est_rows.to_string().as_str())
         );
 
         // Ceiling zero refuses every plan, before the execute span.

@@ -26,7 +26,9 @@
 //!   [`Histogram`]s over logical values, with *exact* percentile
 //!   queries (one bucket per value up to a cap, saturating above it),
 //!   plus the bounded-memory [`SketchHistogram`] (65 fixed log₂
-//!   buckets, mergeable, never clamps) for soak-scale latency folds.
+//!   buckets and a count, mergeable, never clamps): a plain
+//!   single-writer value, the one sketch both the soak report's
+//!   latency fold and every windowed histogram use.
 //! * [`sink`] — a bounded [`TraceSink`] collecting finished traces from
 //!   concurrent workers. Retention and JSONL export depend only on the
 //!   set of trace ids pushed, never on arrival interleaving, so two
@@ -46,14 +48,17 @@
 //!   run.
 //! * [`timeseries`] — the time dimension: [`WindowedCounter`] /
 //!   [`WindowedHistogram`] bucket observations into fixed-width
-//!   logical-tick windows in a bounded ring (evicted windows fold
-//!   into totals, so window sums reconcile exactly with cumulative
-//!   counters), and a [`WindowedScope`] renders the resulting window
+//!   logical-tick windows of one bounded ring, generic over what a
+//!   window holds (a count or a sketch). Evicted windows fold into
+//!   totals, so window sums reconcile exactly with cumulative
+//!   counters, and a [`WindowedScope`] renders the resulting window
 //!   matrix canonically — E21's substrate.
 //! * [`slo`] — the deterministic [`SloEngine`]: per-objective
-//!   error-budget burn rates over short+long window pairs, firing and
-//!   clearing [`HealthEvent`]s that replay byte-identically and
-//!   travel as ordinary traces (root span `health`) in the sink.
+//!   error-budget burn rates over short+long window pairs, returning
+//!   numbered fire/clear [`HealthEvent`]s that replay byte-identically
+//!   and travel as ordinary traces (root span `health`) in the sink.
+//!   The engine keeps no event log; its caller (the serving health
+//!   hub) keeps the one log.
 
 pub mod clock;
 pub mod export;
@@ -70,15 +75,12 @@ pub use export::{chrome_trace_json, folded_stacks};
 pub use jsonl::{parse_jsonl, parse_trace, ParseError};
 pub use metrics::{
     Counter, Histogram, HistogramSummary, MetricsRegistry, MetricsReport, SketchHistogram,
-    SKETCH_BUCKETS,
 };
 pub use profile::{
     attr_cost_breakdown, critical_path, critical_path_cost, tail_attribution, AttrBucket, Profile,
     ProfileDiff, StageDelta, StageProfile, TailAttribution,
 };
 pub use sink::TraceSink;
-pub use slo::{
-    BurnSample, HealthEvent, HealthEventKind, SloEngine, SloKind, SloPolicy, HEALTH_TRACE_BASE,
-};
+pub use slo::{HealthEvent, HealthEventKind, SloEngine, SloKind, SloPolicy, HEALTH_TRACE_BASE};
 pub use span::{Span, SpanId, Trace, TraceBuilder};
 pub use timeseries::{WindowedCounter, WindowedHistogram, WindowedScope};

@@ -91,8 +91,8 @@ impl Histogram {
     /// all saturate at `cap`, with the excess visible only through
     /// [`Histogram::clamped`]. A [`SketchHistogram`] never clamps —
     /// the same observation lands in a log₂ bucket whose upper bound
-    /// may overestimate it, but its count, full-range position, and
-    /// (saturating) raw sum survive. Drivers whose values can exceed
+    /// may overestimate it, but its count and full-range position
+    /// survive. Drivers whose values can exceed
     /// any affordable cap (open-loop soak latencies) should fold into
     /// the sketch; everything E12–E19 renders stays on the exact kind.
     pub fn observe(&self, value: u64) {
@@ -205,27 +205,26 @@ pub struct HistogramSummary {
 /// Number of buckets in a [`SketchHistogram`]: bucket 0 holds the
 /// value 0, bucket `k ≥ 1` holds values in `[2^(k-1), 2^k - 1]`, so 65
 /// buckets cover all of `u64` with no clamping.
-pub const SKETCH_BUCKETS: usize = 65;
+const SKETCH_BUCKETS: usize = 65;
 
 /// A bounded-memory, mergeable log₂-bucketed histogram over `u64`.
 ///
 /// The soak-scale counterpart of [`Histogram`] (see the module docs
-/// for the trade): 65 fixed buckets, every observation recorded,
-/// nothing clamped, constant memory whatever the value range.
-/// Percentiles are *bucket-resolution*: nearest-rank over the bucket
-/// counts, reported as the matched bucket's inclusive upper bound —
-/// an overestimate of the true percentile by strictly less than 2×
-/// (exact for 0, 1, and 2). `sum` accumulates the *raw* observed
-/// values, saturating at `u64::MAX` rather than wrapping.
+/// for the trade): 65 fixed buckets plus a count, every observation
+/// recorded, nothing clamped, constant memory whatever the value
+/// range. Percentiles are *bucket-resolution*: nearest-rank over the
+/// bucket counts, reported as the matched bucket's inclusive upper
+/// bound — an overestimate of the true percentile by strictly less
+/// than 2× (exact for 0, 1, and 2).
 ///
-/// Two sketches with identical bucket layout (always — the layout is
-/// fixed) merge by bucket-wise addition, so per-shard sketches can be
-/// folded into one fleet-wide distribution without storing a single
-/// observation.
-#[derive(Debug)]
+/// A plain value with one writer (the open-loop submitter, or the
+/// window that owns it); every add saturates. Two sketches merge by
+/// bucket-wise addition, so per-window sketches fold into one
+/// distribution without storing a single observation.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SketchHistogram {
-    buckets: Vec<AtomicU64>,
-    sum: AtomicU64,
+    buckets: [u64; SKETCH_BUCKETS],
+    count: u64,
 }
 
 impl Default for SketchHistogram {
@@ -235,7 +234,7 @@ impl Default for SketchHistogram {
 }
 
 /// Bucket index of `value`: 0 for 0, else `1 + floor(log2 value)`.
-pub(crate) fn sketch_bucket(value: u64) -> usize {
+fn sketch_bucket(value: u64) -> usize {
     match value {
         0 => 0,
         v => 64 - v.leading_zeros() as usize,
@@ -244,7 +243,7 @@ pub(crate) fn sketch_bucket(value: u64) -> usize {
 
 /// Inclusive upper bound of sketch bucket `index` (its reported
 /// representative value): 0 for bucket 0, else `2^index - 1`.
-pub(crate) fn sketch_bucket_top(index: usize) -> u64 {
+fn sketch_bucket_top(index: usize) -> u64 {
     match index {
         0 => 0,
         64 => u64::MAX,
@@ -256,100 +255,51 @@ impl SketchHistogram {
     /// An empty sketch.
     pub fn new() -> SketchHistogram {
         SketchHistogram {
-            buckets: (0..SKETCH_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            sum: AtomicU64::new(0),
+            buckets: [0; SKETCH_BUCKETS],
+            count: 0,
         }
     }
 
-    /// Record one observation. Never clamps; the raw value is added to
-    /// `sum` (saturating), the count lands in the value's log₂ bucket.
-    pub fn observe(&self, value: u64) {
-        self.buckets[sketch_bucket(value)].fetch_add(1, Ordering::Relaxed);
-        let _ = self
-            .sum
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
-                Some(s.saturating_add(value))
-            });
+    /// Record one observation in its log₂ bucket. Never clamps.
+    pub fn observe(&mut self, value: u64) {
+        let bucket = &mut self.buckets[sketch_bucket(value)];
+        *bucket = bucket.saturating_add(1);
+        self.count = self.count.saturating_add(1);
     }
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Saturating sum of the raw observed values (pre-bucketing — the
-    /// sketch's sum is exact where the exact histogram's is clamped).
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+        self.count
     }
 
     /// Bucket-resolution nearest-rank percentile: the upper bound of
     /// the bucket holding the nearest-rank observation. `None` when
     /// empty.
     pub fn percentile(&self, p: f64) -> Option<u64> {
-        let buckets = self.bucket_snapshot();
-        sketch_percentile_of(&buckets, p)
-    }
-
-    /// Fold `other` into `self`, bucket by bucket (sum saturates).
-    /// Merging is exact: the merged sketch is byte-identical to one
-    /// that observed both input streams directly.
-    pub fn merge(&self, other: &SketchHistogram) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
+        if self.count == 0 {
+            return None;
         }
-        let _ = self
-            .sum
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
-                Some(s.saturating_add(other.sum()))
-            });
-    }
-
-    /// One relaxed read of every bucket.
-    fn bucket_snapshot(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Freeze into a [`HistogramSummary`] (one bucket snapshot, so the
-    /// summary is internally consistent under concurrent observers,
-    /// like the exact histogram's). `clamped` is always 0 — a sketch
-    /// never clamps — and min/max/percentiles are bucket upper bounds.
-    pub fn summary(&self) -> HistogramSummary {
-        let buckets = self.bucket_snapshot();
-        let count: u64 = buckets.iter().sum();
-        HistogramSummary {
-            count,
-            sum: self.sum(),
-            clamped: 0,
-            min: sketch_percentile_of(&buckets, 0.0).unwrap_or(0),
-            max: sketch_percentile_of(&buckets, 100.0).unwrap_or(0),
-            p50: sketch_percentile_of(&buckets, 50.0).unwrap_or(0),
-            p95: sketch_percentile_of(&buckets, 95.0).unwrap_or(0),
-            p99: sketch_percentile_of(&buckets, 99.0).unwrap_or(0),
+        let p = p.clamp(0.0, 100.0);
+        let rank = ((p / 100.0 * self.count as f64).ceil() as u64).max(1);
+        let mut cumulative = 0u64;
+        for (k, &b) in self.buckets.iter().enumerate() {
+            cumulative = cumulative.saturating_add(b);
+            if cumulative >= rank {
+                return Some(sketch_bucket_top(k));
+            }
         }
+        None // unreachable: cumulative reaches the count
     }
-}
 
-/// Nearest-rank percentile over frozen sketch buckets, reported as the
-/// matched bucket's upper bound.
-pub(crate) fn sketch_percentile_of(buckets: &[u64], p: f64) -> Option<u64> {
-    let n: u64 = buckets.iter().sum();
-    if n == 0 {
-        return None;
-    }
-    let p = p.clamp(0.0, 100.0);
-    let rank = ((p / 100.0 * n as f64).ceil() as u64).max(1);
-    let mut cumulative = 0u64;
-    for (k, &b) in buckets.iter().enumerate() {
-        cumulative += b;
-        if cumulative >= rank {
-            return Some(sketch_bucket_top(k));
+    /// Fold `other` into `self`, bucket by bucket (saturating).
+    /// Merging is exact: the merged sketch equals one that observed
+    /// both input streams directly.
+    pub fn merge(&mut self, other: &SketchHistogram) {
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine = mine.saturating_add(*theirs);
         }
+        self.count = self.count.saturating_add(other.count);
     }
-    None // unreachable: cumulative reaches n
 }
 
 /// Default histogram cap for registries: trace-tick costs and queue
@@ -680,12 +630,11 @@ mod tests {
             );
         }
         for mut values in streams {
-            let s = SketchHistogram::new();
+            let mut s = SketchHistogram::new();
             for &v in &values {
                 s.observe(v);
             }
             assert_eq!(s.count(), values.len() as u64);
-            assert_eq!(s.sum(), values.iter().sum::<u64>());
             values.sort_unstable();
             for p in [0.0, 10.0, 50.0, 90.0, 95.0, 99.0, 99.9, 100.0] {
                 // Nearest-rank exact percentile over the sorted values.
@@ -707,7 +656,7 @@ mod tests {
         // its cap; the sketch records the same stream with no clamping
         // and a bucket-resolution (≤ 2×) tail instead.
         let exact = Histogram::with_cap(4);
-        let sketch = SketchHistogram::new();
+        let mut sketch = SketchHistogram::new();
         for v in [3u64, 4, 100, u64::MAX] {
             exact.observe(v);
             sketch.observe(v);
@@ -715,16 +664,15 @@ mod tests {
         assert_eq!(exact.clamped(), 2);
         assert_eq!(exact.percentile(100.0), Some(4), "tail truncated at cap");
         assert_eq!(exact.sum(), 3 + 4 + 4 + 4, "sum is post-clamp");
-        assert_eq!(sketch.summary().clamped, 0, "a sketch never clamps");
+        assert_eq!(sketch.count(), 4, "a sketch never clamps");
         assert_eq!(sketch.percentile(100.0), Some(u64::MAX), "tail survives");
-        assert_eq!(sketch.sum(), u64::MAX, "raw sum, saturating");
     }
 
     #[test]
     fn sketch_merge_equals_observing_both_streams() {
-        let a = SketchHistogram::new();
-        let b = SketchHistogram::new();
-        let both = SketchHistogram::new();
+        let mut a = SketchHistogram::new();
+        let mut b = SketchHistogram::new();
+        let mut both = SketchHistogram::new();
         for v in [0u64, 1, 5, 5, 900] {
             a.observe(v);
             both.observe(v);
@@ -734,24 +682,19 @@ mod tests {
             both.observe(v);
         }
         a.merge(&b);
-        assert_eq!(a.count(), both.count());
-        assert_eq!(a.sum(), both.sum());
-        assert_eq!(a.summary(), both.summary());
+        assert_eq!(a, both);
         for p in [0.0, 25.0, 50.0, 75.0, 99.0, 100.0] {
             assert_eq!(a.percentile(p), both.percentile(p), "p{p}");
         }
     }
 
     #[test]
-    fn empty_sketch_has_no_percentiles_and_zero_summary() {
+    fn empty_sketch_has_no_percentiles() {
         let s = SketchHistogram::new();
         assert_eq!(s.count(), 0);
-        assert_eq!(s.percentile(50.0), None);
-        let sum = s.summary();
-        assert_eq!(
-            (sum.count, sum.sum, sum.min, sum.max, sum.p50),
-            (0, 0, 0, 0, 0)
-        );
+        for p in [0.0, 50.0, 100.0] {
+            assert_eq!(s.percentile(p), None, "p{p}");
+        }
     }
 
     #[test]
@@ -785,7 +728,7 @@ mod tests {
         // p=0.0 and p=1.0 both resolve to rank 1 (nearest-rank takes
         // max(ceil(p/100·n), 1)): the smallest observation's bucket
         // top, not zero and not a panic.
-        let s = SketchHistogram::new();
+        let mut s = SketchHistogram::new();
         for v in [6u64, 6, 6, 900] {
             s.observe(v);
         }
@@ -797,7 +740,7 @@ mod tests {
         assert_eq!(s.percentile(250.0), s.percentile(100.0));
 
         // Single-bucket stream: every percentile is that bucket's top.
-        let single = SketchHistogram::new();
+        let mut single = SketchHistogram::new();
         for _ in 0..50 {
             single.observe(5); // bucket 3, top 7
         }
@@ -805,14 +748,14 @@ mod tests {
             assert_eq!(single.percentile(p), Some(7), "p{p}");
         }
         // Zero-only stream: bucket 0's top is exactly 0.
-        let zeros = SketchHistogram::new();
+        let mut zeros = SketchHistogram::new();
         zeros.observe(0);
         assert_eq!(zeros.percentile(100.0), Some(0));
 
         // Post-merge percentiles keep the edge behavior: merging an
         // empty sketch changes nothing, and p0/p100 of a merged
         // sketch span both input streams.
-        let merged = SketchHistogram::new();
+        let mut merged = SketchHistogram::new();
         merged.merge(&SketchHistogram::new());
         assert_eq!(merged.percentile(50.0), None, "empty ∪ empty = empty");
         merged.merge(&s);
@@ -825,7 +768,7 @@ mod tests {
     #[test]
     fn sketch_merge_is_commutative() {
         let fill = |values: &[u64]| {
-            let s = SketchHistogram::new();
+            let mut s = SketchHistogram::new();
             for &v in values {
                 s.observe(v);
             }
@@ -833,11 +776,11 @@ mod tests {
         };
         let xs = [0u64, 1, 7, 7, 300, 1 << 50];
         let ys = [2u64, 9, 1024, u64::MAX];
-        let ab = fill(&xs);
+        let mut ab = fill(&xs);
         ab.merge(&fill(&ys));
-        let ba = fill(&ys);
+        let mut ba = fill(&ys);
         ba.merge(&fill(&xs));
-        assert_eq!(ab.summary(), ba.summary());
+        assert_eq!(ab, ba);
         for p in [0.0, 1.0, 50.0, 95.0, 100.0] {
             assert_eq!(ab.percentile(p), ba.percentile(p), "p{p}");
         }

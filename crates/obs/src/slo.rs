@@ -20,11 +20,10 @@
 //!   memory; requiring it to drain before clearing would hold alerts
 //!   long after recovery).
 //! * Evaluation happens at explicit ticks the caller chooses (the
-//!   serving layer evaluates at each drain), so the event log is a
+//!   serving layer evaluates at each drain), so the events are a
 //!   pure function of the fed stream — run twice, byte-identical.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use crate::clock::ManualClock;
@@ -111,7 +110,7 @@ impl HealthEventKind {
 /// One fire/clear transition, with the window evidence that caused it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthEvent {
-    /// Position in the engine's event log (0-based, dense).
+    /// Position among the engine's events (0-based, dense).
     pub seq: u64,
     /// Objective name from the policy.
     pub objective: String,
@@ -132,8 +131,9 @@ pub struct HealthEvent {
 }
 
 impl HealthEvent {
-    /// Canonical one-line rendering (what
-    /// [`SloEngine::render_events`] concatenates).
+    /// Canonical one-line rendering: one line of the serving health
+    /// hub's event log, and what `tracetool health` rebuilds from the
+    /// event's trace.
     pub fn render(&self) -> String {
         format!(
             "health seq={} objective={} event={} window=w{} tick={} short_burn={} ({}/{}) long_burn={} ({}/{})",
@@ -187,25 +187,27 @@ struct ObjectiveState {
 
 /// Burn evidence over one span of windows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BurnSample {
+struct BurnSample {
     /// Burn rate ×1000 (0 when the span saw no traffic).
-    pub burn_milli: u64,
+    burn_milli: u64,
     /// Bad observations in the span.
-    pub bad: u64,
+    bad: u64,
     /// Total observations in the span.
-    pub total: u64,
+    total: u64,
 }
 
 /// A deterministic multi-objective SLO engine over windowed good/bad
 /// counters. Feed with [`SloEngine::record`], evaluate at explicit
-/// ticks with [`SloEngine::evaluate`]; the accumulated event log and
-/// its rendering are pure functions of those calls.
+/// ticks with [`SloEngine::evaluate`]; the events it returns are pure
+/// functions of those calls. The engine keeps no event log, only the
+/// next event's sequence number: the caller logs what it is handed.
 #[derive(Debug, Clone)]
 pub struct SloEngine {
     width: u64,
     capacity: usize,
     objectives: BTreeMap<String, ObjectiveState>,
-    events: Vec<HealthEvent>,
+    /// `seq` of the next event.
+    next_seq: u64,
 }
 
 impl SloEngine {
@@ -219,7 +221,7 @@ impl SloEngine {
             width,
             capacity,
             objectives: BTreeMap::new(),
-            events: Vec::new(),
+            next_seq: 0,
         }
     }
 
@@ -243,11 +245,6 @@ impl SloEngine {
         };
         self.objectives
             .insert(state.policy.objective.clone(), state);
-    }
-
-    /// Registered policies, in objective-name order.
-    pub fn policies(&self) -> Vec<&SloPolicy> {
-        self.objectives.values().map(|s| &s.policy).collect()
     }
 
     /// Record `good`/`bad` observations for `objective` at `tick`.
@@ -283,21 +280,6 @@ impl SloEngine {
         }
     }
 
-    /// Burn over the last `span` windows of `objective` (None for an
-    /// unknown objective).
-    pub fn burn(&self, objective: &str, span: u64) -> Option<BurnSample> {
-        self.objectives
-            .get(objective)
-            .map(|s| SloEngine::burn_of(s, span))
-    }
-
-    /// Burn over the policy's short span.
-    pub fn short_burn_milli(&self, objective: &str) -> Option<u64> {
-        self.objectives
-            .get(objective)
-            .map(|s| SloEngine::burn_of(s, s.policy.short_windows).burn_milli)
-    }
-
     /// The maximum short-span burn across all objectives (0 with no
     /// objectives) — the overload controller's early-warning signal.
     pub fn max_short_burn_milli(&self) -> u64 {
@@ -315,12 +297,10 @@ impl SloEngine {
 
     /// Align every series to the window containing `tick`, then apply
     /// the fire/clear rules per objective (in name order). Returns the
-    /// events emitted by this evaluation; they are also appended to
-    /// the engine's log.
+    /// events emitted by this evaluation, numbered on from the last.
     pub fn evaluate(&mut self, tick: u64) -> Vec<HealthEvent> {
         let window = tick / self.width;
         let mut emitted = Vec::new();
-        let base_seq = self.events.len() as u64;
         for state in self.objectives.values_mut() {
             // Roll both series forward so quiet windows read as zero
             // traffic rather than staying pinned at the last burst.
@@ -337,7 +317,7 @@ impl SloEngine {
             if next != state.firing {
                 state.firing = next;
                 let event = HealthEvent {
-                    seq: base_seq + emitted.len() as u64,
+                    seq: self.next_seq,
                     objective: state.policy.objective.clone(),
                     kind: if next {
                         HealthEventKind::Fired
@@ -351,26 +331,11 @@ impl SloEngine {
                     short_counts: (short.bad, short.total),
                     long_counts: (long.bad, long.total),
                 };
+                self.next_seq += 1;
                 emitted.push(event);
             }
         }
-        self.events.extend(emitted.iter().cloned());
         emitted
-    }
-
-    /// The full event log, in emission order.
-    pub fn events(&self) -> &[HealthEvent] {
-        &self.events
-    }
-
-    /// Canonical text rendering of the event log, one line per event
-    /// (empty string for an empty log).
-    pub fn render_events(&self) -> String {
-        let mut out = String::new();
-        for event in &self.events {
-            let _ = writeln!(out, "{}", event.render());
-        }
-        out
     }
 }
 
@@ -403,7 +368,7 @@ mod tests {
         // 90 good, 10 bad in window 0: error = 100‰, budget = 10‰,
         // burn = 10× = 10000 milli.
         e.record("availability", 0, 90, 10);
-        let b = e.burn("availability", 2).unwrap();
+        let b = SloEngine::burn_of(&e.objectives["availability"], 2);
         assert_eq!(
             b,
             BurnSample {
@@ -412,8 +377,14 @@ mod tests {
                 total: 100
             }
         );
+        assert_eq!(e.max_short_burn_milli(), 10_000);
         // No traffic → burn 0, not a division by zero.
-        assert_eq!(e.burn("missing", 2), None,);
+        e.add_objective(SloPolicy {
+            objective: "quiet".to_string(),
+            ..availability(990, 2, 8, 2000)
+        });
+        let quiet = SloEngine::burn_of(&e.objectives["quiet"], 2);
+        assert_eq!((quiet.burn_milli, quiet.total), (0, 0));
         let empty = SloEngine::new(4, 16);
         assert_eq!(empty.max_short_burn_milli(), 0);
     }
@@ -441,7 +412,7 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, HealthEventKind::Cleared);
         assert!(!e.is_firing("availability"));
-        assert_eq!(e.events().len(), 2);
+        assert_eq!(events[0].seq, 1, "numbered on from the fired event");
     }
 
     #[test]
@@ -521,17 +492,22 @@ mod tests {
                 long_windows: 6,
                 fire_burn_milli: 2000,
             });
+            let mut log = String::new();
             for tick in 0..40u64 {
                 let bad = u64::from(tick % 7 == 0);
                 e.record("availability", tick, 3, bad);
                 e.record("latency", tick, 2, bad * 2);
                 if tick % 4 == 3 {
-                    e.evaluate(tick);
+                    for event in e.evaluate(tick) {
+                        log.push_str(&event.render());
+                        log.push('\n');
+                    }
                 }
             }
-            e.render_events()
+            log
         };
         let a = run();
+        assert!(!a.is_empty(), "the stream fires at least once");
         assert_eq!(a, run());
     }
 }

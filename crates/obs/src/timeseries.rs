@@ -1,8 +1,7 @@
 //! Windowed time series over logical ticks.
 //!
 //! Everything else in this crate is *cumulative*: a
-//! [`Counter`](crate::Counter) or
-//! [`SketchHistogram`](crate::SketchHistogram) answers "what happened
+//! [`Counter`](crate::Counter) or [`SketchHistogram`] answers "what happened
 //! since boot", never "what is happening now". This module adds the
 //! time dimension without giving up determinism or bounded memory:
 //!
@@ -14,6 +13,8 @@
 //!   `evicted` total, so the reconciliation invariant
 //!   `sum(retained windows) + evicted == total` holds *exactly* at all
 //!   times — experiment E21 asserts it against the serving counters.
+//!   Both series are one ring, generic over what a window holds: a
+//!   count for the counter, a [`SketchHistogram`] for the histogram.
 //! * Rendering is canonical: [`WindowedScope::render_text`] emits
 //!   series in sorted name order over one shared window range, so two
 //!   identical runs render byte-identical window matrices.
@@ -23,26 +24,155 @@
 
 use std::collections::BTreeMap;
 
-use crate::metrics::{sketch_bucket, sketch_percentile_of, SKETCH_BUCKETS};
+use crate::metrics::SketchHistogram;
+
+/// What one window of a [`Ring`] holds: a count for a
+/// [`WindowedCounter`], a sketch for a [`WindowedHistogram`].
+trait Cell: Clone + Default {
+    /// Whether nothing has been recorded into the cell.
+    fn is_empty(&self) -> bool;
+    /// Add `other` into `self` (saturating).
+    fn absorb(&mut self, other: &Self);
+}
+
+impl Cell for u64 {
+    fn is_empty(&self) -> bool {
+        *self == 0
+    }
+
+    fn absorb(&mut self, other: &u64) {
+        *self = self.saturating_add(*other);
+    }
+}
+
+impl Cell for SketchHistogram {
+    fn is_empty(&self) -> bool {
+        self.count() == 0
+    }
+
+    fn absorb(&mut self, other: &SketchHistogram) {
+        self.merge(other);
+    }
+}
+
+/// The ring both windowed series are built on: window `w` (ticks
+/// `w·width ..= w·width + width − 1`) lives in slot `w % capacity`
+/// while it is one of the `capacity` newest windows, i.e. in
+/// `(head − capacity, head]`. Windows that rotate out, and records
+/// too old for the ring (possible only when ticks arrive out of order
+/// across more than `capacity` windows), fold into `evicted`, so
+/// nothing recorded is ever dropped.
+#[derive(Debug, Clone)]
+struct Ring<C> {
+    width: u64,
+    slots: Vec<C>,
+    /// Newest window observed; `None` before the first record.
+    head: Option<u64>,
+    evicted: C,
+}
+
+impl<C: Cell> Ring<C> {
+    fn new(width: u64, capacity: usize) -> Ring<C> {
+        assert!(width > 0, "window width must be positive");
+        assert!(capacity > 0, "window capacity must be positive");
+        Ring {
+            width,
+            slots: vec![C::default(); capacity],
+            head: None,
+            evicted: C::default(),
+        }
+    }
+
+    fn slot(&self, window: u64) -> usize {
+        (window % self.slots.len() as u64) as usize
+    }
+
+    /// Oldest retained window index (0 before any observation).
+    fn oldest(&self) -> u64 {
+        self.head
+            .map_or(0, |h| h.saturating_sub(self.slots.len() as u64 - 1))
+    }
+
+    /// `(oldest, head)`, or `None` before any observation.
+    fn span(&self) -> Option<(u64, u64)> {
+        self.head.map(|h| (self.oldest(), h))
+    }
+
+    /// Advance so `window` is retained (no-op unless it is newer than
+    /// the head). Windows rotating out fold into `evicted`.
+    fn advance_to(&mut self, window: u64) {
+        let Some(head) = self.head else {
+            self.head = Some(window);
+            return;
+        };
+        if window <= head {
+            return;
+        }
+        // A jump of a full turn or more rotates every slot out once.
+        let first = (head + 1).max(window.saturating_sub(self.slots.len() as u64 - 1));
+        for w in first..=window {
+            let slot = self.slot(w);
+            let rotated = std::mem::take(&mut self.slots[slot]);
+            self.evicted.absorb(&rotated);
+        }
+        self.head = Some(window);
+    }
+
+    /// The cell of a retained `window`; `None` outside the ring.
+    fn cell(&self, window: u64) -> Option<&C> {
+        let (oldest, head) = self.span()?;
+        (oldest..=head)
+            .contains(&window)
+            .then(|| &self.slots[self.slot(window)])
+    }
+
+    /// Where a record at `tick` lands (see [`Ring::cell_at`]).
+    fn cell_for(&mut self, tick: u64) -> &mut C {
+        self.cell_at(tick / self.width)
+    }
+
+    /// Where a record in `window` lands: its slot, after advancing the
+    /// ring, or `evicted` when the window is too old for it.
+    fn cell_at(&mut self, window: u64) -> &mut C {
+        self.advance_to(window);
+        if window < self.oldest() {
+            &mut self.evicted
+        } else {
+            let slot = self.slot(window);
+            &mut self.slots[slot]
+        }
+    }
+
+    /// Retained `(window, cell)` pairs, oldest first.
+    fn retained(&self) -> impl Iterator<Item = (u64, &C)> + '_ {
+        self.span()
+            .into_iter()
+            .flat_map(|(oldest, head)| oldest..=head)
+            .map(|w| (w, &self.slots[self.slot(w)]))
+    }
+
+    /// Fold `other` in, window by window. Panics if the widths differ
+    /// (the series would not share a time base). Windows of `other`
+    /// older than the merged ring fold into `evicted`, so nothing is
+    /// dropped by a merge either.
+    fn merge(&mut self, other: &Ring<C>) {
+        assert_eq!(self.width, other.width, "windowed merge: width mismatch");
+        self.evicted.absorb(&other.evicted);
+        for (w, theirs) in other.retained() {
+            if !theirs.is_empty() {
+                self.cell_at(w).absorb(theirs);
+            }
+        }
+    }
+}
 
 /// A counter bucketed into fixed-width logical-tick windows, retained
 /// in a bounded ring.
-///
-/// Observations older than the retained range (possible only if the
-/// caller feeds ticks out of order across more than `capacity`
-/// windows) are folded straight into the evicted total so nothing is
-/// ever silently dropped.
 #[derive(Debug, Clone)]
 pub struct WindowedCounter {
-    width: u64,
-    /// Ring slot for window `w` is `w % capacity`; only windows in
-    /// `(head - capacity, head]` are live.
-    ring: Vec<u64>,
-    /// Newest window index that has been observed (valid once
-    /// `initialized`).
-    head: u64,
-    initialized: bool,
-    evicted: u64,
+    ring: Ring<u64>,
+    /// Lifetime total, kept apart from the ring: E21's
+    /// `retained_sum() + evicted() == total()` compares two tallies.
     total: u64,
 }
 
@@ -50,116 +180,42 @@ impl WindowedCounter {
     /// A new series with `width` ticks per window retaining the most
     /// recent `capacity` windows. Panics if either is zero.
     pub fn new(width: u64, capacity: usize) -> WindowedCounter {
-        assert!(width > 0, "window width must be positive");
-        assert!(capacity > 0, "window capacity must be positive");
         WindowedCounter {
-            width,
-            ring: vec![0; capacity],
-            head: 0,
-            initialized: false,
-            evicted: 0,
+            ring: Ring::new(width, capacity),
             total: 0,
         }
     }
 
-    /// Ticks per window.
-    pub fn width(&self) -> u64 {
-        self.width
-    }
-
-    /// Number of windows the ring retains.
-    pub fn capacity(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// The window index `tick` falls into.
-    pub fn window_of(&self, tick: u64) -> u64 {
-        tick / self.width
-    }
-
     /// Record `n` events at `tick` (saturating).
     pub fn record(&mut self, tick: u64, n: u64) {
-        let w = self.window_of(tick);
-        self.advance_to(w);
         self.total = self.total.saturating_add(n);
-        let oldest = self.oldest();
-        if w < oldest {
-            // Out-of-order past the ring: account it, don't drop it.
-            self.evicted = self.evicted.saturating_add(n);
-        } else {
-            let slot = (w % self.ring.len() as u64) as usize;
-            self.ring[slot] = self.ring[slot].saturating_add(n);
-        }
+        self.ring.cell_for(tick).absorb(&n);
     }
 
-    /// Advance the ring so `window` is retained (no-op if it is not
-    /// newer than the head). Windows rotating out fold into `evicted`.
-    pub fn advance_to(&mut self, window: u64) {
-        if !self.initialized {
-            self.head = window;
-            self.initialized = true;
-            return;
-        }
-        if window <= self.head {
-            return;
-        }
-        let cap = self.ring.len() as u64;
-        let steps = window - self.head;
-        if steps >= cap {
-            // Every retained window rotates out.
-            for slot in &mut self.ring {
-                self.evicted = self.evicted.saturating_add(*slot);
-                *slot = 0;
-            }
-        } else {
-            for w in (self.head + 1)..=window {
-                let slot = (w % cap) as usize;
-                self.evicted = self.evicted.saturating_add(self.ring[slot]);
-                self.ring[slot] = 0;
-            }
-        }
-        self.head = window;
-    }
-
-    /// Oldest retained window index (0 before any observation).
-    pub fn oldest(&self) -> u64 {
-        if !self.initialized {
-            return 0;
-        }
-        let span = self.ring.len() as u64 - 1;
-        self.head.saturating_sub(span)
-    }
-
-    /// Newest retained window index (0 before any observation).
-    pub fn head(&self) -> u64 {
-        if self.initialized {
-            self.head
-        } else {
-            0
-        }
-    }
-
-    /// Whether any observation has been recorded.
-    pub fn is_empty(&self) -> bool {
-        !self.initialized
+    /// Advance the ring so `window` is retained; quiet windows then
+    /// read as zero.
+    pub(crate) fn advance_to(&mut self, window: u64) {
+        self.ring.advance_to(window);
     }
 
     /// The count recorded in `window`, 0 outside the retained range.
     pub fn delta(&self, window: u64) -> u64 {
-        if !self.initialized || window > self.head || window < self.oldest() {
-            return 0;
-        }
-        self.ring[(window % self.ring.len() as u64) as usize]
+        self.ring.cell(window).copied().unwrap_or(0)
     }
 
     /// Sum of the counts recorded over the last `k` retained windows
     /// ending at the head (fewer if the series is younger than `k`).
-    pub fn sum_last(&self, k: u64) -> u64 {
-        if !self.initialized || k == 0 {
+    pub(crate) fn sum_last(&self, k: u64) -> u64 {
+        let Some((oldest, head)) = self.ring.span() else {
+            return 0;
+        };
+        if k == 0 {
             return 0;
         }
-        let from = self.head.saturating_sub(k - 1).max(self.oldest());
-        (from..=self.head).map(|w| self.delta(w)).sum()
+        let from = head.saturating_sub(k - 1).max(oldest);
+        (from..=head)
+            .map(|w| self.delta(w))
+            .fold(0, u64::saturating_add)
     }
 
     /// Lifetime total (saturating), including evicted windows.
@@ -169,253 +225,84 @@ impl WindowedCounter {
 
     /// Total folded out of the ring by eviction.
     pub fn evicted(&self) -> u64 {
-        self.evicted
+        self.ring.evicted
     }
 
     /// Sum over the retained ring. By construction
     /// `retained_sum() + evicted() == total()` exactly (modulo
     /// saturation at `u64::MAX`).
     pub fn retained_sum(&self) -> u64 {
-        let mut sum = 0u64;
-        for &slot in &self.ring {
-            sum = sum.saturating_add(slot);
-        }
-        sum
+        self.ring
+            .retained()
+            .map(|(_, &n)| n)
+            .fold(0, u64::saturating_add)
     }
 
-    /// Retained `(window, count)` pairs, oldest first.
-    pub fn windows(&self) -> Vec<(u64, u64)> {
-        if !self.initialized {
-            return Vec::new();
-        }
-        (self.oldest()..=self.head)
-            .map(|w| (w, self.delta(w)))
-            .collect()
-    }
-
-    /// Fold `other` into `self`, window by window. Panics if the
-    /// widths differ (the series would not share a time base).
-    /// Windows of `other` older than the merged ring fold into
-    /// `evicted`, so reconciliation still holds after a merge.
+    /// Fold `other` into `self`, window by window (panics on width
+    /// mismatch); reconciliation still holds after a merge.
     pub fn merge(&mut self, other: &WindowedCounter) {
-        assert_eq!(self.width, other.width, "windowed merge: width mismatch");
-        self.evicted = self.evicted.saturating_add(other.evicted);
-        // `record` re-adds to total, so splice totals manually: the
-        // retained windows are replayed below, evicted already folded.
-        for (w, n) in other.windows() {
-            if n == 0 {
-                continue;
-            }
-            self.advance_to(w);
-            if w < self.oldest() {
-                self.evicted = self.evicted.saturating_add(n);
-            } else {
-                let slot = (w % self.ring.len() as u64) as usize;
-                self.ring[slot] = self.ring[slot].saturating_add(n);
-            }
-        }
+        self.ring.merge(&other.ring);
         self.total = self.total.saturating_add(other.total);
     }
 }
 
-/// Per-window sketch cells: the plain-integer core of a
-/// [`SketchHistogram`](crate::SketchHistogram) (no atomics — a
-/// windowed series is owned by one writer).
-#[derive(Debug, Clone)]
-struct SketchCells {
-    buckets: [u64; SKETCH_BUCKETS],
-    count: u64,
-}
-
-impl SketchCells {
-    fn new() -> SketchCells {
-        SketchCells {
-            buckets: [0; SKETCH_BUCKETS],
-            count: 0,
-        }
-    }
-
-    fn observe(&mut self, value: u64) {
-        self.buckets[sketch_bucket(value)] = self.buckets[sketch_bucket(value)].saturating_add(1);
-        self.count = self.count.saturating_add(1);
-    }
-
-    fn fold_into(&self, other: &mut SketchCells) {
-        for (mine, theirs) in other.buckets.iter_mut().zip(&self.buckets) {
-            *mine = mine.saturating_add(*theirs);
-        }
-        other.count = other.count.saturating_add(self.count);
-    }
-
-    fn clear(&mut self) {
-        self.buckets = [0; SKETCH_BUCKETS];
-        self.count = 0;
-    }
-}
-
 /// A sketch histogram bucketed into fixed-width logical-tick windows:
-/// per-window log₂ value buckets in a bounded ring, with windows that
-/// rotate out folded into an evicted sketch so lifetime counts
+/// one [`SketchHistogram`] per window in a bounded ring, with windows
+/// that rotate out folded into an evicted sketch so lifetime counts
 /// reconcile exactly.
 #[derive(Debug, Clone)]
 pub struct WindowedHistogram {
-    width: u64,
-    ring: Vec<SketchCells>,
-    head: u64,
-    initialized: bool,
-    evicted: SketchCells,
+    ring: Ring<SketchHistogram>,
 }
 
 impl WindowedHistogram {
     /// A new series with `width` ticks per window retaining the most
     /// recent `capacity` windows. Panics if either is zero.
     pub fn new(width: u64, capacity: usize) -> WindowedHistogram {
-        assert!(width > 0, "window width must be positive");
-        assert!(capacity > 0, "window capacity must be positive");
         WindowedHistogram {
-            width,
-            ring: vec![SketchCells::new(); capacity],
-            head: 0,
-            initialized: false,
-            evicted: SketchCells::new(),
+            ring: Ring::new(width, capacity),
         }
-    }
-
-    /// Ticks per window.
-    pub fn width(&self) -> u64 {
-        self.width
-    }
-
-    /// The window index `tick` falls into.
-    pub fn window_of(&self, tick: u64) -> u64 {
-        tick / self.width
     }
 
     /// Record one observation of `value` at `tick`.
     pub fn record(&mut self, tick: u64, value: u64) {
-        let w = self.window_of(tick);
-        self.advance_to(w);
-        if w < self.oldest() {
-            self.evicted.observe(value);
-        } else {
-            let slot = (w % self.ring.len() as u64) as usize;
-            self.ring[slot].observe(value);
-        }
-    }
-
-    fn advance_to(&mut self, window: u64) {
-        if !self.initialized {
-            self.head = window;
-            self.initialized = true;
-            return;
-        }
-        if window <= self.head {
-            return;
-        }
-        let cap = self.ring.len() as u64;
-        let steps = window - self.head;
-        if steps >= cap {
-            for slot in &mut self.ring {
-                slot.fold_into(&mut self.evicted);
-                slot.clear();
-            }
-        } else {
-            for w in (self.head + 1)..=window {
-                let slot = (w % cap) as usize;
-                self.ring[slot].fold_into(&mut self.evicted);
-                self.ring[slot].clear();
-            }
-        }
-        self.head = window;
-    }
-
-    /// Oldest retained window index (0 before any observation).
-    pub fn oldest(&self) -> u64 {
-        if !self.initialized {
-            return 0;
-        }
-        self.head.saturating_sub(self.ring.len() as u64 - 1)
-    }
-
-    /// Newest retained window index (0 before any observation).
-    pub fn head(&self) -> u64 {
-        if self.initialized {
-            self.head
-        } else {
-            0
-        }
-    }
-
-    /// Whether any observation has been recorded.
-    pub fn is_empty(&self) -> bool {
-        !self.initialized
-    }
-
-    fn cells(&self, window: u64) -> Option<&SketchCells> {
-        if !self.initialized || window > self.head || window < self.oldest() {
-            return None;
-        }
-        Some(&self.ring[(window % self.ring.len() as u64) as usize])
+        self.ring.cell_for(tick).observe(value);
     }
 
     /// Observation count in `window` (0 outside the retained range).
     pub fn count_in(&self, window: u64) -> u64 {
-        self.cells(window).map_or(0, |c| c.count)
+        self.ring.cell(window).map_or(0, SketchHistogram::count)
     }
 
     /// Bucket-resolution nearest-rank percentile within `window`
-    /// (upper bound of the matched log₂ bucket, like
-    /// [`SketchHistogram::percentile`](crate::SketchHistogram::percentile)).
-    /// `None` when the window holds no observations.
+    /// (see [`SketchHistogram::percentile`]). `None` when the window
+    /// holds no observations.
     pub fn percentile_in(&self, window: u64, p: f64) -> Option<u64> {
-        self.cells(window)
-            .and_then(|c| sketch_percentile_of(&c.buckets, p))
+        self.ring.cell(window).and_then(|c| c.percentile(p))
     }
 
     /// Lifetime observation count, including evicted windows.
     pub fn total_count(&self) -> u64 {
-        self.retained_count().saturating_add(self.evicted.count)
+        self.retained_count().saturating_add(self.evicted_count())
     }
 
     /// Observation count folded out of the ring by eviction.
     pub fn evicted_count(&self) -> u64 {
-        self.evicted.count
+        self.ring.evicted.count()
     }
 
     /// Observation count over the retained ring.
     pub fn retained_count(&self) -> u64 {
-        let mut count = 0u64;
-        for c in &self.ring {
-            count = count.saturating_add(c.count);
-        }
-        count
+        self.ring
+            .retained()
+            .map(|(_, c)| c.count())
+            .fold(0, u64::saturating_add)
     }
 
     /// Fold `other` into `self`, window by window (panics on width
-    /// mismatch). Like the counter merge, nothing is dropped: windows
-    /// older than the merged ring fold into the evicted sketch.
+    /// mismatch).
     pub fn merge(&mut self, other: &WindowedHistogram) {
-        assert_eq!(self.width, other.width, "windowed merge: width mismatch");
-        other.evicted.fold_into(&mut self.evicted);
-        if !other.initialized {
-            return;
-        }
-        for w in other.oldest()..=other.head {
-            let Some(theirs) = other.cells(w) else {
-                continue;
-            };
-            if theirs.count == 0 {
-                continue;
-            }
-            self.advance_to(w);
-            if w < self.oldest() {
-                theirs.fold_into(&mut self.evicted);
-            } else {
-                let slot = (w % self.ring.len() as u64) as usize;
-                let cloned = theirs.clone();
-                cloned.fold_into(&mut self.ring[slot]);
-            }
-        }
+        self.ring.merge(&other.ring);
     }
 }
 
@@ -442,16 +329,6 @@ impl WindowedScope {
             counters: BTreeMap::new(),
             histograms: BTreeMap::new(),
         }
-    }
-
-    /// Ticks per window.
-    pub fn width(&self) -> u64 {
-        self.width
-    }
-
-    /// The window index `tick` falls into.
-    pub fn window_of(&self, tick: u64) -> u64 {
-        tick / self.width
     }
 
     /// The counter series named `name`, created empty on first use.
@@ -483,25 +360,11 @@ impl WindowedScope {
     /// Shared retained window range across every non-empty series:
     /// `(oldest, newest)`, or `None` if nothing has been observed.
     pub fn window_range(&self) -> Option<(u64, u64)> {
-        let mut range: Option<(u64, u64)> = None;
-        let spans = self
-            .counters
+        self.counters
             .values()
-            .filter(|c| !c.is_empty())
-            .map(|c| (c.oldest(), c.head()))
-            .chain(
-                self.histograms
-                    .values()
-                    .filter(|h| !h.is_empty())
-                    .map(|h| (h.oldest(), h.head())),
-            );
-        for (lo, hi) in spans {
-            range = Some(match range {
-                None => (lo, hi),
-                Some((a, b)) => (a.min(lo), b.max(hi)),
-            });
-        }
-        range
+            .filter_map(|c| c.ring.span())
+            .chain(self.histograms.values().filter_map(|h| h.ring.span()))
+            .reduce(|(a, b), (lo, hi)| (a.min(lo), b.max(hi)))
     }
 
     /// Canonical text rendering of the window matrix: a header line,
@@ -580,7 +443,12 @@ mod tests {
         assert_eq!(c.evicted(), 0);
         assert_eq!(c.retained_sum(), 15);
         assert_eq!(c.sum_last(2), 12);
-        assert_eq!(c.windows(), vec![(0, 3), (1, 5), (2, 7)]);
+        assert_eq!(
+            c.sum_last(9),
+            15,
+            "a span longer than the series reads all of it"
+        );
+        assert_eq!(c.ring.span(), Some((0, 2)));
     }
 
     #[test]
@@ -592,11 +460,20 @@ mod tests {
         let expected_total: u64 = (1..=40).sum();
         assert_eq!(c.total(), expected_total);
         assert_eq!(c.retained_sum() + c.evicted(), c.total());
-        assert_eq!(c.oldest(), c.head() - 3);
+        assert_eq!(c.ring.span(), Some((16, 19)));
         // A jump far past the ring rotates everything out.
         c.record(1000, 1);
         assert_eq!(c.retained_sum(), 1);
         assert_eq!(c.retained_sum() + c.evicted(), c.total());
+    }
+
+    #[test]
+    fn a_jump_to_the_last_tick_rotates_the_ring_once() {
+        let mut c = WindowedCounter::new(1, 4);
+        c.record(0, 3);
+        c.record(u64::MAX, 1);
+        assert_eq!(c.ring.span(), Some((u64::MAX - 3, u64::MAX)));
+        assert_eq!((c.delta(u64::MAX), c.evicted(), c.total()), (1, 3, 4));
     }
 
     #[test]

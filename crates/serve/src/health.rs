@@ -129,10 +129,9 @@ struct TenantHealth {
 #[derive(Debug)]
 struct HubInner {
     tenants: BTreeMap<String, TenantHealth>,
-    /// Health traces emitted so far — the offset from
-    /// [`HEALTH_TRACE_BASE`] for the next event's trace id.
-    emitted: u64,
-    /// Hub-global `(tenant, event)` log, emission order.
+    /// Hub-global `(tenant, event)` log, emission order. An event's
+    /// position in it is its trace id's offset from
+    /// [`HEALTH_TRACE_BASE`].
     events: Vec<(String, HealthEvent)>,
 }
 
@@ -179,7 +178,6 @@ impl HealthHub {
             config,
             inner: Mutex::new(HubInner {
                 tenants: BTreeMap::new(),
-                emitted: 0,
                 events: Vec::new(),
             }),
         }
@@ -222,29 +220,25 @@ impl HealthHub {
     /// and counted into the registry's `health.*` scope.
     pub fn evaluate(&self, tick: u64, obs: Option<&ServeObs>) {
         let mut inner = self.inner.lock().expect("health hub lock");
-        let mut emitted: Vec<(String, HealthEvent)> = Vec::new();
-        for (tenant, state) in inner.tenants.iter_mut() {
+        let HubInner { tenants, events } = &mut *inner;
+        for (tenant, state) in tenants.iter_mut() {
             for event in state.engine.evaluate(tick) {
-                emitted.push((tenant.clone(), event));
+                if let Some(obs) = obs {
+                    obs.sink
+                        .push(event.to_trace(HEALTH_TRACE_BASE + events.len() as u64));
+                    obs.registry
+                        .counter(&format!("health.{}", event.kind.label()))
+                        .inc();
+                    obs.registry
+                        .counter(&format!(
+                            "health.{tenant}.{}.{}",
+                            event.objective,
+                            event.kind.label()
+                        ))
+                        .inc();
+                }
+                events.push((tenant.clone(), event));
             }
-        }
-        for (tenant, event) in emitted {
-            if let Some(obs) = obs {
-                obs.sink
-                    .push(event.to_trace(HEALTH_TRACE_BASE + inner.emitted));
-                obs.registry
-                    .counter(&format!("health.{}", event.kind.label()))
-                    .inc();
-                obs.registry
-                    .counter(&format!(
-                        "health.{tenant}.{}.{}",
-                        event.objective,
-                        event.kind.label()
-                    ))
-                    .inc();
-            }
-            inner.emitted += 1;
-            inner.events.push((tenant, event));
         }
     }
 
@@ -276,19 +270,9 @@ impl HealthHub {
         self.inner.lock().expect("health hub lock").events.clone()
     }
 
-    /// Canonical rendering of the hub-global event log: one line per
-    /// event, `tenant=<name> ` prefix then the event's own rendering.
-    pub fn render_events(&self) -> String {
-        let inner = self.inner.lock().expect("health hub lock");
-        let mut out = String::new();
-        for (tenant, event) in &inner.events {
-            out.push_str(&format!("tenant={tenant} {}\n", event.render()));
-        }
-        out
-    }
-
     /// Canonical rendering of every tenant's window matrix plus the
-    /// event log — the byte-compared artifact of E21.
+    /// event log (one line per event: `tenant=<name> ` then the
+    /// event's own rendering) — the byte-compared artifact of E21.
     pub fn render_all(&self) -> String {
         let inner = self.inner.lock().expect("health hub lock");
         let mut out = String::new();
@@ -296,11 +280,11 @@ impl HealthHub {
             out.push_str(&format!("tenant {tenant}\n"));
             out.push_str(&state.scope.render_text());
         }
-        drop(inner);
-        let events = self.render_events();
-        if !events.is_empty() {
+        if !inner.events.is_empty() {
             out.push_str("events\n");
-            out.push_str(&events);
+        }
+        for (tenant, event) in &inner.events {
+            out.push_str(&format!("tenant={tenant} {}\n", event.render()));
         }
         out
     }

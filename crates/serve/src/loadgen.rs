@@ -147,8 +147,8 @@ pub struct SoakReport {
     pub degraded: u64,
     /// Requests the pipeline refused or the runtime could not place.
     pub refused: u64,
-    /// Requests shed at admission (queue-full, cost, or overload —
-    /// the metrics snapshot breaks these apart).
+    /// Requests shed at admission (queue-full or overload — the
+    /// metrics snapshot breaks these apart).
     pub shed: u64,
     /// Requests rejected for an unmeetable deadline.
     pub deadline_exceeded: u64,
@@ -497,7 +497,7 @@ mod tests {
             early_warning: None,
         };
         let (mut server, clock) = setup(1, Some(policy));
-        // Warm pass teaches costs without pressure.
+        // Warm pass teaches answered questions without pressure.
         let warm: Vec<RequestSpec> =
             nlidb_benchdata::zipfian_stream(pool.clone(), 7, 6, 0.0).collect();
         run_closed_loop(&mut server, &clock, &warm, 1);
@@ -519,7 +519,7 @@ mod tests {
             m.overload_entered, m.overload_recovered,
             "every episode closed by a drain — the controller never wedges"
         );
-        assert!(m.shed_overload > 0, "learned-expensive repeats were shed");
+        assert!(m.shed_overload > 0, "answered repeats were shed");
         assert_eq!(report.shed, m.shed_overload + m.shed_full);
         assert!(report.served() > 0, "degradation, not collapse");
     }

@@ -26,8 +26,8 @@ pub struct ServeMetrics {
     /// exhausted (always 0 for tenants without a budget).
     pub quota_refused: AtomicU64,
     /// Requests shed by the overload controller while the runtime was
-    /// above its high watermark: standalone repeats whose learned plan
-    /// cost exceeded the policy threshold, or standalone traffic from
+    /// above its high watermark: standalone repeats of questions
+    /// already answered at full fidelity, or standalone traffic from
     /// a tenant over its fair share of the overload episode (always 0
     /// with no [`crate::OverloadPolicy`] — the default).
     pub shed_overload: AtomicU64,

@@ -48,7 +48,6 @@ enum BreakerState {
 pub(crate) struct CircuitBreaker {
     state: BreakerState,
     consecutive_failures: u32,
-    trips: u64,
 }
 
 impl Default for CircuitBreaker {
@@ -63,7 +62,6 @@ impl CircuitBreaker {
         CircuitBreaker {
             state: BreakerState::Closed,
             consecutive_failures: 0,
-            trips: 0,
         }
     }
 
@@ -120,13 +118,6 @@ impl CircuitBreaker {
             remaining: BREAKER_COOLDOWN,
         };
         self.consecutive_failures = 0;
-        self.trips += 1;
-    }
-
-    /// Times the circuit has opened.
-    #[cfg(test)]
-    pub fn trips(&self) -> u64 {
-        self.trips
     }
 
     /// Whether the breaker is currently turning requests away.
@@ -163,7 +154,6 @@ mod tests {
     fn breaker_trips_after_threshold_consecutive_failures() {
         let b = tripped();
         assert!(b.is_open());
-        assert_eq!(b.trips(), 1);
     }
 
     #[test]
@@ -187,7 +177,6 @@ mod tests {
         assert!(b.allow(), "probe allowed");
         b.on_success();
         assert!(b.allow(), "probe success closes the circuit");
-        assert_eq!(b.trips(), 1);
     }
 
     #[test]
@@ -199,6 +188,5 @@ mod tests {
         assert!(b.allow(), "probe");
         assert!(b.on_failure(), "failed probe re-trips at once");
         assert!(b.is_open());
-        assert_eq!(b.trips(), 2);
     }
 }

@@ -56,7 +56,7 @@
 //!   signature-identical to N isolated single-tenant runs.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -101,11 +101,12 @@ pub struct ServerConfig {
     /// — leaving admission byte-identical to the pre-overload
     /// runtime). When set, the submitter watches the credit ledger's
     /// *total* outstanding count: crossing `high_watermark` opens an
-    /// overload episode in which learned-expensive standalone repeats
-    /// and standalone traffic from tenants over their fair share are
-    /// shed at admission; the episode closes — deterministically, at
-    /// the latest at the next drain, which returns every credit — once
-    /// pressure falls back to `low_watermark`. Dialogue turns are
+    /// overload episode in which standalone repeats of questions
+    /// already answered at full fidelity, and standalone traffic from
+    /// tenants over their fair share, are shed at admission; the
+    /// episode closes — deterministically, at the latest at the next
+    /// drain, which returns every credit — once pressure falls back
+    /// to `low_watermark`. Dialogue turns are
     /// never overload-shed: session state must advance (see the
     /// DESIGN.md soak & overload model for why that is deliberate).
     pub overload: Option<OverloadPolicy>,
@@ -245,12 +246,6 @@ pub struct Completion {
     pub worker: Option<usize>,
     /// Session id, for dialogue turns.
     pub session: Option<u64>,
-    /// Estimated logical cost of the executed plan, present for
-    /// full-fidelity answers (cache hits replay the value learned at
-    /// the miss, so hit and miss completions carry the same cost).
-    /// Like cache provenance, this is accounting — it is excluded
-    /// from [`Completion::signature`].
-    pub plan_cost: Option<u64>,
     /// The outcome.
     pub disposition: Disposition,
 }
@@ -354,9 +349,8 @@ enum Reject {
     Quota,
     /// The deadline has passed or cannot be met.
     Deadline,
-    /// Shed by the open overload episode; carries the request's
-    /// learned plan cost, if any.
-    Overload(Option<u64>),
+    /// Shed by the open overload episode.
+    Overload,
     /// The target worker's queue is full.
     QueueFull,
 }
@@ -443,15 +437,15 @@ pub struct Server {
     /// [`TenantPolicy::admission_budget`]. Submitter-owned, like the
     /// credit ledger, so quota refusals are deterministic.
     admitted_per_tenant: Vec<u64>,
-    /// Learned plan cost per (tenant, normalized question), fed from
-    /// completions at drain time; the memory the overload controller's
-    /// cost axis consults. Maintained only when
-    /// [`ServerConfig::overload`] is set. Submitter-owned, like the
-    /// credit ledger.
-    plan_costs: HashMap<(usize, String), u64>,
-    /// Admitted standalone questions awaiting cost learning at the
+    /// (tenant, normalized question) pairs a standalone request has
+    /// been answered at full fidelity for, learned from completions at
+    /// drain time; the overload controller sheds repeats of these
+    /// first. Maintained only when [`ServerConfig::overload`] is set.
+    /// Submitter-owned, like the credit ledger.
+    answered_questions: HashSet<(usize, String)>,
+    /// Admitted standalone questions awaiting their completion at the
     /// next drain: request id → (tenant, normalized question).
-    pending_costs: HashMap<u64, (usize, String)>,
+    pending_questions: HashMap<u64, (usize, String)>,
     /// Whether an overload episode is open (see
     /// [`ServerConfig::overload`]). Submitter-owned, like the credit
     /// ledger it watches.
@@ -568,8 +562,8 @@ impl Server {
             in_flight: 0,
             rejected: Vec::new(),
             admitted_per_tenant: vec![0; tenant_count],
-            plan_costs: HashMap::new(),
-            pending_costs: HashMap::new(),
+            answered_questions: HashSet::new(),
+            pending_questions: HashMap::new(),
             overloaded: false,
             episode_admitted: vec![0; tenant_count],
             episode_total: 0,
@@ -732,27 +726,24 @@ impl Server {
             }
         }
         // Overload shedding: while an episode is open, standalone work
-        // degrades along two axes — repeats whose (positive) plan cost
-        // the server has already learned go first, and tenants over
+        // degrades along two axes — repeats of questions the server has
+        // already answered at full fidelity go first, and tenants over
         // their fair share of the episode's admissions are trimmed
         // back. Dialogue turns always pass: session state must advance
         // (the deliberate non-backpressure documented in DESIGN.md's
-        // soak & overload model). First sightings have no learned cost
-        // and pass the cost axis.
+        // soak & overload model). First sightings pass the repeat axis.
         if self.overloaded && spec.session.is_none() {
-            let learned = self
-                .plan_costs
-                .get(&(tenant, normalize_question(&spec.question)))
-                .copied();
-            let expensive = learned.is_some_and(|c| c > 0);
+            let repeat = self
+                .answered_questions
+                .contains(&(tenant, normalize_question(&spec.question)));
             // Fair share with slack: tenant t is over when its episode
             // admissions exceed (total + N) / N — impossible for a
             // single tenant, where admissions equal the total.
             let tenant_count = self.episode_admitted.len() as u64;
             let over_share =
                 self.episode_admitted[tenant] * tenant_count > self.episode_total + tenant_count;
-            if expensive || over_share {
-                return self.reject(Some(tenant), id, spec, depth, Reject::Overload(learned));
+            if repeat || over_share {
+                return self.reject(Some(tenant), id, spec, depth, Reject::Overload);
             }
         }
         if depth >= self.config.queue_capacity {
@@ -781,7 +772,7 @@ impl Server {
             .send(job)
             .expect("worker alive while server running");
         if self.config.overload.is_some() && spec.session.is_none() {
-            self.pending_costs
+            self.pending_questions
                 .insert(id, (tenant, normalize_question(&spec.question)));
         }
         self.outstanding[worker] += 1;
@@ -808,46 +799,36 @@ impl Server {
         depth: usize,
         why: Reject,
     ) -> Admission {
-        let (counter, outcome, plan_cost, disposition): (fn(&ServeMetrics) -> &AtomicU64, _, _, _) =
-            match why {
-                Reject::UnknownTenant => (
-                    |m| &m.refused,
-                    "refused",
-                    None,
-                    Disposition::Refused {
-                        reason: "unknown tenant fingerprint".to_string(),
-                    },
-                ),
-                Reject::NoLiveWorker => (
-                    |m| &m.refused,
-                    "refused",
-                    None,
-                    Disposition::Refused {
-                        reason: "no live workers".to_string(),
-                    },
-                ),
-                Reject::Quota => (
-                    |m| &m.quota_refused,
-                    "quota_refused",
-                    None,
-                    Disposition::Refused {
-                        reason: "tenant admission budget exhausted".to_string(),
-                    },
-                ),
-                Reject::Deadline => (
-                    |m| &m.shed_deadline,
-                    "deadline_exceeded",
-                    None,
-                    Disposition::DeadlineExceeded,
-                ),
-                Reject::Overload(learned) => (
-                    |m| &m.shed_overload,
-                    "shed_overload",
-                    learned,
-                    Disposition::Shed,
-                ),
-                Reject::QueueFull => (|m| &m.shed_full, "shed", None, Disposition::Shed),
-            };
+        let (counter, outcome, disposition): (fn(&ServeMetrics) -> &AtomicU64, _, _) = match why {
+            Reject::UnknownTenant => (
+                |m| &m.refused,
+                "refused",
+                Disposition::Refused {
+                    reason: "unknown tenant fingerprint".to_string(),
+                },
+            ),
+            Reject::NoLiveWorker => (
+                |m| &m.refused,
+                "refused",
+                Disposition::Refused {
+                    reason: "no live workers".to_string(),
+                },
+            ),
+            Reject::Quota => (
+                |m| &m.quota_refused,
+                "quota_refused",
+                Disposition::Refused {
+                    reason: "tenant admission budget exhausted".to_string(),
+                },
+            ),
+            Reject::Deadline => (
+                |m| &m.shed_deadline,
+                "deadline_exceeded",
+                Disposition::DeadlineExceeded,
+            ),
+            Reject::Overload => (|m| &m.shed_overload, "shed_overload", Disposition::Shed),
+            Reject::QueueFull => (|m| &m.shed_full, "shed", Disposition::Shed),
+        };
         match tenant {
             Some(t) => ScopedMetrics {
                 global: &self.shared.metrics,
@@ -868,7 +849,6 @@ impl Server {
             id,
             worker: None,
             session: spec.session,
-            plan_cost,
             disposition,
         });
         admission
@@ -962,14 +942,16 @@ impl Server {
         }
         out.append(&mut self.rejected);
         out.sort_by_key(|c| c.id);
-        // Learn plan costs for the overload controller. Requests that
-        // finished without a cost (refusals, bounces) still clear their
-        // pending entry so the map never grows unbounded.
+        // Teach the overload controller which questions were answered
+        // at full fidelity (a cache hit counts: it replays a miss's
+        // answer). Requests that finished otherwise (refusals,
+        // degraded answers, bounces) still clear their pending entry
+        // so the map never grows unbounded.
         if self.config.overload.is_some() {
             for c in &out {
-                if let Some(key) = self.pending_costs.remove(&c.id) {
-                    if let Some(cost) = c.plan_cost {
-                        self.plan_costs.insert(key, cost);
+                if let Some(key) = self.pending_questions.remove(&c.id) {
+                    if matches!(c.disposition, Disposition::Answered { .. }) {
+                        self.answered_questions.insert(key);
                     }
                 }
             }
@@ -1080,7 +1062,6 @@ impl Server {
             id: job.id,
             worker: None,
             session,
-            plan_cost: None,
             disposition,
         }
     }
@@ -1261,10 +1242,8 @@ fn ride_out_faults(
     }
 }
 
-/// A cached full-fidelity answer: rendered SQL, rendered rows, and
-/// the plan's estimated logical cost (so a cache hit replays the same
-/// `plan_cost` the miss reported).
-type CachedAnswer = (String, Vec<String>, u64);
+/// A cached full-fidelity answer: rendered SQL and rendered rows.
+type CachedAnswer = (String, Vec<String>);
 
 /// Walk the degradation ladder from the hybrid family down for one
 /// standalone question. Returns the disposition plus the rendered
@@ -1331,14 +1310,13 @@ fn interpret_single(
                 if rung == 0 {
                     metrics.add(|m| &m.answered, 1);
                     seal(&mut tracer, "served", "full");
-                    let cost = answer.explain.est_cost;
                     return (
                         Disposition::Answered {
                             sql: answer.sql.clone(),
                             rows: rows.clone(),
                             from_cache: false,
                         },
-                        Some((answer.sql, rows, cost)),
+                        Some((answer.sql, rows)),
                     );
                 }
                 metrics.add(|m| &m.degraded, 1);
@@ -1517,18 +1495,15 @@ fn worker_loop(
                     );
                     tb.close(s);
                 }
-                let (disposition, plan_cost) = match cached {
-                    Some((sql, rows, cost)) => {
+                let disposition = match cached {
+                    Some((sql, rows)) => {
                         metrics.add(|m| &m.interp_hits, 1);
                         metrics.add(|m| &m.answered, 1);
-                        (
-                            Disposition::Answered {
-                                sql,
-                                rows,
-                                from_cache: true,
-                            },
-                            Some(cost),
-                        )
+                        Disposition::Answered {
+                            sql,
+                            rows,
+                            from_cache: true,
+                        }
                     }
                     None => {
                         metrics.add(|m| &m.interp_misses, 1);
@@ -1542,7 +1517,6 @@ fn worker_loop(
                             &mut breakers[tenant],
                             tracer.as_mut().map(|(tb, _)| tb),
                         );
-                        let plan_cost = cacheable.as_ref().map(|(_, _, c)| *c);
                         if cache_enabled {
                             if let Some(payload) = cacheable {
                                 caches
@@ -1551,14 +1525,13 @@ fn worker_loop(
                                     .put(key, payload);
                             }
                         }
-                        (disposition, plan_cost)
+                        disposition
                     }
                 };
                 Completion {
                     id,
                     worker: Some(worker),
                     session: None,
-                    plan_cost,
                     disposition,
                 }
             }
@@ -1660,7 +1633,6 @@ fn worker_loop(
                     id,
                     worker: Some(worker),
                     session: Some(session),
-                    plan_cost: None,
                     disposition,
                 }
             }
@@ -1878,11 +1850,18 @@ mod tests {
         let q = RequestSpec::single("how many customers are there");
         srv.submit(&q);
         let first = srv.drain();
-        let learned = first[0].plan_cost.expect("miss computes the cost");
-        assert_eq!(srv.plan_costs.len(), 1, "the miss taught the controller");
+        match &first[0].disposition {
+            Disposition::Answered { from_cache, .. } => assert!(!from_cache),
+            other => panic!("expected a fresh answer, got {other:?}"),
+        }
+        assert_eq!(
+            srv.answered_questions.len(),
+            1,
+            "the miss taught the controller"
+        );
         // Forget the miss's lesson while the worker cache stays warm —
         // the next drain's only possible teacher is the cache hit.
-        srv.plan_costs.clear();
+        srv.answered_questions.clear();
         srv.submit(&q);
         let second = srv.drain();
         match &second[0].disposition {
@@ -1890,35 +1869,29 @@ mod tests {
             other => panic!("expected cached answer, got {other:?}"),
         }
         assert_eq!(
-            second[0].plan_cost,
-            Some(learned),
-            "the hit replays the exact cost the miss computed"
-        );
-        assert_eq!(
-            srv.plan_costs.values().copied().collect::<Vec<u64>>(),
-            vec![learned],
+            srv.answered_questions.iter().collect::<Vec<_>>(),
+            vec![&(0, normalize_question(&q.question))],
             "re-learned from the cache-hit completion alone"
         );
         assert!(
             !srv.is_overloaded(),
             "one request at a time never crosses high=1"
         );
-        // And the replay-learned cost is live policy input: the offer
-        // that finds pressure 1 opens the next episode and is shed as
-        // learned-expensive, exactly as an execution-learned cost would.
+        // And the replay-learned repeat is live policy input: the offer
+        // that finds pressure 1 opens the next episode and is shed as a
+        // repeat, exactly as an execution-learned one would be.
         assert!(matches!(srv.submit(&q), Admission::Admitted { .. }));
         assert!(matches!(srv.submit(&q), Admission::Shed { .. }));
         assert!(srv.is_overloaded());
         let done = srv.drain();
         assert!(matches!(done[1].disposition, Disposition::Shed));
-        assert_eq!(done[1].plan_cost, Some(learned), "the shed quotes the cost");
         let m = srv.shutdown();
         assert_eq!(m.shed_overload, 1);
         assert_eq!(m.overload_entered, 1);
     }
 
     #[test]
-    fn overload_controller_sheds_expensive_repeats_and_recovers_at_drain() {
+    fn overload_controller_sheds_answered_repeats_and_recovers_at_drain() {
         let p = pipeline();
         let clock = Arc::new(ManualClock::new());
         let cfg = ServerConfig {
@@ -1934,18 +1907,18 @@ mod tests {
         let mut srv =
             Server::start_observed(Arc::clone(&p), cfg, clock as Arc<dyn Clock>, None, None);
         let q = RequestSpec::single("how many customers are there");
-        // Teach the controller the question's cost on a quiet pass.
+        // Teach the controller the answered question on a quiet pass.
         srv.submit(&q);
         srv.drain();
         assert!(!srv.is_overloaded(), "one request never crosses high=2");
         // Pressure 0 and 1 admit; the offer that finds pressure 2
-        // opens the episode and is itself shed (learned-expensive).
+        // opens the episode and is itself shed (an answered repeat).
         assert!(matches!(srv.submit(&q), Admission::Admitted { .. }));
         assert!(matches!(srv.submit(&q), Admission::Admitted { .. }));
         assert!(!srv.is_overloaded());
         assert!(matches!(srv.submit(&q), Admission::Shed { .. }));
         assert!(srv.is_overloaded());
-        // Unlearned standalones and dialogue turns still pass.
+        // First sightings and dialogue turns still pass.
         let fresh = RequestSpec::single("show all customers");
         assert!(matches!(srv.submit(&fresh), Admission::Admitted { .. }));
         let turn = RequestSpec {
@@ -2041,8 +2014,8 @@ mod tests {
         let mut srv = Server::start_tenants(&registry, cfg, clock as Arc<dyn Clock>, None, None);
         let q = RequestSpec::single("how many customers are there");
         let [hog, quiet] = [0, 1].map(|t| registry.entries()[t].fingerprint());
-        // Nothing drains before the episode, so no plan cost is
-        // learned and only the fair-share axis can shed. Open the
+        // Nothing drains before the episode, so no answer is learned
+        // and only the fair-share axis can shed. Open the
         // episode, then let the hog tenant hog it.
         srv.submit_to(hog, &q);
         srv.submit_to(hog, &q);

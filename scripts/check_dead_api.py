@@ -3,15 +3,17 @@
 
 Usage: python3 scripts/check_dead_api.py
 
-Lists every `pub fn` (and `pub const fn`) defined under `crates/*/src`
-above its file's `#[cfg(test)]` whose name appears nowhere else in
-non-test code, and fails on any listed name that is not in
+Lists every `pub fn` (and `pub const fn`) defined in non-test code
+under `crates/*/src` whose name appears nowhere else in non-test code,
+and fails on any listed name that is not in
 `scripts/dead_api_allowlist.txt`.
 
 Non-test code is `crates/*/src`, `src/`, `examples/` and
-`perfbench/src/`, each file cut at its `#[cfg(test)]`, with comment
-lines and `use` declarations (including multi-line ones) ignored, so
-a doc example or a re-export does not count as a caller.
+`perfbench/src/`, each file cut at the first `#[cfg(test)]` that gates
+a `mod`, with every other `#[cfg(test)]` item (a helper, a field, a
+statement) skipped to its end, and with comment lines and `use`
+declarations (including multi-line ones) ignored, so a doc example or
+a re-export does not count as a caller.
 
 Matching is by name, not by path: a function is live when *any*
 identifier with its name occurs outside its own definition line. A
@@ -32,15 +34,43 @@ ALLOWLIST = Path("scripts/dead_api_allowlist.txt")
 PUB_FN = re.compile(r"^\s*pub\s+(?:const\s+)?fn\s+([A-Za-z_][A-Za-z0-9_]*)")
 USE = re.compile(r"^\s*(?:pub(?:\([^)]*\))?\s+)?use\s")
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+CFG_TEST = "#[cfg(test)]"
+MOD = re.compile(r"^(?:pub(?:\([^)]*\))?\s+)?mod\s")
+
+
+def nesting(text: str) -> int:
+    """Net change in bracket depth ((), [] and {}) across `text`."""
+    return sum(text.count(c) for c in "([{") - sum(text.count(c) for c in ")]}")
 
 
 def code_lines(path: Path):
     """(line number, text) of the file's non-test code lines."""
     in_use = False
+    gated = False  # the last attribute seen was #[cfg(test)]
+    item = None  # [depth, braced] while skipping a gated item
     for number, line in enumerate(path.read_text().splitlines(), 1):
         stripped = line.strip()
-        if stripped.startswith("#[cfg(test)]"):
-            return
+        if item is not None:
+            item[0] += nesting(stripped)
+            item[1] = item[1] or "{" in stripped
+            if item[0] <= 0 and (item[1] or stripped.endswith(";")):
+                item = None
+            continue
+        if stripped.startswith(CFG_TEST):
+            gated = True
+            stripped = stripped[len(CFG_TEST) :].strip()
+        if gated:
+            if not stripped or stripped.startswith(("#[", "//")):
+                continue
+            if MOD.match(stripped):
+                return
+            # The gated item starts here; a one-line item ends with `;`
+            # or (a field or variant) `,` at depth 0.
+            gated = False
+            depth, braced = nesting(stripped), "{" in stripped
+            if not (depth <= 0 and (braced or stripped.endswith((";", ",")))):
+                item = [depth, braced]
+            continue
         if in_use:
             in_use = ";" not in stripped
             continue
