@@ -2423,11 +2423,26 @@ impl E21Pass {
             served,
             "E21 {label}: every served completion records exactly one sojourn"
         );
+        // `feed` records a served completion's sojourn at the tick it
+        // counts the completion, into a ring of the same width and
+        // capacity: window by window, and in eviction, the sojourn
+        // ring must hold exactly the served counts.
         if let Some(h) = sojourn {
+            let served_series = ["answered", "session", "degraded"].map(|n| scope.counter_ref(n));
+            let (from, to) = scope.window_range().expect("served completions");
+            for w in from..=to {
+                let in_window: u64 = served_series.iter().flatten().map(|c| c.delta(w)).sum();
+                assert_eq!(
+                    h.count_in(w),
+                    in_window,
+                    "E21 {label}: sojourn window w{w} must hold that window's served completions"
+                );
+            }
+            let evicted: u64 = served_series.iter().flatten().map(|c| c.evicted()).sum();
             assert_eq!(
-                h.retained_count() + h.evicted_count(),
-                h.total_count(),
-                "E21 {label}: sojourn ring must account for every sample"
+                h.evicted_count(),
+                evicted,
+                "E21 {label}: sojourn ring must evict exactly the served counts' evictions"
             );
         }
         let from_windows: u64 = self.windows.iter().map(|w| w.served).sum();

@@ -38,13 +38,12 @@ const POOL: usize = 32;
 
 /// The overload regime's watermark policy: the open-loop window
 /// (12 arrivals × 4 ticks = 48 outstanding) crosses `high_watermark`
-/// mid-window every window, and every drain empties the ledger past
-/// `low_watermark`, so episodes provably open *and* close.
-/// The shed-first set is exactly the repeats whose cost the server
-/// has already measured.
+/// mid-window every window, and every drain returns every credit and
+/// closes the episode, so episodes provably open *and* close.
+/// The shed-first set is exactly the repeats of questions the server
+/// has already answered.
 pub const OVERLOAD_POLICY: OverloadPolicy = OverloadPolicy {
     high_watermark: 24,
-    low_watermark: 8,
     early_warning: None,
 };
 

@@ -8,7 +8,7 @@
 //! tracetool folded   <trace.jsonl>            # folded stacks (pipe to a flamegraph renderer)
 //! tracetool diff     <base.jsonl> <other.jsonl>  # per-stage overhead of other over base
 //! tracetool metrics  <trace.jsonl>            # canonical span.* histogram export
-//! tracetool timeline <trace.jsonl> [--width W]   # windowed request matrix over coarse ticks
+//! tracetool timeline <trace.jsonl> [--width W]   # windowed request matrix, first to last window a request opened in
 //! tracetool health   <trace.jsonl>            # SLO health-event log carried in the corpus
 //! ```
 //!
@@ -18,13 +18,14 @@
 //! same bytes out. Bad arguments and malformed input fail fast with
 //! one-line errors, like the `experiments` binary.
 
+use std::collections::BTreeSet;
 use std::env;
 use std::process::exit;
 
 use nlidb_obs::profile::self_costs;
 use nlidb_obs::{
     chrome_trace_json, critical_path, critical_path_cost, folded_stacks, parse_jsonl,
-    tail_attribution, MetricsRegistry, Profile, ProfileDiff, Trace, WindowedScope,
+    tail_attribution, HealthEvent, MetricsRegistry, Profile, ProfileDiff, Trace, WindowedScope,
 };
 
 fn usage() -> ! {
@@ -124,7 +125,7 @@ fn main() {
             print!("{}", timeline(&load(path), width));
         }
         ("health", [path]) => {
-            let lines = health_log(&load(path));
+            let lines = health_log(path, &load(path));
             if lines.is_empty() {
                 println!("health: corpus has no health events");
             } else {
@@ -137,58 +138,61 @@ fn main() {
 
 /// Re-bucket a request corpus into a windowed matrix over the coarse
 /// tick axis: one counter series per root outcome, plus a sojourn
-/// histogram (root `tick_close - tick_open`). Health-event traces are
+/// histogram (root `tick_close - tick_open`), each recorded at the
+/// root's `tick_open`. The matrix runs from the first window a request
+/// opened in to the last, so a corpus whose first request opens late
+/// starts its matrix there, not at w0. Health-event traces are
 /// excluded — `tracetool health` renders those.
 fn timeline(traces: &[Trace], width: u64) -> String {
-    // Size the ring to the whole corpus: offline analysis wants the
-    // full matrix, not a recent-windows view.
-    let last = traces
+    let roots: Vec<_> = traces
         .iter()
         .filter_map(|t| t.root())
-        .map(|r| r.tick_close / width)
-        .max()
-        .unwrap_or(0);
-    let mut scope = WindowedScope::new(width, last as usize + 1);
-    for trace in traces {
-        let Some(root) = trace.root() else { continue };
-        if root.name == "health" {
-            continue;
-        }
+        .filter(|r| r.name != "health")
+        .collect();
+    let windows = roots.iter().map(|r| r.tick_open / width);
+    let first = windows.clone().min().unwrap_or(0);
+    let last = windows.max().unwrap_or(0);
+    // The ring holds exactly the windows the matrix prints.
+    let mut scope = WindowedScope::new(width, (last - first) as usize + 1);
+    let mut outcomes = BTreeSet::new();
+    for root in &roots {
         let outcome = root.attr("outcome").unwrap_or("unknown");
+        outcomes.insert(outcome);
         scope.counter(outcome).record(root.tick_open, 1);
         scope.histogram("sojourn").record(
             root.tick_open,
             root.tick_close.saturating_sub(root.tick_open),
         );
     }
+    // A series' ring reaches back `capacity` windows from its newest
+    // one; carry every outcome to the last window (a zero record) so
+    // none reaches back past the first.
+    for outcome in outcomes {
+        scope.counter(outcome).record(last * width, 0);
+    }
     scope.render_text()
 }
 
-/// Reconstruct the canonical health-event log from the `health` root
-/// spans a serving run pushed into its sink, in trace-id order (the
-/// sink exports id-sorted, and health ids are emission-ordered).
-fn health_log(traces: &[Trace]) -> String {
+/// The canonical health-event log carried in the corpus: one
+/// [`HealthEvent::render`] line per `health` root, in trace-id order
+/// (the sink exports id-sorted, and health ids are emission-ordered).
+/// A `health` root that does not read back as an event fails like any
+/// malformed corpus.
+fn health_log(path: &str, traces: &[Trace]) -> String {
     let mut out = String::new();
     for trace in traces {
-        let Some(root) = trace.root() else { continue };
-        if root.name != "health" {
+        if trace.root().is_none_or(|r| r.name != "health") {
             continue;
         }
-        let get = |key: &str| root.attr(key).unwrap_or("?").to_string();
-        out.push_str(&format!(
-            "health seq={} objective={} event={} window=w{} tick={} short_burn={} ({}/{}) long_burn={} ({}/{})\n",
-            get("seq"),
-            get("objective"),
-            get("event"),
-            get("window"),
-            root.tick_open,
-            get("short_burn_milli"),
-            get("short_bad"),
-            get("short_total"),
-            get("long_burn_milli"),
-            get("long_bad"),
-            get("long_total"),
-        ));
+        let Some(event) = HealthEvent::from_trace(trace) else {
+            eprintln!(
+                "tracetool: {path} is not a trace export: trace {} has a malformed health root",
+                trace.id
+            );
+            exit(2);
+        };
+        out.push_str(&event.render());
+        out.push('\n');
     }
     out
 }

@@ -81,6 +81,6 @@ pub use profile::{
     ProfileDiff, StageDelta, StageProfile, TailAttribution,
 };
 pub use sink::TraceSink;
-pub use slo::{HealthEvent, HealthEventKind, SloEngine, SloKind, SloPolicy, HEALTH_TRACE_BASE};
+pub use slo::{HealthEvent, HealthEventKind, SloEngine, SloPolicy, HEALTH_TRACE_BASE};
 pub use span::{Span, SpanId, Trace, TraceBuilder};
 pub use timeseries::{WindowedCounter, WindowedHistogram, WindowedScope};

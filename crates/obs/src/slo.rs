@@ -9,7 +9,8 @@
 //!   99.0% of requests good). Its error budget is `1000 - target`.
 //! * The **burn rate** over a span of windows is the observed error
 //!   share divided by the budget, reported ×1000 in integer milli
-//!   math: `burn_milli = (bad·10⁶ / total) / (1000 − target)`.
+//!   math: `burn_milli = ⌊bad·1000 / total⌋ · 1000 / (1000 − target)`
+//!   ([`burn_milli`], the one copy of that formula).
 //!   Burn 1000 means the budget is being spent exactly at the
 //!   sustainable rate; 2000 means twice as fast.
 //! * An objective **fires** when the burn over *both* a short and a
@@ -35,40 +36,25 @@ use crate::timeseries::WindowedCounter;
 /// two id spaces disjoint in a shared sink).
 pub const HEALTH_TRACE_BASE: u64 = 1 << 48;
 
-/// What an [`SloPolicy`] counts as good vs. bad.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SloKind {
-    /// Good = the request was served (not refused/shed/expired).
-    Availability,
-    /// Good = the served request's sojourn sat at or below the
-    /// threshold (in ticks).
-    Latency {
-        /// Inclusive sojourn-tick bound for a "good" request.
-        threshold_ticks: u64,
-    },
-}
-
-impl SloKind {
-    /// Canonical lowercase label (`availability` / `latency`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            SloKind::Availability => "availability",
-            SloKind::Latency { .. } => "latency",
-        }
-    }
+/// The burn rate (milli) of `bad` observations out of `total` against
+/// an error budget of `budget_milli` (≥ 1): the error share in
+/// milli-units, ×1000, over the budget. 0 when `total` is 0 — no
+/// traffic burns nothing.
+pub fn burn_milli(bad: u64, total: u64, budget_milli: u64) -> u64 {
+    bad.saturating_mul(1000)
+        .checked_div(total)
+        .map_or(0, |share| share.saturating_mul(1000) / budget_milli)
 }
 
 /// One service-level objective: a good-share target plus the window
-/// spans and burn threshold that decide when it fires.
+/// spans and burn threshold that decide when it fires. What counts as
+/// good or bad is the feeder's call: the engine only counts what it is
+/// handed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SloPolicy {
     /// Objective name (unique within an engine; used in renderings
     /// and metrics keys).
     pub objective: String,
-    /// What good/bad means — informational here (the *feeder*
-    /// classifies observations); carried so renderings are
-    /// self-describing.
-    pub kind: SloKind,
     /// Target good share in milli-units, clamped to ≤ 999 so the
     /// error budget `1000 - target` is never zero.
     pub target_milli: u64,
@@ -173,6 +159,29 @@ impl HealthEvent {
         tb.close(root);
         tb.finish()
     }
+
+    /// The event a [`HealthEvent::to_trace`] trace carries, read back
+    /// from its `health` root span; `None` when the trace has no such
+    /// root or an attribute is missing or malformed.
+    pub fn from_trace(trace: &Trace) -> Option<HealthEvent> {
+        let root = trace.root().filter(|r| r.name == "health")?;
+        let num = |key: &str| root.attr(key)?.parse::<u64>().ok();
+        Some(HealthEvent {
+            seq: num("seq")?,
+            objective: root.attr("objective")?.to_string(),
+            kind: match root.attr("event")? {
+                "fired" => HealthEventKind::Fired,
+                "cleared" => HealthEventKind::Cleared,
+                _ => return None,
+            },
+            window: num("window")?,
+            tick: root.tick_open,
+            short_burn_milli: num("short_burn_milli")?,
+            long_burn_milli: num("long_burn_milli")?,
+            short_counts: (num("short_bad")?, num("short_total")?),
+            long_counts: (num("long_bad")?, num("long_total")?),
+        })
+    }
 }
 
 /// Per-objective feed state: good/bad windowed counters plus the
@@ -263,18 +272,9 @@ impl SloEngine {
 
     fn burn_of(state: &ObjectiveState, span: u64) -> BurnSample {
         let bad = state.bad.sum_last(span);
-        let good = state.good.sum_last(span);
-        let total = good.saturating_add(bad);
-        if total == 0 {
-            return BurnSample {
-                burn_milli: 0,
-                bad: 0,
-                total: 0,
-            };
-        }
-        let error_milli = bad.saturating_mul(1000) / total;
+        let total = state.good.sum_last(span).saturating_add(bad);
         BurnSample {
-            burn_milli: error_milli.saturating_mul(1000) / state.policy.budget_milli(),
+            burn_milli: burn_milli(bad, total, state.policy.budget_milli()),
             bad,
             total,
         }
@@ -346,7 +346,6 @@ mod tests {
     fn availability(target: u64, short: u64, long: u64, fire: u64) -> SloPolicy {
         SloPolicy {
             objective: "availability".to_string(),
-            kind: SloKind::Availability,
             target_milli: target,
             short_windows: short,
             long_windows: long,
@@ -477,6 +476,23 @@ mod tests {
             trace.to_json(),
             event.to_trace(HEALTH_TRACE_BASE + 3).to_json()
         );
+        // `from_trace` inverts `to_trace`, for a fired event and a
+        // cleared one; a request trace carries no event.
+        assert_eq!(HealthEvent::from_trace(&trace), Some(event.clone()));
+        let cleared = HealthEvent {
+            seq: 4,
+            kind: HealthEventKind::Cleared,
+            tick: 104,
+            short_burn_milli: 0,
+            short_counts: (0, 0),
+            ..event
+        };
+        let trace = cleared.to_trace(HEALTH_TRACE_BASE + 4);
+        assert_eq!(HealthEvent::from_trace(&trace), Some(cleared));
+        let mut tb = TraceBuilder::new(1, Arc::new(ManualClock::new()));
+        let root = tb.open("request");
+        tb.close(root);
+        assert_eq!(HealthEvent::from_trace(&tb.finish()), None);
     }
 
     #[test]
@@ -486,7 +502,6 @@ mod tests {
             e.add_objective(availability(990, 2, 6, 2000));
             e.add_objective(SloPolicy {
                 objective: "latency".to_string(),
-                kind: SloKind::Latency { threshold_ticks: 4 },
                 target_milli: 950,
                 short_windows: 2,
                 long_windows: 6,

@@ -122,6 +122,31 @@ fn timeline_renders_window_matrix_deterministically() {
 }
 
 #[test]
+fn timeline_ring_spans_only_the_windows_it_prints() {
+    // One request opened at tick 4·10¹²: with one-tick windows, a ring
+    // reaching back to w0 would need 4·10¹² windows.
+    let sink = TraceSink::new(2);
+    let clock = Arc::new(ManualClock::starting_at(4_000_000_000_000));
+    let mut tb = TraceBuilder::new(1, clock.clone() as Arc<dyn Clock>);
+    let root = tb.open("request");
+    tb.annotate(root, "outcome", "answered");
+    clock.advance(5);
+    tb.close(root);
+    sink.push(tb.finish());
+    let path = temp_file("late.jsonl", &sink.export_jsonl());
+    let out = tracetool(&["timeline", path.to_str().unwrap(), "--width", "1"]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "windows width=1 from=w4000000000000 to=w4000000000000\n\
+         counter answered | 1 | total=1 evicted=0\n\
+         histogram sojourn.count | 1 | total=1 evicted=0\n\
+         histogram sojourn.p99 | 7\n"
+    );
+}
+
+#[test]
 fn health_renders_event_log_from_corpus() {
     let path = temp_file("health.jsonl", &corpus());
     let out = tracetool(&["health", path.to_str().unwrap()]);

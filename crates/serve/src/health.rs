@@ -30,8 +30,8 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use nlidb_obs::slo::HEALTH_TRACE_BASE;
-use nlidb_obs::{HealthEvent, SloEngine, SloKind, SloPolicy, WindowedScope};
+use nlidb_obs::slo::{burn_milli, HEALTH_TRACE_BASE};
+use nlidb_obs::{HealthEvent, SloEngine, SloPolicy, WindowedScope};
 
 use crate::obs::ServeObs;
 use crate::server::Disposition;
@@ -81,26 +81,19 @@ impl Default for HealthConfig {
 
 impl HealthConfig {
     fn policies(&self) -> [SloPolicy; 2] {
-        [
-            SloPolicy {
-                objective: "availability".to_string(),
-                kind: SloKind::Availability,
-                target_milli: AVAILABILITY_TARGET_MILLI,
-                short_windows: SHORT_WINDOWS,
-                long_windows: self.long_windows,
-                fire_burn_milli: self.fire_burn_milli,
-            },
-            SloPolicy {
-                objective: "latency".to_string(),
-                kind: SloKind::Latency {
-                    threshold_ticks: LATENCY_THRESHOLD_TICKS,
-                },
-                target_milli: LATENCY_TARGET_MILLI,
-                short_windows: SHORT_WINDOWS,
-                long_windows: self.long_windows,
-                fire_burn_milli: self.fire_burn_milli,
-            },
-        ]
+        let availability = SloPolicy {
+            objective: "availability".to_string(),
+            target_milli: AVAILABILITY_TARGET_MILLI,
+            short_windows: SHORT_WINDOWS,
+            long_windows: self.long_windows,
+            fire_burn_milli: self.fire_burn_milli,
+        };
+        let latency = SloPolicy {
+            objective: "latency".to_string(),
+            target_milli: LATENCY_TARGET_MILLI,
+            ..availability.clone()
+        };
+        [availability, latency]
     }
 }
 
@@ -316,11 +309,6 @@ impl HealthHub {
             .map(|w| {
                 let served = delta("answered", w) + delta("session", w) + delta("degraded", w);
                 let bad = delta("refused", w) + delta("shed", w) + delta("deadline", w);
-                let total = served + bad;
-                let burn_milli = bad
-                    .saturating_mul(1000)
-                    .checked_div(total)
-                    .map_or(0, |share| share.saturating_mul(1000) / budget);
                 let p99 = merged
                     .histogram_ref("sojourn")
                     .and_then(|h| h.percentile_in(w, 99.0))
@@ -329,7 +317,7 @@ impl HealthHub {
                     index: w,
                     served,
                     p99,
-                    burn_milli,
+                    burn_milli: burn_milli(bad, served + bad, budget),
                 }
             })
             .collect()

@@ -25,8 +25,6 @@
 //! is recorded for *served* requests only (answered, session replies,
 //! degraded answers) — a shed request has no service time.
 
-use std::collections::HashMap;
-
 use nlidb_benchdata::RequestSpec;
 use nlidb_core::{fnv1a, FNV1A_OFFSET};
 use nlidb_obs::SketchHistogram;
@@ -316,18 +314,14 @@ pub fn open_loop(
 ) {
     let arrivals = config.arrivals_per_tick.max(1);
     let drain_every = config.drain_every.max(1);
-    // Submit tick per request awaiting its drain.
-    let mut pending: HashMap<u64, u64> = HashMap::new();
-    let mut drain = |server: &mut Server, pending: &mut HashMap<u64, u64>| {
+    let mut drain = |server: &mut Server| {
         let tick = clock.now();
         let drained = server
             .drain()
             .into_iter()
             .map(|c| {
-                let submitted = pending
-                    .remove(&c.id)
-                    .expect("completion for a submitted request");
-                (c, tick.saturating_sub(submitted))
+                let sojourn = tick.saturating_sub(c.submit_tick);
+                (c, sojourn)
             })
             .collect();
         on_drain(drained);
@@ -339,8 +333,7 @@ pub fn open_loop(
         for _ in 0..arrivals {
             match stream.next() {
                 Some((fingerprint, spec)) => {
-                    let id = server.submit_to(fingerprint, &spec).id();
-                    pending.insert(id, clock.now());
+                    server.submit_to(fingerprint, &spec);
                 }
                 None => {
                     exhausted = true;
@@ -351,12 +344,11 @@ pub fn open_loop(
         clock.advance(1);
         since_drain += 1;
         if since_drain >= drain_every {
-            drain(server, &mut pending);
+            drain(server);
             since_drain = 0;
         }
     }
-    drain(server, &mut pending);
-    debug_assert!(pending.is_empty(), "final drain folds everything");
+    drain(server);
 }
 
 /// Assign a deadline of `now + budget` ticks to every `period`-th
@@ -493,7 +485,6 @@ mod tests {
         let pool = question_pool(&slots, 42, 6);
         let policy = OverloadPolicy {
             high_watermark: 8,
-            low_watermark: 2,
             early_warning: None,
         };
         let (mut server, clock) = setup(1, Some(policy));

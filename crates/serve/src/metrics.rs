@@ -7,6 +7,12 @@
 //! mapping and each worker's queue order are deterministic, their
 //! values after a drain are also exact — snapshots taken between
 //! drains are what E12 compares across runs.
+//!
+//! Every increment writes one counter: its tenant's, or — for the few
+//! counts that belong to no tenant (unknown-tenant traffic, overload
+//! episodes, a failed join) — the server's own. The whole-runtime
+//! snapshot is a fold of those scopes ([`ServeMetrics::fold`]), never
+//! a second set of counters kept beside them.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,10 +46,9 @@ pub struct ServeMetrics {
     /// the default). Deliberately not in the exported scalar set: the
     /// perf-drift baseline predates the knob and is byte-compared.
     pub overload_entered_early: AtomicU64,
-    /// Overload episodes ended: pressure fell back to the low
-    /// watermark (the drain-to-empty invariant guarantees every
-    /// episode ends at the next drain, so after a final drain this
-    /// equals `overload_entered` — the controller never wedges).
+    /// Overload episodes ended. An episode ends at the next drain,
+    /// which returns every credit, so after a final drain this equals
+    /// `overload_entered` — the controller never wedges.
     pub overload_recovered: AtomicU64,
     /// Standalone questions answered (cache hit or computed).
     pub answered: AtomicU64,
@@ -146,85 +151,59 @@ impl ServeMetrics {
 
     /// Point-in-time copy of every counter.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        self.fold(MetricsSnapshot::default())
+    }
+
+    /// `acc` with this scope folded in: counters add, `max_queue_depth`
+    /// takes the max, and `per_worker` adds element-wise. Folding every
+    /// scope of a server yields its whole-runtime snapshot.
+    pub fn fold(&self, acc: MetricsSnapshot) -> MetricsSnapshot {
+        let add = |sum: u64, counter: &AtomicU64| sum + counter.load(Ordering::Relaxed);
         MetricsSnapshot {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            admitted: self.admitted.load(Ordering::Relaxed),
-            shed_full: self.shed_full.load(Ordering::Relaxed),
-            shed_deadline: self.shed_deadline.load(Ordering::Relaxed),
-            quota_refused: self.quota_refused.load(Ordering::Relaxed),
-            shed_overload: self.shed_overload.load(Ordering::Relaxed),
-            overload_entered: self.overload_entered.load(Ordering::Relaxed),
-            overload_entered_early: self.overload_entered_early.load(Ordering::Relaxed),
-            overload_recovered: self.overload_recovered.load(Ordering::Relaxed),
-            answered: self.answered.load(Ordering::Relaxed),
-            refused: self.refused.load(Ordering::Relaxed),
-            session_turns: self.session_turns.load(Ordering::Relaxed),
-            interp_hits: self.interp_hits.load(Ordering::Relaxed),
-            interp_misses: self.interp_misses.load(Ordering::Relaxed),
-            max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            retry_backoff_ticks: self.retry_backoff_ticks.load(Ordering::Relaxed),
-            breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
-            breaker_skips: self.breaker_skips.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
-            worker_deaths: self.worker_deaths.load(Ordering::Relaxed),
-            crashed_requests: self.crashed_requests.load(Ordering::Relaxed),
-            readmitted: self.readmitted.load(Ordering::Relaxed),
-            readmit_refused: self.readmit_refused.load(Ordering::Relaxed),
-            sessions_recovered: self.sessions_recovered.load(Ordering::Relaxed),
-            turns_replayed: self.turns_replayed.load(Ordering::Relaxed),
-            replay_divergence: self.replay_divergence.load(Ordering::Relaxed),
-            journal_turns: self.journal_turns.load(Ordering::Relaxed),
+            submitted: add(acc.submitted, &self.submitted),
+            admitted: add(acc.admitted, &self.admitted),
+            shed_full: add(acc.shed_full, &self.shed_full),
+            shed_deadline: add(acc.shed_deadline, &self.shed_deadline),
+            quota_refused: add(acc.quota_refused, &self.quota_refused),
+            shed_overload: add(acc.shed_overload, &self.shed_overload),
+            overload_entered: add(acc.overload_entered, &self.overload_entered),
+            overload_entered_early: add(acc.overload_entered_early, &self.overload_entered_early),
+            overload_recovered: add(acc.overload_recovered, &self.overload_recovered),
+            answered: add(acc.answered, &self.answered),
+            refused: add(acc.refused, &self.refused),
+            session_turns: add(acc.session_turns, &self.session_turns),
+            interp_hits: add(acc.interp_hits, &self.interp_hits),
+            interp_misses: add(acc.interp_misses, &self.interp_misses),
+            max_queue_depth: acc
+                .max_queue_depth
+                .max(self.max_queue_depth.load(Ordering::Relaxed)),
+            retries: add(acc.retries, &self.retries),
+            retry_backoff_ticks: add(acc.retry_backoff_ticks, &self.retry_backoff_ticks),
+            breaker_trips: add(acc.breaker_trips, &self.breaker_trips),
+            breaker_skips: add(acc.breaker_skips, &self.breaker_skips),
+            degraded: add(acc.degraded, &self.degraded),
+            worker_deaths: add(acc.worker_deaths, &self.worker_deaths),
+            crashed_requests: add(acc.crashed_requests, &self.crashed_requests),
+            readmitted: add(acc.readmitted, &self.readmitted),
+            readmit_refused: add(acc.readmit_refused, &self.readmit_refused),
+            sessions_recovered: add(acc.sessions_recovered, &self.sessions_recovered),
+            turns_replayed: add(acc.turns_replayed, &self.turns_replayed),
+            replay_divergence: add(acc.replay_divergence, &self.replay_divergence),
+            journal_turns: add(acc.journal_turns, &self.journal_turns),
             cache_disabled: self.cache_disabled,
             per_worker: self
                 .per_worker
                 .iter()
-                .map(|c| c.load(Ordering::Relaxed))
+                .zip(acc.per_worker.iter().chain(std::iter::repeat(&0)))
+                .map(|(counter, &sum)| add(sum, counter))
                 .collect(),
         }
     }
 }
 
-/// A runtime-global and a per-tenant counter set updated in lockstep.
-///
-/// Every increment site in the serving hot path goes through this pair
-/// so the global counters keep their exact pre-tenancy values (the
-/// perf-drift baseline byte-compares them) while each tenant's
-/// breakdown accrues the same amounts. In a single-tenant server both
-/// references point at different instances but see identical traffic,
-/// so `global == tenant` holds — a property the tenant tests assert.
-#[derive(Clone, Copy)]
-pub(crate) struct ScopedMetrics<'a> {
-    /// The whole-runtime counters.
-    pub global: &'a ServeMetrics,
-    /// The owning tenant's counters.
-    pub tenant: &'a ServeMetrics,
-}
-
-impl ScopedMetrics<'_> {
-    /// Add `n` to the counter `sel` picks, in both scopes.
-    pub fn add(&self, sel: fn(&ServeMetrics) -> &AtomicU64, n: u64) {
-        sel(self.global).fetch_add(n, Ordering::Relaxed);
-        sel(self.tenant).fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Raise the max-depth watermark in both scopes.
-    pub fn observe_depth(&self, depth: u64) {
-        self.global.observe_depth(depth);
-        self.tenant.observe_depth(depth);
-    }
-
-    /// Count a completion against worker `w` in both scopes (the
-    /// tenant's `per_worker` is sized like the global one).
-    pub fn per_worker(&self, w: usize) {
-        self.global.per_worker[w].fetch_add(1, Ordering::Relaxed);
-        self.tenant.per_worker[w].fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// A frozen view of [`ServeMetrics`]; plain values, comparable and
 /// printable.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// See [`ServeMetrics::submitted`].
     pub submitted: u64,
@@ -486,32 +465,30 @@ mod tests {
     }
 
     #[test]
-    fn scoped_metrics_update_both_scopes_in_lockstep() {
-        let global = ServeMetrics::new(2, false);
+    fn fold_adds_counters_maxes_depth_and_sums_per_worker() {
+        let own = ServeMetrics::new(2, false);
         let a = ServeMetrics::new(2, false);
         let b = ServeMetrics::new(2, false);
-        let sa = ScopedMetrics {
-            global: &global,
-            tenant: &a,
-        };
-        let sb = ScopedMetrics {
-            global: &global,
-            tenant: &b,
-        };
-        sa.add(|m| &m.answered, 3);
-        sb.add(|m| &m.answered, 2);
-        sa.add(|m| &m.quota_refused, 1);
-        sa.observe_depth(5);
-        sb.observe_depth(2);
-        sa.per_worker(1);
-        assert_eq!(global.snapshot().answered, 5);
+        own.overload_entered.fetch_add(1, Ordering::Relaxed);
+        a.answered.fetch_add(3, Ordering::Relaxed);
+        b.answered.fetch_add(2, Ordering::Relaxed);
+        a.quota_refused.fetch_add(1, Ordering::Relaxed);
+        a.observe_depth(5);
+        b.observe_depth(2);
+        a.per_worker[1].fetch_add(1, Ordering::Relaxed);
+        b.per_worker[0].fetch_add(4, Ordering::Relaxed);
+        b.per_worker[1].fetch_add(2, Ordering::Relaxed);
+        let whole = b.fold(a.fold(own.snapshot()));
+        assert_eq!(whole.answered, 5);
+        assert_eq!(whole.quota_refused, 1);
+        assert_eq!(whole.overload_entered, 1);
+        assert_eq!(whole.max_queue_depth, 5);
+        assert_eq!(whole.per_worker, vec![4, 3]);
+        // Folding is order-free, and each scope keeps only its own.
+        assert_eq!(whole, own.fold(a.fold(b.snapshot())));
         assert_eq!(a.snapshot().answered, 3);
-        assert_eq!(b.snapshot().answered, 2);
-        assert_eq!(a.snapshot().quota_refused, 1);
         assert_eq!(b.snapshot().quota_refused, 0);
-        assert_eq!(global.snapshot().max_queue_depth, 5);
         assert_eq!(b.snapshot().max_queue_depth, 2);
-        assert_eq!(global.snapshot().per_worker, vec![0, 1]);
         assert_eq!(a.snapshot().per_worker, vec![0, 1]);
     }
 

@@ -75,7 +75,7 @@ use crate::clock::Clock;
 use crate::fault::{HookCtx, InjectedFault};
 use crate::journal::{JournalEntry, SessionJournal};
 use crate::lru::LruCache;
-use crate::metrics::{MetricsSnapshot, ScopedMetrics, ServeMetrics};
+use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::obs::ServeObs;
 use crate::retry::{self, CircuitBreaker};
 use crate::tenant::{TenantPolicy, TenantRegistry};
@@ -97,36 +97,31 @@ pub struct ServerConfig {
     /// Interpretation-cache entries per (worker, tenant) (0 disables
     /// caching).
     pub interp_cache: usize,
-    /// High/low-watermark overload control (`None` = off, the default
-    /// — leaving admission byte-identical to the pre-overload
-    /// runtime). When set, the submitter watches the credit ledger's
-    /// *total* outstanding count: crossing `high_watermark` opens an
-    /// overload episode in which standalone repeats of questions
-    /// already answered at full fidelity, and standalone traffic from
-    /// tenants over their fair share, are shed at admission; the
-    /// episode closes — deterministically, at the latest at the next
-    /// drain, which returns every credit — once pressure falls back
-    /// to `low_watermark`. Dialogue turns are
-    /// never overload-shed: session state must advance (see the
-    /// DESIGN.md soak & overload model for why that is deliberate).
+    /// Watermark overload control (`None` = off, the default —
+    /// leaving admission byte-identical to the pre-overload runtime).
+    /// When set, the submitter watches the credit ledger's *total*
+    /// outstanding count: crossing `high_watermark` opens an overload
+    /// episode in which standalone repeats of questions already
+    /// answered at full fidelity, and standalone traffic from tenants
+    /// over their fair share, are shed at admission. The episode
+    /// closes at the next drain, which returns every credit. Dialogue
+    /// turns are never overload-shed: session state must advance (see
+    /// the DESIGN.md soak & overload model for why that is deliberate).
     pub overload: Option<OverloadPolicy>,
 }
 
-/// Knobs for the high/low-watermark overload controller (see
+/// Knobs for the watermark overload controller (see
 /// [`ServerConfig::overload`]). Pressure is measured on the credit
 /// ledger — the submitter's own total of admitted-but-undrained
 /// requests — so every overload decision is a pure function of the
 /// submit/drain sequence, deterministic like all other admission.
+/// There is no low watermark: a drain returns every credit, so every
+/// episode closes at the next drain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverloadPolicy {
     /// Total outstanding requests at/above which an overload episode
     /// opens.
     pub high_watermark: usize,
-    /// Total outstanding requests at/below which an open episode
-    /// closes (must be ≤ `high_watermark`). A drain returns every
-    /// credit, so pressure reaches 0 ≤ `low_watermark` there — the
-    /// drain-to-empty invariant that guarantees recovery.
-    pub low_watermark: usize,
     /// Opt-in early warning: when the server runs with a
     /// [`crate::HealthHub`] (see [`crate::ServeObs::with_health`]) and
     /// the maximum short-span SLO burn rate (milli) reaches this
@@ -248,6 +243,13 @@ pub struct Completion {
     pub session: Option<u64>,
     /// The outcome.
     pub disposition: Disposition,
+    /// The owning tenant's registration index (`None`: unknown tenant).
+    pub(crate) tenant: Option<usize>,
+    /// Clock tick at submission, where every sojourn starts.
+    pub(crate) submit_tick: u64,
+    /// A worker-served standalone question's normalized key, handed
+    /// back for the overload controller to learn.
+    pub(crate) key: Option<String>,
 }
 
 impl Completion {
@@ -314,12 +316,39 @@ struct Job {
     work: Work,
 }
 
+/// What a job asks for. A standalone question carries its normalized
+/// form: the key that routing hashes, the cache stores under and the
+/// overload controller learns.
 enum Work {
-    Single { question: String },
+    Single { question: String, key: String },
     Turn { session: u64, utterance: String },
 }
 
 impl Work {
+    /// What `spec` asks for. This is where a standalone question is
+    /// normalized, once per request.
+    fn of(spec: &RequestSpec) -> Work {
+        match spec.session {
+            Some(session) => Work::Turn {
+                session,
+                utterance: spec.question.clone(),
+            },
+            None => Work::Single {
+                key: normalize_question(&spec.question),
+                question: spec.question.clone(),
+            },
+        }
+    }
+
+    /// The content address routing reads: a turn's session id, or the
+    /// FNV-1a hash of a standalone question's key.
+    fn address(&self) -> u64 {
+        match self {
+            Work::Turn { session, .. } => *session,
+            Work::Single { key, .. } => fnv1a(FNV1A_OFFSET, key.as_bytes()),
+        }
+    }
+
     /// The session id, for dialogue turns.
     fn session(&self) -> Option<u64> {
         match self {
@@ -362,7 +391,8 @@ struct TenantRuntime {
     name: String,
     fingerprint: u64,
     pipeline: Arc<NliPipeline>,
-    /// Lifetime admission budget (`None` = unlimited).
+    /// Lifetime admission budget (`None` = unlimited), charged against
+    /// the tenant's `admitted` counter.
     admission_budget: Option<u64>,
     metrics: ServeMetrics,
     journal: SessionJournal,
@@ -372,9 +402,10 @@ struct TenantRuntime {
 struct Shared {
     /// Registered tenants, in registration order (never empty).
     tenants: Vec<TenantRuntime>,
-    /// Whole-runtime counters; every increment also lands in the
-    /// owning tenant's [`TenantRuntime::metrics`] (see
-    /// [`ScopedMetrics`]).
+    /// The counts no tenant owns: unknown-tenant `submitted` and
+    /// `refused`, the overload episode counters, and worker deaths
+    /// found at join. Every other count lands once, in its tenant's
+    /// [`TenantRuntime::metrics`]; [`Server::metrics`] folds them all.
     metrics: ServeMetrics,
     hook: Option<RequestHook>,
     clock: Arc<dyn Clock>,
@@ -383,6 +414,30 @@ struct Shared {
     /// servers, so single-tenant traces stay byte-identical to the
     /// pre-tenancy runtime (E14/E16).
     label_tenants: bool,
+}
+
+impl Shared {
+    /// Open request `id`'s trace: the root `request` span, opened at
+    /// `tick` and annotated with `id`, `kind` (a turn when it names a
+    /// `session`) and — on a multi-tenant server, when the tenant is
+    /// known — `tenant`.
+    fn open_request(
+        &self,
+        id: u64,
+        tick: u64,
+        session: Option<u64>,
+        tenant: Option<usize>,
+    ) -> (TraceBuilder, SpanId) {
+        let mut tb = TraceBuilder::new(id, Arc::clone(&self.clock));
+        let root = tb.open_at("request", tick);
+        tb.annotate(root, "id", id.to_string());
+        let kind = if session.is_some() { "turn" } else { "single" };
+        tb.annotate(root, "kind", kind);
+        if let Some(t) = tenant.filter(|_| self.label_tenants) {
+            tb.annotate(root, "tenant", self.tenants[t].name.clone());
+        }
+        (tb, root)
+    }
 }
 
 /// Lowercase + whitespace-collapse: the cache/routing key form, so
@@ -423,44 +478,30 @@ pub struct Server {
     senders: Vec<mpsc::Sender<Job>>,
     completion_rx: mpsc::Receiver<Delivery>,
     handles: Vec<JoinHandle<()>>,
-    /// Per-worker outstanding counts — the credit ledger. Owned by the
+    /// Per-worker outstanding counts — the credit ledger; their sum is
+    /// the pressure the overload controller watches. Owned by the
     /// submitter thread; workers never touch it (see module docs).
     outstanding: Vec<usize>,
     /// Workers known dead, learned from bounced jobs at drain time.
     /// Owned by the submitter like the credit ledger, so routing
     /// around a corpse is as deterministic as admission itself.
     dead: Vec<bool>,
-    in_flight: usize,
     /// Admission-time rejects, merged into the next drain.
     rejected: Vec<Completion>,
-    /// Lifetime admissions per tenant, charged against each tenant's
-    /// [`TenantPolicy::admission_budget`]. Submitter-owned, like the
-    /// credit ledger, so quota refusals are deterministic.
-    admitted_per_tenant: Vec<u64>,
-    /// (tenant, normalized question) pairs a standalone request has
+    /// Per tenant, the normalized questions a standalone request has
     /// been answered at full fidelity for, learned from completions at
     /// drain time; the overload controller sheds repeats of these
     /// first. Maintained only when [`ServerConfig::overload`] is set.
     /// Submitter-owned, like the credit ledger.
-    answered_questions: HashSet<(usize, String)>,
-    /// Admitted standalone questions awaiting their completion at the
-    /// next drain: request id → (tenant, normalized question).
-    pending_questions: HashMap<u64, (usize, String)>,
+    answered_questions: Vec<HashSet<String>>,
     /// Whether an overload episode is open (see
     /// [`ServerConfig::overload`]). Submitter-owned, like the credit
     /// ledger it watches.
     overloaded: bool,
     /// Admissions per tenant during the open overload episode — the
-    /// numerators of the fair-share check. Zeroed when an episode
-    /// opens.
+    /// numerators of the fair-share check, whose sum is its
+    /// denominator. Zeroed when an episode opens.
     episode_admitted: Vec<u64>,
-    /// Total admissions during the open overload episode.
-    episode_total: u64,
-    /// Submitted requests awaiting their health feed at the next
-    /// drain: request id → (tenant, submit tick). Maintained only
-    /// when the attached [`ServeObs`] carries a [`HealthHub`]; empty
-    /// otherwise.
-    health_meta: HashMap<u64, (usize, u64)>,
     next_id: u64,
 }
 
@@ -504,12 +545,6 @@ impl Server {
         obs: Option<ServeObs>,
     ) -> Server {
         assert!(!registry.is_empty(), "cannot serve zero tenants");
-        if let Some(policy) = &config.overload {
-            assert!(
-                policy.low_watermark <= policy.high_watermark,
-                "overload low watermark must not exceed the high watermark"
-            );
-        }
         let config = ServerConfig {
             workers: config.workers.max(1),
             ..config
@@ -559,15 +594,10 @@ impl Server {
             shared,
             outstanding: vec![0; config.workers],
             dead: vec![false; config.workers],
-            in_flight: 0,
             rejected: Vec::new(),
-            admitted_per_tenant: vec![0; tenant_count],
-            answered_questions: HashSet::new(),
-            pending_questions: HashMap::new(),
+            answered_questions: vec![HashSet::new(); tenant_count],
             overloaded: false,
             episode_admitted: vec![0; tenant_count],
-            episode_total: 0,
-            health_meta: HashMap::new(),
             next_id: 0,
             config,
             senders,
@@ -591,8 +621,7 @@ impl Server {
     /// worker is returned; [`Server::submit_to`] refuses such requests
     /// at admission.
     pub fn route_to(&self, fingerprint: u64, spec: &RequestSpec) -> Option<usize> {
-        let base = self.home_worker(self.tenant(fingerprint)?, spec.session, &spec.question);
-        Some(self.live_worker_from(base).unwrap_or(base))
+        Some(self.worker_for(self.tenant(fingerprint)?, &Work::of(spec)))
     }
 
     /// Registration index of the tenant behind `fingerprint`.
@@ -605,15 +634,18 @@ impl Server {
             .position(|t| t.fingerprint == fingerprint)
     }
 
-    /// The content-addressed home worker, dead or alive: a session id,
-    /// or else the normalized question's FNV-1a hash, XORed with the
-    /// tenant's salt, modulo the pool size.
-    fn home_worker(&self, tenant: usize, session: Option<u64>, question: &str) -> usize {
-        let address = match session {
-            Some(id) => id,
-            None => fnv1a(FNV1A_OFFSET, normalize_question(question).as_bytes()),
-        };
-        ((address ^ tenant_salt(tenant)) % self.config.workers as u64) as usize
+    /// The content-addressed home worker, dead or alive: the work's
+    /// [address](Work::address), XORed with the tenant's salt, modulo
+    /// the pool size.
+    fn home_worker(&self, tenant: usize, work: &Work) -> usize {
+        ((work.address() ^ tenant_salt(tenant)) % self.config.workers as u64) as usize
+    }
+
+    /// The home worker, or the next live one after it when it has died
+    /// (the home worker itself when the whole pool has).
+    fn worker_for(&self, tenant: usize, work: &Work) -> usize {
+        let base = self.home_worker(tenant, work);
+        self.live_worker_from(base).unwrap_or(base)
     }
 
     /// First live worker at or after `base`, wrapping; `None` when the
@@ -645,10 +677,9 @@ impl Server {
     /// Offer one request on behalf of the tenant behind `fingerprint`.
     /// Decides admit/shed/deadline *now* (see module docs); admitted
     /// work completes at the next [`Server::drain`]. Counters land in
-    /// the tenant's scope as well as the global one, the tenant's
-    /// admission budget is enforced, and routing carries the tenant's
-    /// salt. An unregistered fingerprint is refused, counted in the
-    /// global scope only.
+    /// the tenant's scope, the tenant's admission budget is enforced,
+    /// and routing carries the tenant's salt. An unregistered
+    /// fingerprint is refused, counted in the server's own scope.
     pub fn submit_to(&mut self, fingerprint: u64, spec: &RequestSpec) -> Admission {
         let id = self.next_id;
         self.next_id += 1;
@@ -657,18 +688,8 @@ impl Server {
             shared.metrics.submitted.fetch_add(1, Ordering::Relaxed);
             return self.reject(None, id, spec, 0, Reject::UnknownTenant);
         };
-        let metrics = ScopedMetrics {
-            global: &shared.metrics,
-            tenant: &shared.tenants[tenant].metrics,
-        };
-        metrics.add(|m| &m.submitted, 1);
-        // Health bookkeeping: remember who submitted when, so the
-        // drain can feed disposition + sojourn into the tenant's
-        // windowed scope. Only when a hub is attached — the map stays
-        // empty (and unhashed) on every default path.
-        if self.health_hub().is_some() {
-            self.health_meta.insert(id, (tenant, shared.clock.now()));
-        }
+        let metrics = &shared.tenants[tenant].metrics;
+        metrics.submitted.fetch_add(1, Ordering::Relaxed);
         // Overload watermark: between drains the credit ledger's total
         // is monotone non-decreasing, so the episode opens on the
         // first offer that finds pressure at/above the high watermark
@@ -678,7 +699,7 @@ impl Server {
         // watermark.
         if let Some(policy) = self.config.overload {
             if !self.overloaded {
-                let pressure = self.in_flight >= policy.high_watermark;
+                let pressure = self.outstanding.iter().sum::<usize>() >= policy.high_watermark;
                 let early = !pressure
                     && policy.early_warning.is_some_and(|threshold| {
                         self.health_hub()
@@ -687,16 +708,10 @@ impl Server {
                 if pressure || early {
                     self.overloaded = true;
                     self.episode_admitted.iter_mut().for_each(|e| *e = 0);
-                    self.episode_total = 0;
-                    shared
-                        .metrics
-                        .overload_entered
-                        .fetch_add(1, Ordering::Relaxed);
+                    let own = &shared.metrics;
+                    own.overload_entered.fetch_add(1, Ordering::Relaxed);
                     if early {
-                        shared
-                            .metrics
-                            .overload_entered_early
-                            .fetch_add(1, Ordering::Relaxed);
+                        own.overload_entered_early.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             }
@@ -705,13 +720,12 @@ impl Server {
             return self.reject(Some(tenant), id, spec, 0, Reject::NoLiveWorker);
         }
         if let Some(budget) = shared.tenants[tenant].admission_budget {
-            if self.admitted_per_tenant[tenant] >= budget {
+            if metrics.admitted.load(Ordering::Relaxed) >= budget {
                 return self.reject(Some(tenant), id, spec, 0, Reject::Quota);
             }
         }
-        let worker = self
-            .route_to(fingerprint, spec)
-            .expect("the tenant is registered");
+        let work = Work::of(spec);
+        let worker = self.worker_for(tenant, &work);
         let depth = self.outstanding[worker];
         let now = shared.clock.now();
 
@@ -732,18 +746,19 @@ impl Server {
         // back. Dialogue turns always pass: session state must advance
         // (the deliberate non-backpressure documented in DESIGN.md's
         // soak & overload model). First sightings pass the repeat axis.
-        if self.overloaded && spec.session.is_none() {
-            let repeat = self
-                .answered_questions
-                .contains(&(tenant, normalize_question(&spec.question)));
-            // Fair share with slack: tenant t is over when its episode
-            // admissions exceed (total + N) / N — impossible for a
-            // single tenant, where admissions equal the total.
-            let tenant_count = self.episode_admitted.len() as u64;
-            let over_share =
-                self.episode_admitted[tenant] * tenant_count > self.episode_total + tenant_count;
-            if repeat || over_share {
-                return self.reject(Some(tenant), id, spec, depth, Reject::Overload);
+        if self.overloaded {
+            if let Work::Single { key, .. } = &work {
+                let repeat = self.answered_questions[tenant].contains(key);
+                // Fair share with slack: tenant t is over when its
+                // episode admissions exceed (total + N) / N — impossible
+                // for a single tenant, where admissions equal the total.
+                let tenant_count = self.episode_admitted.len() as u64;
+                let episode_total: u64 = self.episode_admitted.iter().sum();
+                let over_share =
+                    self.episode_admitted[tenant] * tenant_count > episode_total + tenant_count;
+                if repeat || over_share {
+                    return self.reject(Some(tenant), id, spec, depth, Reject::Overload);
+                }
             }
         }
         if depth >= self.config.queue_capacity {
@@ -758,39 +773,24 @@ impl Server {
             deadline: spec.deadline,
             redeliveries: 0,
             bounced_from: None,
-            work: match spec.session {
-                Some(session) => Work::Turn {
-                    session,
-                    utterance: spec.question.clone(),
-                },
-                None => Work::Single {
-                    question: spec.question.clone(),
-                },
-            },
+            work,
         };
         self.senders[worker]
             .send(job)
             .expect("worker alive while server running");
-        if self.config.overload.is_some() && spec.session.is_none() {
-            self.pending_questions
-                .insert(id, (tenant, normalize_question(&spec.question)));
-        }
         self.outstanding[worker] += 1;
-        self.in_flight += 1;
-        self.admitted_per_tenant[tenant] += 1;
         if self.overloaded {
             self.episode_admitted[tenant] += 1;
-            self.episode_total += 1;
         }
-        metrics.add(|m| &m.admitted, 1);
+        metrics.admitted.fetch_add(1, Ordering::Relaxed);
         metrics.observe_depth(self.outstanding[worker] as u64);
         Admission::Admitted { id, worker }
     }
 
     /// The one exit for an admission-time reject: count it in the
-    /// global scope and, when it names a registered tenant, in that
-    /// tenant's, trace it, queue its completion for the next drain, and
-    /// return its [`Admission`].
+    /// tenant's scope (the server's own for an unknown tenant), trace
+    /// it, queue its completion for the next drain, and return its
+    /// [`Admission`].
     fn reject(
         &mut self,
         tenant: Option<usize>,
@@ -829,17 +829,21 @@ impl Server {
             Reject::Overload => (|m| &m.shed_overload, "shed_overload", Disposition::Shed),
             Reject::QueueFull => (|m| &m.shed_full, "shed", Disposition::Shed),
         };
-        match tenant {
-            Some(t) => ScopedMetrics {
-                global: &self.shared.metrics,
-                tenant: &self.shared.tenants[t].metrics,
-            }
-            .add(counter, 1),
-            None => {
-                counter(&self.shared.metrics).fetch_add(1, Ordering::Relaxed);
-            }
+        let metrics = tenant.map_or(&self.shared.metrics, |t| &self.shared.tenants[t].metrics);
+        counter(metrics).fetch_add(1, Ordering::Relaxed);
+        let now = self.shared.clock.now();
+        // The request never reaches a worker, so the submitter is the
+        // only place its two-span trace can be recorded.
+        if let Some(obs) = &self.shared.obs {
+            let (mut tb, root) = self.shared.open_request(id, now, spec.session, tenant);
+            tb.annotate(root, "outcome", outcome);
+            let adm = tb.open("admission");
+            tb.annotate(adm, "depth", depth.to_string());
+            tb.annotate(adm, "outcome", outcome);
+            tb.close(adm);
+            tb.close(root);
+            obs.record(tb.finish());
         }
-        self.trace_reject(tenant, id, spec, depth, outcome);
         let admission = match disposition {
             Disposition::Refused { .. } => Admission::Refused { id },
             Disposition::DeadlineExceeded => Admission::DeadlineExceeded { id },
@@ -850,44 +854,11 @@ impl Server {
             worker: None,
             session: spec.session,
             disposition,
+            tenant,
+            submit_tick: now,
+            key: None,
         });
         admission
-    }
-
-    /// Record an admission-time reject as a two-span trace (the
-    /// request never reaches a worker, so the submitter is the only
-    /// place this evidence exists).
-    fn trace_reject(
-        &self,
-        tenant: Option<usize>,
-        id: u64,
-        spec: &RequestSpec,
-        depth: usize,
-        outcome: &str,
-    ) {
-        let Some(obs) = &self.shared.obs else { return };
-        let mut tb = TraceBuilder::new(id, Arc::clone(&self.shared.clock));
-        let root = tb.open("request");
-        tb.annotate(root, "id", id.to_string());
-        tb.annotate(
-            root,
-            "kind",
-            if spec.session.is_some() {
-                "turn"
-            } else {
-                "single"
-            },
-        );
-        if let Some(t) = tenant.filter(|_| self.shared.label_tenants) {
-            tb.annotate(root, "tenant", self.shared.tenants[t].name.clone());
-        }
-        tb.annotate(root, "outcome", outcome);
-        let adm = tb.open("admission");
-        tb.annotate(adm, "depth", depth.to_string());
-        tb.annotate(adm, "outcome", outcome);
-        tb.close(adm);
-        tb.close(root);
-        obs.record(tb.finish());
     }
 
     /// Wait for every admitted request to finish; return all outcomes
@@ -902,8 +873,8 @@ impl Server {
     /// is a pure function of the submit sequence, never of which
     /// thread's messages arrived first.
     pub fn drain(&mut self) -> Vec<Completion> {
-        let mut out = Vec::with_capacity(self.in_flight + self.rejected.len());
-        let mut expected = self.in_flight;
+        let mut expected: usize = self.outstanding.iter().sum();
+        let mut out = Vec::with_capacity(expected + self.rejected.len());
         while expected > 0 {
             let mut bounces: Vec<(usize, Job)> = Vec::new();
             while expected > 0 {
@@ -926,14 +897,11 @@ impl Server {
                 }
             }
         }
-        self.in_flight = 0;
         self.outstanding.iter_mut().for_each(|d| *d = 0);
-        // Overload recovery: the drain returned every credit, so
-        // pressure is 0 — at or below any low watermark. Every episode
-        // therefore closes no later than the next drain: the
-        // controller can shed, never wedge.
-        if self.overloaded && self.in_flight <= self.config.overload.map_or(0, |p| p.low_watermark)
-        {
+        // Overload recovery: the drain returned every credit, so every
+        // episode closes no later than the next drain: the controller
+        // can shed, never wedge.
+        if self.overloaded {
             self.overloaded = false;
             self.shared
                 .metrics
@@ -944,14 +912,12 @@ impl Server {
         out.sort_by_key(|c| c.id);
         // Teach the overload controller which questions were answered
         // at full fidelity (a cache hit counts: it replays a miss's
-        // answer). Requests that finished otherwise (refusals,
-        // degraded answers, bounces) still clear their pending entry
-        // so the map never grows unbounded.
+        // answer), keeping the key each completion hands back.
         if self.config.overload.is_some() {
-            for c in &out {
-                if let Some(key) = self.pending_questions.remove(&c.id) {
-                    if matches!(c.disposition, Disposition::Answered { .. }) {
-                        self.answered_questions.insert(key);
+            for c in &mut out {
+                if matches!(c.disposition, Disposition::Answered { .. }) {
+                    if let (Some(tenant), Some(key)) = (c.tenant, c.key.take()) {
+                        self.answered_questions[tenant].insert(key);
                     }
                 }
             }
@@ -960,17 +926,16 @@ impl Server {
         // windowed scopes, then every SLO engine is evaluated at the
         // drain tick. `out` is id-sorted, so the feed order — and
         // therefore the whole health layer — is a pure function of
-        // the completion stream. Unknown-tenant refusals never enter
-        // `health_meta` and are deliberately skipped: they have no
-        // tenant scope.
+        // the completion stream. Unknown-tenant refusals are
+        // deliberately skipped: they have no tenant scope.
         if let Some(hub) = self.health_hub().cloned() {
             let tick = self.shared.clock.now();
             for c in &out {
-                if let Some((tenant, submitted)) = self.health_meta.remove(&c.id) {
+                if let Some(tenant) = c.tenant {
                     hub.feed(
                         &self.shared.tenants[tenant].name,
                         &c.disposition,
-                        tick.saturating_sub(submitted),
+                        tick.saturating_sub(c.submit_tick),
                         tick,
                     );
                 }
@@ -1004,20 +969,14 @@ impl Server {
                 return Some(self.readmit_failed(from, &job, Disposition::DeadlineExceeded));
             }
         }
-        let (session, question) = match &job.work {
-            Work::Turn { session, utterance } => (Some(*session), utterance),
-            Work::Single { question } => (None, question),
-        };
-        let base = self.home_worker(job.tenant, session, question);
-        let Some(target) = self.live_worker_from(base) else {
+        let Some(target) = self.live_worker_from(self.home_worker(job.tenant, &job.work)) else {
             let reason = "no live workers".to_string();
             return Some(self.readmit_failed(from, &job, Disposition::Refused { reason }));
         };
-        ScopedMetrics {
-            global: &self.shared.metrics,
-            tenant: &self.shared.tenants[job.tenant].metrics,
-        }
-        .add(|m| &m.readmitted, 1);
+        self.shared.tenants[job.tenant]
+            .metrics
+            .readmitted
+            .fetch_add(1, Ordering::Relaxed);
         self.senders[target]
             .send(job)
             .expect("live worker while draining");
@@ -1030,28 +989,19 @@ impl Server {
     /// never reaches another worker, so the submitter is the only place
     /// this evidence exists), and build its completion.
     fn readmit_failed(&self, from: usize, job: &Job, disposition: Disposition) -> Completion {
-        let metrics = ScopedMetrics {
-            global: &self.shared.metrics,
-            tenant: &self.shared.tenants[job.tenant].metrics,
+        let metrics = &self.shared.tenants[job.tenant].metrics;
+        metrics.readmit_refused.fetch_add(1, Ordering::Relaxed);
+        let counter = match disposition {
+            Disposition::DeadlineExceeded => &metrics.shed_deadline,
+            _ => &metrics.refused,
         };
-        metrics.add(|m| &m.readmit_refused, 1);
-        match disposition {
-            Disposition::DeadlineExceeded => metrics.add(|m| &m.shed_deadline, 1),
-            _ => metrics.add(|m| &m.refused, 1),
-        }
+        counter.fetch_add(1, Ordering::Relaxed);
         let session = job.work.session();
         if let Some(obs) = &self.shared.obs {
-            let mut tb = TraceBuilder::new(job.id, Arc::clone(&self.shared.clock));
-            let root = tb.open("request");
-            tb.annotate(root, "id", job.id.to_string());
-            tb.annotate(
-                root,
-                "kind",
-                if session.is_some() { "turn" } else { "single" },
-            );
-            if self.shared.label_tenants {
-                tb.annotate(root, "tenant", self.shared.tenants[job.tenant].name.clone());
-            }
+            let now = self.shared.clock.now();
+            let (mut tb, root) = self
+                .shared
+                .open_request(job.id, now, session, Some(job.tenant));
             tb.annotate(root, "outcome", disposition_label(&disposition));
             tb.annotate(root, "redeliveries", job.redeliveries.to_string());
             tb.annotate(root, "bounced_from", from.to_string());
@@ -1063,6 +1013,9 @@ impl Server {
             worker: None,
             session,
             disposition,
+            tenant: Some(job.tenant),
+            submit_tick: job.submit_tick,
+            key: None,
         }
     }
 
@@ -1081,15 +1034,19 @@ impl Server {
         Some(&self.shared.tenants[self.tenant(fingerprint)?].journal)
     }
 
-    /// Whole-runtime counter snapshot (every tenant's traffic).
+    /// Whole-runtime counter snapshot: every tenant's scope folded
+    /// into the server's own counts (see [`ServeMetrics::fold`]).
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.metrics.snapshot()
+        self.shared
+            .tenants
+            .iter()
+            .fold(self.shared.metrics.snapshot(), |acc, t| t.metrics.fold(acc))
     }
 
     /// Counter snapshot for one tenant (`None` for an unregistered
-    /// fingerprint). In lockstep with the global snapshot: summing a
-    /// counter over all tenants yields the global value (minus
-    /// unknown-tenant refusals, which have no tenant scope).
+    /// fingerprint). [`Server::metrics`] is the fold of these plus the
+    /// counts no tenant owns (unknown-tenant traffic, overload
+    /// episodes, worker deaths found at join).
     pub fn tenant_metrics(&self, fingerprint: u64) -> Option<MetricsSnapshot> {
         Some(
             self.shared.tenants[self.tenant(fingerprint)?]
@@ -1126,7 +1083,7 @@ impl Server {
     /// `shutdown`, `Drop` has nothing left to join.
     pub fn shutdown(mut self) -> MetricsSnapshot {
         self.join_pool();
-        self.shared.metrics.snapshot()
+        self.metrics()
     }
 
     /// Close every job channel and join the worker threads. Worker
@@ -1208,7 +1165,7 @@ impl FaultRide {
 /// delivery.
 fn ride_out_faults(
     hook: Option<&RequestHook>,
-    metrics: ScopedMetrics<'_>,
+    metrics: &ServeMetrics,
     id: u64,
     rung: usize,
     attempt_base: u32,
@@ -1225,8 +1182,10 @@ fn ride_out_faults(
             None => return ride,
             Some(InjectedFault::Transient) if attempt < retry::MAX_RETRIES => {
                 let backoff = retry::backoff(attempt);
-                metrics.add(|m| &m.retries, 1);
-                metrics.add(|m| &m.retry_backoff_ticks, backoff);
+                metrics.retries.fetch_add(1, Ordering::Relaxed);
+                metrics
+                    .retry_backoff_ticks
+                    .fetch_add(backoff, Ordering::Relaxed);
                 ride.retries += 1;
                 ride.backoff += backoff;
                 attempt += 1;
@@ -1258,7 +1217,7 @@ fn interpret_single(
     question: &str,
     pipeline: &NliPipeline,
     hook: Option<&RequestHook>,
-    metrics: ScopedMetrics<'_>,
+    metrics: &ServeMetrics,
     attempt_base: u32,
     breakers: &mut [CircuitBreaker],
     mut tracer: Option<&mut TraceBuilder>,
@@ -1274,16 +1233,19 @@ fn interpret_single(
             tb.annotate(s, "family", kind.label());
             s
         });
-        let seal = |tracer: &mut Option<&mut TraceBuilder>, key: &str, value: &str| {
-            if let (Some(tb), Some(s)) = (tracer.as_deref_mut(), span) {
-                tb.annotate(s, key, value);
-                tb.annotate(s, "outcome", key_outcome(key, value));
-                tb.close(s);
-            }
-        };
+        // Close the rung's span with its terminal annotation and the
+        // uniform `outcome` every rung span carries, whatever ended it.
+        let seal =
+            |tracer: &mut Option<&mut TraceBuilder>, key: &str, value: &str, outcome: &str| {
+                if let (Some(tb), Some(s)) = (tracer.as_deref_mut(), span) {
+                    tb.annotate(s, key, value);
+                    tb.annotate(s, "outcome", outcome);
+                    tb.close(s);
+                }
+            };
         if !breakers[rung].allow() {
-            metrics.add(|m| &m.breaker_skips, 1);
-            seal(&mut tracer, "breaker", "open");
+            metrics.breaker_skips.fetch_add(1, Ordering::Relaxed);
+            seal(&mut tracer, "breaker", "open", "breaker_skipped");
             continue;
         }
         let ride = ride_out_faults(hook, metrics, id, rung, attempt_base);
@@ -1293,14 +1255,14 @@ fn interpret_single(
         if !ride.proceed {
             let tripped = breakers[rung].on_failure();
             if tripped {
-                metrics.add(|m| &m.breaker_trips, 1);
+                metrics.breaker_trips.fetch_add(1, Ordering::Relaxed);
             }
             if let (Some(tb), Some(s)) = (tracer.as_deref_mut(), span) {
                 if tripped {
                     tb.annotate(s, "breaker", "tripped");
                 }
             }
-            seal(&mut tracer, "fault", "fatal");
+            seal(&mut tracer, "fault", "fatal", "faulted");
             continue;
         }
         match pipeline.ask_classic(question, kind, None, tracer.as_deref_mut()) {
@@ -1308,8 +1270,8 @@ fn interpret_single(
                 breakers[rung].on_success();
                 let rows = render_rows(&answer.result);
                 if rung == 0 {
-                    metrics.add(|m| &m.answered, 1);
-                    seal(&mut tracer, "served", "full");
+                    metrics.answered.fetch_add(1, Ordering::Relaxed);
+                    seal(&mut tracer, "served", "full", "answered");
                     return (
                         Disposition::Answered {
                             sql: answer.sql.clone(),
@@ -1319,8 +1281,8 @@ fn interpret_single(
                         Some((answer.sql, rows)),
                     );
                 }
-                metrics.add(|m| &m.degraded, 1);
-                seal(&mut tracer, "served", "degraded");
+                metrics.degraded.fetch_add(1, Ordering::Relaxed);
+                seal(&mut tracer, "served", "degraded", "degraded");
                 return (
                     Disposition::Degraded {
                         sql: answer.sql,
@@ -1337,8 +1299,8 @@ fn interpret_single(
             Err(e) => {
                 breakers[rung].on_success();
                 if rung == 0 {
-                    metrics.add(|m| &m.refused, 1);
-                    seal(&mut tracer, "refusal", "healthy");
+                    metrics.refused.fetch_add(1, Ordering::Relaxed);
+                    seal(&mut tracer, "refusal", "healthy", "refused");
                     return (
                         Disposition::Refused {
                             reason: e.to_string(),
@@ -1347,30 +1309,16 @@ fn interpret_single(
                     );
                 }
                 last_refusal = Some(e.to_string());
-                seal(&mut tracer, "refusal", "pass");
+                seal(&mut tracer, "refusal", "pass", "passed");
             }
         }
     }
-    metrics.add(|m| &m.refused, 1);
+    metrics.refused.fetch_add(1, Ordering::Relaxed);
     let reason = match last_refusal {
         Some(r) => format!("degraded ladder exhausted: {r}"),
         None => "no interpreter family available (all rungs faulted or circuit-broken)".to_string(),
     };
     (Disposition::Refused { reason }, None)
-}
-
-/// Map a rung's terminal annotation to its `outcome` value, so every
-/// rung span carries a uniform `outcome` key whatever ended it.
-fn key_outcome(key: &str, value: &str) -> &'static str {
-    match (key, value) {
-        ("breaker", "open") => "breaker_skipped",
-        ("fault", _) => "faulted",
-        ("served", "full") => "answered",
-        ("served", "degraded") => "degraded",
-        ("refusal", "healthy") => "refused",
-        ("refusal", _) => "passed",
-        _ => "unknown",
-    }
 }
 
 /// A short label for the disposition, for the root span's `outcome`.
@@ -1420,12 +1368,9 @@ fn worker_loop(
     while let Ok(job) = jobs.recv() {
         let tenant = job.tenant;
         let rt = &shared.tenants[tenant];
-        let metrics = ScopedMetrics {
-            global: &shared.metrics,
-            tenant: &rt.metrics,
-        };
+        let metrics = &rt.metrics;
         if dead {
-            metrics.add(|m| &m.crashed_requests, 1);
+            metrics.crashed_requests.fetch_add(1, Ordering::Relaxed);
             // No trace and no per-worker count here: the job is not
             // processed, it bounces; the worker that finally serves it
             // owns its one trace.
@@ -1441,18 +1386,11 @@ fn worker_loop(
         let (id, submit_tick, queued_behind) = (job.id, job.submit_tick, job.queued_behind);
         let (redeliveries, bounced_from) = (job.redeliveries, job.bounced_from);
         let session = job.work.session();
-        let kind_label = if session.is_some() { "turn" } else { "single" };
         // One trace per request: root `request` span, an `admission`
         // span stamped at the submitter-recorded tick, and a `queued`
         // span from that tick to dequeue (now).
         let mut tracer: Option<(TraceBuilder, SpanId)> = shared.obs.as_ref().map(|_| {
-            let mut tb = TraceBuilder::new(id, Arc::clone(&shared.clock));
-            let root = tb.open_at("request", submit_tick);
-            tb.annotate(root, "id", id.to_string());
-            tb.annotate(root, "kind", kind_label);
-            if shared.label_tenants {
-                tb.annotate(root, "tenant", rt.name.clone());
-            }
+            let (mut tb, root) = shared.open_request(id, submit_tick, session, Some(tenant));
             tb.annotate(root, "worker", worker.to_string());
             if redeliveries > 0 {
                 tb.annotate(root, "redeliveries", redeliveries.to_string());
@@ -1470,15 +1408,14 @@ fn worker_loop(
             (tb, root)
         });
         let outcome = catch_unwind(AssertUnwindSafe(|| match &job.work {
-            Work::Single { question } => {
-                let key = normalize_question(question);
+            Work::Single { question, key } => {
                 let cache_enabled = cache_capacity > 0;
                 let probe = tracer.as_mut().map(|(tb, _)| (tb.open("cache"), tb));
                 let cached = if cache_enabled {
                     caches
                         .entry(tenant)
                         .or_insert_with(|| LruCache::new(cache_capacity))
-                        .get(&key)
+                        .get(key)
                         .cloned()
                 } else {
                     None
@@ -1495,10 +1432,10 @@ fn worker_loop(
                     );
                     tb.close(s);
                 }
-                let disposition = match cached {
+                match cached {
                     Some((sql, rows)) => {
-                        metrics.add(|m| &m.interp_hits, 1);
-                        metrics.add(|m| &m.answered, 1);
+                        metrics.interp_hits.fetch_add(1, Ordering::Relaxed);
+                        metrics.answered.fetch_add(1, Ordering::Relaxed);
                         Disposition::Answered {
                             sql,
                             rows,
@@ -1506,7 +1443,7 @@ fn worker_loop(
                         }
                     }
                     None => {
-                        metrics.add(|m| &m.interp_misses, 1);
+                        metrics.interp_misses.fetch_add(1, Ordering::Relaxed);
                         let (disposition, cacheable) = interpret_single(
                             id,
                             question,
@@ -1522,17 +1459,11 @@ fn worker_loop(
                                 caches
                                     .get_mut(&tenant)
                                     .expect("cache ensured at probe")
-                                    .put(key, payload);
+                                    .put(key.clone(), payload);
                             }
                         }
                         disposition
                     }
-                };
-                Completion {
-                    id,
-                    worker: Some(worker),
-                    session: None,
-                    disposition,
                 }
             }
             Work::Turn { session, utterance } => {
@@ -1578,9 +1509,13 @@ fn worker_loop(
                                 .zip(&journaled)
                                 .filter(|(r, e)| r.digest() != e.outcome_digest)
                                 .count() as u64;
-                            metrics.add(|m| &m.sessions_recovered, 1);
-                            metrics.add(|m| &m.turns_replayed, journaled.len() as u64);
-                            metrics.add(|m| &m.replay_divergence, diverged);
+                            metrics.sessions_recovered.fetch_add(1, Ordering::Relaxed);
+                            metrics
+                                .turns_replayed
+                                .fetch_add(journaled.len() as u64, Ordering::Relaxed);
+                            metrics
+                                .replay_divergence
+                                .fetch_add(diverged, Ordering::Relaxed);
                             if let (Some((tb, _)), Some(s)) = (tracer.as_mut(), rspan) {
                                 tb.annotate(s, "divergence", diverged.to_string());
                                 tb.close(s);
@@ -1592,7 +1527,7 @@ fn worker_loop(
                         .get_mut(&(tenant, session))
                         .expect("session just ensured");
                     let r = s.turn(utterance);
-                    metrics.add(|m| &m.session_turns, 1);
+                    metrics.session_turns.fetch_add(1, Ordering::Relaxed);
                     // Write-ahead commit: the turn enters the journal
                     // before its reply leaves the worker, so a crash
                     // any time after this line loses nothing.
@@ -1605,7 +1540,7 @@ fn worker_loop(
                             outcome_digest: r.digest(),
                         },
                     );
-                    metrics.add(|m| &m.journal_turns, 1);
+                    metrics.journal_turns.fetch_add(1, Ordering::Relaxed);
                     if let (Some((tb, _)), Some(sp)) = (tracer.as_mut(), span) {
                         tb.annotate(sp, "accepted", r.accepted.to_string());
                         tb.annotate(sp, "sql", if r.sql.is_some() { "yes" } else { "no" });
@@ -1618,7 +1553,7 @@ fn worker_loop(
                 } else {
                     // Dialogue has no family ladder to fall down; a
                     // fatally-faulted turn is refused outright.
-                    metrics.add(|m| &m.refused, 1);
+                    metrics.refused.fetch_add(1, Ordering::Relaxed);
                     if let (Some((tb, _)), Some(sp)) = (tracer.as_mut(), span) {
                         tb.annotate(sp, "fault", "fatal");
                     }
@@ -1629,16 +1564,11 @@ fn worker_loop(
                 if let (Some((tb, _)), Some(sp)) = (tracer.as_mut(), span) {
                     tb.close(sp);
                 }
-                Completion {
-                    id,
-                    worker: Some(worker),
-                    session: Some(session),
-                    disposition,
-                }
+                disposition
             }
         }));
-        let completion = match outcome {
-            Ok(completion) => completion,
+        let disposition = match outcome {
+            Ok(disposition) => disposition,
             Err(_) => {
                 dead = true;
                 // Free everything the corpse retained — every tenant's
@@ -1647,8 +1577,8 @@ fn worker_loop(
                 // mid-mutation are not trusted again.
                 sessions.clear();
                 caches.clear();
-                metrics.add(|m| &m.worker_deaths, 1);
-                metrics.add(|m| &m.crashed_requests, 1);
+                metrics.worker_deaths.fetch_add(1, Ordering::Relaxed);
+                metrics.crashed_requests.fetch_add(1, Ordering::Relaxed);
                 // The half-built trace is dropped, not recorded: the
                 // request is not finished — it bounces back to the
                 // submitter for re-admission, and whichever worker
@@ -1661,10 +1591,22 @@ fn worker_loop(
             }
         };
         if let (Some(obs), Some((mut tb, root))) = (shared.obs.as_ref(), tracer.take()) {
-            tb.annotate(root, "outcome", disposition_label(&completion.disposition));
+            tb.annotate(root, "outcome", disposition_label(&disposition));
             obs.record(tb.finish());
         }
-        metrics.per_worker(worker);
+        metrics.per_worker[worker].fetch_add(1, Ordering::Relaxed);
+        let completion = Completion {
+            id,
+            worker: Some(worker),
+            session,
+            disposition,
+            tenant: Some(tenant),
+            submit_tick,
+            key: match job.work {
+                Work::Single { key, .. } => Some(key),
+                Work::Turn { .. } => None,
+            },
+        };
         if completions.send(Delivery::Done(completion)).is_err() {
             // Submitter went away mid-flight; nothing left to report to.
             break;
@@ -1710,8 +1652,23 @@ mod tests {
         for _ in 0..3 {
             srv.submit(&q);
         }
+        // Variants in case and whitespace are the same request: each is
+        // admitted to the worker `route` names and meets the cached
+        // answer there.
+        for variant in [
+            "How Many CUSTOMERS are there",
+            "  how   many\tcustomers are THERE ",
+        ] {
+            let v = RequestSpec::single(variant);
+            let worker = srv.route(&v);
+            assert_eq!(worker, srv.route(&q));
+            assert!(matches!(
+                srv.submit(&v),
+                Admission::Admitted { worker: w, .. } if w == worker
+            ));
+        }
         let done = srv.drain();
-        assert_eq!(done.len(), 3);
+        assert_eq!(done.len(), 5);
         let answered: Vec<bool> = done
             .iter()
             .map(|c| match &c.disposition {
@@ -1721,7 +1678,7 @@ mod tests {
             .collect();
         assert_eq!(
             answered,
-            vec![false, true, true],
+            vec![false, true, true, true, true],
             "first computes, rest hit"
         );
         let sigs: std::collections::HashSet<String> = done
@@ -1730,8 +1687,8 @@ mod tests {
             .collect();
         assert_eq!(sigs.len(), 1, "hits replay the identical answer");
         let m = srv.shutdown();
-        assert_eq!((m.interp_hits, m.interp_misses), (2, 1));
-        assert_eq!(m.answered, 3);
+        assert_eq!((m.interp_hits, m.interp_misses), (4, 1));
+        assert_eq!(m.answered, 5);
     }
 
     #[test]
@@ -1840,7 +1797,6 @@ mod tests {
             workers: 1,
             overload: Some(OverloadPolicy {
                 high_watermark: 1,
-                low_watermark: 0,
                 early_warning: None,
             }),
             ..ServerConfig::default()
@@ -1855,13 +1811,13 @@ mod tests {
             other => panic!("expected a fresh answer, got {other:?}"),
         }
         assert_eq!(
-            srv.answered_questions.len(),
+            srv.answered_questions[0].len(),
             1,
             "the miss taught the controller"
         );
         // Forget the miss's lesson while the worker cache stays warm —
         // the next drain's only possible teacher is the cache hit.
-        srv.answered_questions.clear();
+        srv.answered_questions[0].clear();
         srv.submit(&q);
         let second = srv.drain();
         match &second[0].disposition {
@@ -1869,8 +1825,8 @@ mod tests {
             other => panic!("expected cached answer, got {other:?}"),
         }
         assert_eq!(
-            srv.answered_questions.iter().collect::<Vec<_>>(),
-            vec![&(0, normalize_question(&q.question))],
+            srv.answered_questions[0].iter().collect::<Vec<_>>(),
+            vec![&normalize_question(&q.question)],
             "re-learned from the cache-hit completion alone"
         );
         assert!(
@@ -1899,7 +1855,6 @@ mod tests {
             queue_capacity: 64,
             overload: Some(OverloadPolicy {
                 high_watermark: 2,
-                low_watermark: 0,
                 early_warning: None,
             }),
             ..ServerConfig::default()
@@ -1949,7 +1904,6 @@ mod tests {
                 workers: 1,
                 overload: Some(OverloadPolicy {
                     high_watermark: high,
-                    low_watermark: 0,
                     early_warning: None,
                 }),
                 ..ServerConfig::default()
@@ -2006,7 +1960,6 @@ mod tests {
             workers: 1,
             overload: Some(OverloadPolicy {
                 high_watermark: 2,
-                low_watermark: 0,
                 early_warning: None,
             }),
             ..ServerConfig::default()
