@@ -1,4 +1,6 @@
 //! Dense row-major matrices — just the operations the trainers need.
+//! `W·x` skips `x`'s zero entries, so its cost follows `x`'s non-zeros
+//! (the trainers' hashed bags of words hold about 10 of 192).
 
 use rand::Rng;
 
@@ -13,15 +15,6 @@ pub struct Matrix {
 }
 
 impl Matrix {
-    /// All-zeros matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Matrix {
-        Matrix {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
-    }
-
     /// Xavier/Glorot-uniform initialized matrix.
     pub fn xavier(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
         let bound = (6.0 / (rows + cols) as f64).sqrt();
@@ -31,42 +24,22 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Element access.
-    #[inline]
-    pub fn get(&self, r: usize, c: usize) -> f64 {
-        self.data[r * self.cols + c]
-    }
-
-    /// Element assignment.
-    #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: f64) {
-        self.data[r * self.cols + c] = v;
-    }
-
-    /// In-place element update.
-    #[inline]
-    pub fn add_at(&mut self, r: usize, c: usize, v: f64) {
-        self.data[r * self.cols + c] += v;
-    }
-
     /// Row view.
     pub fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// `self · x` for a column vector `x` (len == cols).
+    /// Mutable row view.
+    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [f64] {
+        &mut self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// `self · x` for a column vector `x` (len == cols), summing each
+    /// row over `x`'s non-zero entries only.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
-        let mut out = vec![0.0; self.rows];
-        for (r, o) in out.iter_mut().enumerate() {
-            let row = self.row(r);
-            let mut acc = 0.0;
-            for (a, b) in row.iter().zip(x) {
-                acc += a * b;
-            }
-            *o = acc;
-        }
-        out
+        let x = nonzeros(x);
+        (0..self.rows).map(|r| dot(self.row(r), &x)).collect()
     }
 
     /// `selfᵀ · x` for a column vector `x` (len == rows).
@@ -81,31 +54,28 @@ impl Matrix {
         }
         out
     }
+}
 
-    /// SGD step: `self -= lr * grad`.
-    pub fn sgd_step(&mut self, grad: &Matrix, lr: f64) {
-        debug_assert_eq!((self.rows, self.cols), (grad.rows, grad.cols));
-        for (w, g) in self.data.iter_mut().zip(&grad.data) {
-            *w -= lr * g;
-        }
-    }
+/// `x`'s non-zero entries as `(index, value)`, in ascending index order.
+pub(crate) fn nonzeros(x: &[f64]) -> Vec<(usize, f64)> {
+    x.iter()
+        .enumerate()
+        .filter(|(_, v)| **v != 0.0)
+        .map(|(i, v)| (i, *v))
+        .collect()
+}
 
-    /// Rank-1 accumulation: `self += a · bᵀ` (outer product).
-    pub fn add_outer(&mut self, a: &[f64], b: &[f64]) {
-        debug_assert_eq!(a.len(), self.rows);
-        debug_assert_eq!(b.len(), self.cols);
-        for (r, ar) in a.iter().enumerate() {
-            let base = r * self.cols;
-            for (c, bc) in b.iter().enumerate() {
-                self.data[base + c] += ar * bc;
-            }
-        }
+/// `row · x` for `x` given by its non-zero entries, accumulated from
+/// `+0.0` in ascending index order. Bit-identical to the dense sum over
+/// every index for finite `row`: a skipped term is a signed zero, and
+/// an accumulator that starts at `+0.0` is never `-0.0` under
+/// round-to-nearest, so adding a zero never changes it.
+pub(crate) fn dot(row: &[f64], x: &[(usize, f64)]) -> f64 {
+    let mut acc = 0.0;
+    for &(k, xk) in x {
+        acc += row[k] * xk;
     }
-
-    /// Zero all entries (gradient reset without reallocation).
-    pub fn clear(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = 0.0);
-    }
+    acc
 }
 
 /// Numerically stable softmax.
@@ -132,8 +102,57 @@ pub fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
 }
 
+/// Dense references and sparse inputs for the trainers' bit-identity
+/// tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::Matrix;
+    use rand::rngs::StdRng;
+    use rand::Rng;
+
+    /// `m · x` summed over every entry of `x`: the dense product that
+    /// [`Matrix::matvec`] must match bit for bit.
+    pub(crate) fn dense_matvec(m: &Matrix, x: &[f64]) -> Vec<f64> {
+        (0..m.rows)
+            .map(|r| {
+                let mut acc = 0.0;
+                for (a, b) in m.row(r).iter().zip(x) {
+                    acc += a * b;
+                }
+                acc
+            })
+            .collect()
+    }
+
+    /// A hashed bag of `words` random words with ±1 signs in `dim`
+    /// buckets, L2-normalized like the interpreter's features: sparse,
+    /// with negative entries, a zero where opposite signs collide, and
+    /// all zeros when `words` is 0.
+    pub(crate) fn hashed_bag(rng: &mut StdRng, dim: usize, words: usize) -> Vec<f64> {
+        let mut v = vec![0.0; dim];
+        for _ in 0..words {
+            let h = rng.gen_range(0..dim);
+            v[h] += if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+        }
+        if words > 0 {
+            // A forced collision: +1 then -1 in one empty bucket.
+            let h = rng.gen_range(0..dim);
+            if v[h] == 0.0 {
+                v[h] += 1.0;
+                v[h] -= 1.0;
+            }
+        }
+        let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
+        if norm > 0.0 {
+            v.iter_mut().for_each(|x| *x /= norm);
+        }
+        v
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::testing::dense_matvec;
     use super::*;
     use rand::SeedableRng;
 
@@ -156,13 +175,18 @@ mod tests {
     }
 
     #[test]
-    fn outer_product_accumulates() {
-        let mut m = Matrix::zeros(2, 2);
-        m.add_outer(&[1.0, 2.0], &[3.0, 4.0]);
-        assert_eq!(m.get(0, 0), 3.0);
-        assert_eq!(m.get(1, 1), 8.0);
-        m.clear();
-        assert_eq!(m.get(1, 1), 0.0);
+    fn matvec_matches_the_dense_product_bit_for_bit() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let m = Matrix::xavier(7, 9, &mut rng);
+        let inputs = [
+            vec![0.0; 9],
+            vec![0.0, -0.5, 0.0, 0.25, -0.0, 0.0, 0.0, 1.5, 0.0],
+            (0..9).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+        ];
+        for x in &inputs {
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(bits(m.matvec(x)), bits(dense_matvec(&m, x)));
+        }
     }
 
     #[test]
@@ -185,15 +209,6 @@ mod tests {
         let mut r1 = rand::rngs::StdRng::seed_from_u64(5);
         let mut r2 = rand::rngs::StdRng::seed_from_u64(5);
         assert_eq!(Matrix::xavier(3, 3, &mut r1), Matrix::xavier(3, 3, &mut r2));
-    }
-
-    #[test]
-    fn sgd_step_moves_against_gradient() {
-        let mut w = matrix(1, 2, vec![1.0, -1.0]);
-        let g = matrix(1, 2, vec![0.5, -0.5]);
-        w.sgd_step(&g, 0.1);
-        assert!((w.get(0, 0) - 0.95).abs() < 1e-12);
-        assert!((w.get(0, 1) + 0.95).abs() < 1e-12);
     }
 
     #[test]

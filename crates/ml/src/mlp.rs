@@ -48,12 +48,27 @@ impl Dense {
         }
     }
 
+    /// `W x + b`; the product skips `x`'s zero entries.
     fn forward(&self, x: &[f64]) -> Vec<f64> {
         let mut y = self.w.matvec(x);
         for (yi, bi) in y.iter_mut().zip(&self.b) {
             *yi += bi;
         }
         y
+    }
+
+    /// One SGD step given `d`, the loss gradient at this layer's
+    /// pre-activations, and the layer's input `x`: `b -= lr·d`, and for
+    /// every weight `g = d·x + l2·w; w += −lr·g`. L2 decay moves every
+    /// weight, so the step is dense; it runs over row slices.
+    fn step(&mut self, d: &[f64], x: &[f64], lr: f64, l2: f64) {
+        for (r, dr) in d.iter().enumerate() {
+            self.b[r] -= lr * dr;
+            for (w, xc) in self.w.row_mut(r).iter_mut().zip(x) {
+                let g = dr * xc + l2 * *w;
+                *w += -lr * g;
+            }
+        }
     }
 }
 
@@ -154,27 +169,16 @@ impl Mlp {
         let mut dlogit = probs;
         dlogit[y] -= 1.0;
 
-        // Output layer grads.
+        // Output layer, then the hidden layer through the ReLU.
         let dinput_out = self.output.w.matvec_t(&dlogit);
-        for (r, dr) in dlogit.iter().enumerate() {
-            self.output.b[r] -= lr * dr;
-            let base_in = input_to_out;
-            for (c, xc) in base_in.iter().enumerate() {
-                let g = dr * xc + l2 * self.output.w.get(r, c);
-                self.output.w.add_at(r, c, -lr * g);
-            }
-        }
-
-        // Hidden layer grads.
+        self.output.step(&dlogit, input_to_out, lr, l2);
         if let Some(h) = &mut self.hidden {
-            for (r, pre) in hidden_pre.iter().enumerate() {
-                let dh = if *pre > 0.0 { dinput_out[r] } else { 0.0 };
-                h.b[r] -= lr * dh;
-                for (c, xc) in x.iter().enumerate() {
-                    let g = dh * xc + l2 * h.w.get(r, c);
-                    h.w.add_at(r, c, -lr * g);
-                }
-            }
+            let dh: Vec<f64> = hidden_pre
+                .iter()
+                .zip(&dinput_out)
+                .map(|(pre, d)| if *pre > 0.0 { *d } else { 0.0 })
+                .collect();
+            h.step(&dh, x, lr, l2);
         }
         loss
     }
@@ -196,6 +200,7 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::testing::{dense_matvec, hashed_bag};
 
     /// Linearly separable two-class problem.
     fn linear_data() -> (Vec<Vec<f64>>, Vec<usize>) {
@@ -327,5 +332,112 @@ mod tests {
         let cfg = MlpConfig::default();
         let m = Mlp::new(2, 2, &cfg);
         assert_eq!(m.accuracy(&[], &[]), 0.0);
+    }
+
+    /// `W x + b` with the product over every entry of `x`.
+    fn dense_forward(d: &Dense, x: &[f64]) -> Vec<f64> {
+        let mut y = dense_matvec(&d.w, x);
+        for (yi, bi) in y.iter_mut().zip(&d.b) {
+            *yi += bi;
+        }
+        y
+    }
+
+    /// The step this module took before its layers stepped over row
+    /// slices: a dense forward, and each weight updated through its
+    /// `(row, column)` index.
+    fn dense_sgd_example(m: &mut Mlp, x: &[f64], y: usize, lr: f64, l2: f64) -> f64 {
+        let (hidden_pre, hidden_act): (Vec<f64>, Vec<f64>) = match &m.hidden {
+            Some(h) => {
+                let pre = dense_forward(h, x);
+                let act = pre.iter().map(|v| v.max(0.0)).collect();
+                (pre, act)
+            }
+            None => (Vec::new(), Vec::new()),
+        };
+        let input_to_out: &[f64] = if m.hidden.is_some() { &hidden_act } else { x };
+        let probs = softmax(&dense_forward(&m.output, input_to_out));
+        let loss = -probs[y].max(1e-12).ln();
+        let mut dlogit = probs;
+        dlogit[y] -= 1.0;
+        let dinput_out = m.output.w.matvec_t(&dlogit);
+        for (r, dr) in dlogit.iter().enumerate() {
+            m.output.b[r] -= lr * dr;
+            for (c, xc) in input_to_out.iter().enumerate() {
+                let g = dr * xc + l2 * m.output.w.row(r)[c];
+                m.output.w.row_mut(r)[c] += -lr * g;
+            }
+        }
+        if let Some(h) = &mut m.hidden {
+            for (r, pre) in hidden_pre.iter().enumerate() {
+                let dh = if *pre > 0.0 { dinput_out[r] } else { 0.0 };
+                h.b[r] -= lr * dh;
+                for (c, xc) in x.iter().enumerate() {
+                    let g = dh * xc + l2 * h.w.row(r)[c];
+                    h.w.row_mut(r)[c] += -lr * g;
+                }
+            }
+        }
+        loss
+    }
+
+    fn dense_train(m: &mut Mlp, xs: &[Vec<f64>], ys: &[usize], cfg: &MlpConfig) -> f64 {
+        use rand::seq::SliceRandom;
+        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(1));
+        let mut order: Vec<usize> = (0..xs.len()).collect();
+        let mut last_loss = 0.0;
+        for _ in 0..cfg.epochs {
+            order.shuffle(&mut rng);
+            let mut total = 0.0;
+            for &i in &order {
+                total += dense_sgd_example(m, &xs[i], ys[i], cfg.lr, cfg.l2);
+            }
+            last_loss = total / xs.len().max(1) as f64;
+        }
+        last_loss
+    }
+
+    /// Every weight and bias of a layer, as bits.
+    fn bits(d: &Dense) -> Vec<u64> {
+        (0..d.w.rows)
+            .flat_map(|r| d.w.row(r).to_vec())
+            .chain(d.b.iter().copied())
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    #[test]
+    fn sparse_training_matches_the_dense_reference_bit_for_bit() {
+        use rand::Rng;
+        let (dim, classes) = (30, 4);
+        let mut rng = StdRng::seed_from_u64(26);
+        let mut xs: Vec<Vec<f64>> = (0..50)
+            .map(|i| hashed_bag(&mut rng, dim, if i % 9 == 0 { 0 } else { 1 + i % 8 }))
+            .collect();
+        // A dense input and a signed-zero entry.
+        xs.push((0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect());
+        xs[1][0] = -0.0;
+        let ys: Vec<usize> = xs.iter().map(|_| rng.gen_range(0..classes)).collect();
+        for (hidden, l2) in [(12, 1e-4), (12, 0.0), (0, 1e-4)] {
+            let cfg = MlpConfig {
+                hidden,
+                epochs: 15,
+                lr: 0.08,
+                seed: 5,
+                l2,
+            };
+            let mut sparse = Mlp::new(dim, classes, &cfg);
+            let mut dense = sparse.clone();
+            let loss = sparse.train(&xs, &ys, &cfg);
+            let dense_loss = dense_train(&mut dense, &xs, &ys, &cfg);
+            let run = format!("hidden {hidden}, l2 {l2}");
+            assert_eq!(loss.to_bits(), dense_loss.to_bits(), "loss, {run}");
+            assert_eq!(bits(&sparse.output), bits(&dense.output), "output, {run}");
+            assert_eq!(
+                sparse.hidden.as_ref().map(bits),
+                dense.hidden.as_ref().map(bits),
+                "hidden, {run}"
+            );
+        }
     }
 }

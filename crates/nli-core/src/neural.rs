@@ -242,9 +242,9 @@ impl NeuralInterpreter {
     /// skipped — the family's documented ceiling. Returns an
     /// untrained interpreter if nothing survives.
     pub fn train(examples: &[TrainingExample], ctx: &SchemaContext, seed: u64) -> Self {
-        let sketches: Vec<(String, Sketch)> = examples
+        let sketches: Vec<(&str, Sketch)> = examples
             .iter()
-            .filter_map(|ex| extract_sketch(&ex.sql).map(|s| (ex.question.clone(), s)))
+            .filter_map(|ex| extract_sketch(&ex.sql).map(|s| (ex.question.as_str(), s)))
             .collect();
         if sketches.is_empty() {
             return NeuralInterpreter::untrained();
@@ -274,6 +274,13 @@ impl NeuralInterpreter {
             seed,
             l2: 1e-4,
         };
+        let op_cfg = MlpConfig {
+            hidden: 24,
+            epochs: 80,
+            lr: 0.08,
+            seed: seed ^ 0xD,
+            l2: 1e-4,
+        };
         let mut model = Model {
             table_scorer: BilinearScorer::new(QDIM, CDIM, seed ^ 0xA),
             agg: Mlp::new(QDIM, AGG_CLASSES.len(), &cfg_small),
@@ -281,7 +288,7 @@ impl NeuralInterpreter {
             sel_col: BilinearScorer::new(QDIM, CDIM, seed ^ 0xB),
             where_count: Mlp::new(QDIM, MAX_CONDS + 1, &cfg_small),
             cond_col: BilinearScorer::new(QDIM, CDIM, seed ^ 0xC),
-            cond_op: Mlp::new(QDIM + CDIM, OP_CLASSES.len(), &cfg_small),
+            cond_op: Mlp::new(QDIM + CDIM, OP_CLASSES.len(), &op_cfg),
             tables,
         };
 
@@ -304,27 +311,39 @@ impl NeuralInterpreter {
         model.sel_shape.train(&qfeats, &shape_labels, &cfg_small);
         model.where_count.train(&qfeats, &wc_labels, &cfg_small);
 
-        // Scorer triples.
+        // Scorer triples borrow the question features and each table's
+        // and column's features, computed once.
+        let tfeats: Vec<Vec<f64>> = model
+            .tables
+            .iter()
+            .map(|(t, cols)| table_features(t, cols))
+            .collect();
+        let colfeats: Vec<Vec<Vec<f64>>> = model
+            .tables
+            .iter()
+            .map(|(t, cols)| cols.iter().map(|c| column_features(t, c)).collect())
+            .collect();
         let mut table_triples = Vec::new();
         let mut selcol_triples = Vec::new();
         let mut condcol_triples = Vec::new();
         let mut op_x = Vec::new();
         let mut op_y = Vec::new();
         for ((_, s), qf) in sketches.iter().zip(&qfeats) {
-            for (tname, tcols) in &model.tables {
-                table_triples.push((qf.clone(), table_features(tname, tcols), tname == &s.table));
+            for ((tname, _), tf) in model.tables.iter().zip(&tfeats) {
+                table_triples.push((qf.as_slice(), tf.as_slice(), tname == &s.table));
             }
-            let Some((_, cols)) = model.tables.iter().find(|(t, _)| t == &s.table) else {
+            let Some(ti) = model.tables.iter().position(|(t, _)| t == &s.table) else {
                 continue;
             };
+            let cols = model.tables[ti].1.iter().zip(&colfeats[ti]);
             if let Some(sel) = &s.sel_col {
-                for c in cols {
-                    selcol_triples.push((qf.clone(), column_features(&s.table, c), c == sel));
+                for (c, cf) in cols.clone() {
+                    selcol_triples.push((qf.as_slice(), cf.as_slice(), c == sel));
                 }
             }
             for (cc, op_idx, _) in &s.conds {
-                for c in cols {
-                    condcol_triples.push((qf.clone(), column_features(&s.table, c), c == cc));
+                for (c, cf) in cols.clone() {
+                    condcol_triples.push((qf.as_slice(), cf.as_slice(), c == cc));
                 }
                 let mut x = qf.clone();
                 x.extend(column_features(&s.table, cc));
@@ -335,16 +354,7 @@ impl NeuralInterpreter {
         model.table_scorer.train(&table_triples, 25, 0.12);
         model.sel_col.train(&selcol_triples, 25, 0.12);
         model.cond_col.train(&condcol_triples, 25, 0.12);
-        let op_cfg = MlpConfig {
-            hidden: 24,
-            epochs: 80,
-            lr: 0.08,
-            seed: seed ^ 0xD,
-            l2: 1e-4,
-        };
-        let mut op_mlp = Mlp::new(QDIM + CDIM, OP_CLASSES.len(), &op_cfg);
-        op_mlp.train(&op_x, &op_y, &op_cfg);
-        model.cond_op = op_mlp;
+        model.cond_op.train(&op_x, &op_y, &op_cfg);
 
         NeuralInterpreter { model: Some(model) }
     }

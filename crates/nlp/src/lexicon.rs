@@ -283,6 +283,19 @@ mod tests {
     }
 
     #[test]
+    fn stem_fallback_takes_the_smallest_matching_key() {
+        // "purchases" stems like the keys "purchase" (order ring) and
+        // "purchaser" (customer ring); the smaller key wins.
+        let lex = Lexicon::business_default();
+        assert_eq!(
+            lex.synonyms_of("purchases"),
+            vec!["order", "purchase", "transaction"]
+        );
+        assert!(lex.are_synonyms("purchases", "transaction"));
+        assert!(!lex.are_synonyms("purchases", "client"));
+    }
+
+    #[test]
     fn hypernym_chain_walks_up() {
         let lex = Lexicon::business_default();
         assert_eq!(lex.hypernym_chain("city"), vec!["location"]);

@@ -304,7 +304,8 @@ impl HealthHub {
             return Vec::new();
         };
         let delta = |name: &str, w: u64| merged.counter_ref(name).map_or(0, |c| c.delta(w));
-        let budget = 1000 - AVAILABILITY_TARGET_MILLI;
+        let [availability, _] = self.config.policies();
+        let budget = availability.budget_milli();
         (from..=to)
             .map(|w| {
                 let served = delta("answered", w) + delta("session", w) + delta("degraded", w);
