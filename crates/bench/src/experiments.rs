@@ -818,10 +818,9 @@ pub fn e10_ontology_bootstrap(seed: u64) -> Table {
     t
 }
 
-/// One E12 serving pass: build a fresh cached pipeline over `domain`,
-/// replay `passes` rounds of the same seeded request stream in
-/// closed-loop batches, and return (signatures, metrics, join-cache
-/// stats).
+/// One E12 serving pass: build a fresh pipeline over `domain`, replay
+/// `passes` rounds of the same seeded request stream in closed-loop
+/// batches, and return (signatures, metrics).
 #[allow(clippy::too_many_arguments)]
 fn e12_serve_run(
     domain: &str,
@@ -834,22 +833,14 @@ fn e12_serve_run(
     passes: usize,
     deadlines: Option<(usize, u64)>,
     batch: usize,
-) -> (
-    Vec<String>,
-    nlidb_serve::MetricsSnapshot,
-    nlidb_ontology::JoinCacheStats,
-) {
-    use nlidb_core::pipeline::{NliPipeline, SchemaContext};
-    use nlidb_ontology::JoinPathCache;
+) -> (Vec<String>, nlidb_serve::MetricsSnapshot) {
+    use nlidb_core::pipeline::NliPipeline;
     use nlidb_serve::{run_closed_loop, with_deadlines, Clock, ManualClock, Server, ServerConfig};
     use std::sync::Arc;
 
     let db = nlidb_benchdata::domain_database(domain, seed);
     let slots = derive_slots(&db);
-    let join_cache = Arc::new(JoinPathCache::new(128));
-    let mut ctx = SchemaContext::build(&db);
-    ctx.graph = ctx.graph.clone().with_cache(Arc::clone(&join_cache));
-    let pipeline = Arc::new(NliPipeline::with_context(&db, ctx));
+    let pipeline = Arc::new(NliPipeline::standard(&db));
     let mut stream = nlidb_benchdata::request_stream(&slots, seed, n, session_share);
     if let Some((period, budget)) = deadlines {
         stream = with_deadlines(stream, period, budget, batch);
@@ -872,16 +863,16 @@ fn e12_serve_run(
         sigs.extend(run_closed_loop(&mut server, &clock, &stream, batch).signatures());
     }
     let metrics = server.shutdown();
-    (sigs, metrics, join_cache.stats())
+    (sigs, metrics)
 }
 
 /// E12 — serving equivalence & cache efficacy: the §7 "NLIs must grow
 /// into multi-user systems" challenge, operationalized. A concurrent
 /// worker pool must (a) answer *identically* to a serial run — the
 /// per-request signature streams are compared and asserted equal, at
-/// any worker count, with caches hot or disabled — and (b) make repeat
-/// traffic cheap: interpretation-cache and join-path-cache hit rates
-/// per workload. Backpressure rows show deterministic shed/deadline
+/// any worker count, with the cache hot or disabled — and (b) make
+/// repeat traffic cheap: the interpretation-cache hit rate per
+/// workload. Backpressure rows show deterministic shed/deadline
 /// accounting under a tight queue bound.
 pub fn e12_serving_runtime(seed: u64) -> Table {
     let mut t = Table::new([
@@ -893,19 +884,17 @@ pub fn e12_serving_runtime(seed: u64) -> Table {
         "shed",
         "deadline",
         "interp hit",
-        "join hit",
         "== serial",
     ])
     .title("E12 — serving equivalence & cache efficacy (retail, seeded stream)");
     const N: usize = 120;
     const BATCH: usize = 16;
     let mixed = |workers| e12_serve_run("retail", seed, N, 0.25, workers, N, 256, 1, None, BATCH);
-    let (serial_sigs, m1, j1) = mixed(1);
+    let (serial_sigs, m1) = mixed(1);
     let mut row = |label: &str,
                    workers: usize,
                    sigs: &[String],
                    m: &nlidb_serve::MetricsSnapshot,
-                   j: &nlidb_ontology::JoinCacheStats,
                    baseline: Option<&[String]>| {
         let equiv = match baseline {
             None => "(base)".to_string(),
@@ -928,35 +917,27 @@ pub fn e12_serving_runtime(seed: u64) -> Table {
             m.shed_full.to_string(),
             m.shed_deadline.to_string(),
             interp_cell,
-            pct(j.hit_rate()),
             equiv,
         ]);
     };
-    row("mixed 25% sessions", 1, &serial_sigs, &m1, &j1, None);
+    row("mixed 25% sessions", 1, &serial_sigs, &m1, None);
     for workers in [2, 4] {
-        let (sigs, m, j) = mixed(workers);
-        row(
-            "mixed 25% sessions",
-            workers,
-            &sigs,
-            &m,
-            &j,
-            Some(&serial_sigs),
-        );
+        let (sigs, m) = mixed(workers);
+        row("mixed 25% sessions", workers, &sigs, &m, Some(&serial_sigs));
     }
     // Interp cache off: same answers; lookups are still counted as
     // misses but the snapshot carries the explicit disabled flag.
-    let (sigs, m, j) = e12_serve_run("retail", seed, N, 0.25, 4, N, 0, 1, None, BATCH);
+    let (sigs, m) = e12_serve_run("retail", seed, N, 0.25, 4, N, 0, 1, None, BATCH);
     assert!(m.cache_disabled, "interp_cache=0 must flag the snapshot");
     assert_eq!(m.interp_hits, 0, "disabled cache can never hit");
     assert!(m.interp_misses > 0, "lookups are counted even when off");
-    row("mixed, interp off", 4, &sigs, &m, &j, Some(&serial_sigs));
+    row("mixed, interp off", 4, &sigs, &m, Some(&serial_sigs));
     // Hot replay: a second identical pass over a warm server.
-    let (sigs2, m, j) = e12_serve_run("retail", seed, N, 0.0, 2, N, 256, 2, None, BATCH);
-    let (serial2, _, _) = e12_serve_run("retail", seed, N, 0.0, 1, N, 256, 2, None, BATCH);
-    row("singles ×2 (warm)", 2, &sigs2, &m, &j, Some(&serial2));
+    let (sigs2, m) = e12_serve_run("retail", seed, N, 0.0, 2, N, 256, 2, None, BATCH);
+    let (serial2, _) = e12_serve_run("retail", seed, N, 0.0, 1, N, 256, 2, None, BATCH);
+    row("singles ×2 (warm)", 2, &sigs2, &m, Some(&serial2));
     // Backpressure: tight queues + periodic deadlines, large batches.
-    let (_, m, j) = e12_serve_run("retail", seed, N, 0.0, 2, 8, 256, 1, Some((5, 2)), 48);
+    let (_, m) = e12_serve_run("retail", seed, N, 0.0, 2, 8, 256, 1, Some((5, 2)), 48);
     t.row([
         "backpressure q=8".to_string(),
         "2".to_string(),
@@ -966,7 +947,6 @@ pub fn e12_serving_runtime(seed: u64) -> Table {
         m.shed_full.to_string(),
         m.shed_deadline.to_string(),
         pct(m.interp_hit_rate()),
-        pct(j.hit_rate()),
         "n/a".to_string(),
     ]);
     assert!(
@@ -1686,29 +1666,27 @@ const E17_WORKERS: usize = 4;
 const E17_BATCH: usize = 16;
 
 /// One multi-tenant serving pass: the first `tenants` benchdata
-/// domains registered over one shared join-path cache, their seeded
-/// streams interleaved deterministically, driven closed-loop through a
-/// single [`nlidb_serve::Server`]. `budgets[i]` (where present)
-/// becomes tenant i's admission budget.
+/// domains registered as tenants, their seeded streams interleaved
+/// deterministically, driven closed-loop through a single
+/// [`nlidb_serve::Server`]. `budgets[i]` (where present) becomes
+/// tenant i's admission budget.
 fn e17_multi_run(seed: u64, tenants: usize, budgets: &[Option<u64>]) -> E17Run {
-    use nlidb_ontology::JoinPathCache;
+    use nlidb_core::pipeline::NliPipeline;
     use nlidb_serve::{
-        run_closed_loop_tenants, tenant_pipeline, Clock, ManualClock, Server, ServerConfig,
-        TenantPolicy, TenantRegistry,
+        run_closed_loop_tenants, Clock, ManualClock, Server, ServerConfig, TenantPolicy,
+        TenantRegistry,
     };
     use std::sync::Arc;
 
-    let cache = Arc::new(JoinPathCache::new(256));
     let mut registry = TenantRegistry::new();
     let mut fps = Vec::with_capacity(tenants);
     let mut streams = Vec::with_capacity(tenants);
     for (i, name) in DOMAIN_NAMES.iter().take(tenants).enumerate() {
         let db = nlidb_benchdata::domain_database(name, seed.wrapping_add(i as u64));
         let slots = derive_slots(&db);
-        let (fp, pipeline) = tenant_pipeline(&db, &cache);
-        registry.register(
+        let fp = registry.register(
             *name,
-            pipeline,
+            Arc::new(NliPipeline::standard(&db)),
             TenantPolicy {
                 admission_budget: budgets.get(i).copied().flatten(),
             },
@@ -1771,17 +1749,13 @@ fn e17_isolated_run(
     i: usize,
     queue_capacity: usize,
 ) -> (Vec<String>, nlidb_serve::MetricsSnapshot, Vec<(u64, usize)>) {
-    use nlidb_core::pipeline::{NliPipeline, SchemaContext};
-    use nlidb_ontology::JoinPathCache;
+    use nlidb_core::pipeline::NliPipeline;
     use nlidb_serve::{run_closed_loop, Clock, ManualClock, Server, ServerConfig};
     use std::sync::Arc;
 
     let db = nlidb_benchdata::domain_database(DOMAIN_NAMES[i], seed.wrapping_add(i as u64));
     let slots = derive_slots(&db);
-    let join_cache = Arc::new(JoinPathCache::new(256));
-    let mut ctx = SchemaContext::build(&db);
-    ctx.graph = ctx.graph.clone().with_cache(Arc::clone(&join_cache));
-    let pipeline = Arc::new(NliPipeline::with_context(&db, ctx));
+    let pipeline = Arc::new(NliPipeline::standard(&db));
     let stream = nlidb_benchdata::request_stream(
         &slots,
         seed.wrapping_add(i as u64),

@@ -16,11 +16,10 @@ use std::sync::Arc;
 use nlidb_benchdata::{derive_slots, domain_database, DOMAIN_NAMES};
 use nlidb_core::pipeline::NliPipeline;
 use nlidb_nlp::{fnv1a, FNV1A_OFFSET};
-use nlidb_ontology::JoinPathCache;
 use nlidb_serve::{
-    open_loop, run_closed_loop, run_open_loop, run_open_loop_tenants, tenant_pipeline, Clock,
-    Disposition, HealthConfig, ManualClock, MetricsSnapshot, OpenLoopConfig, OverloadPolicy,
-    ServeObs, Server, ServerConfig, SoakReport, TenantPolicy, TenantRegistry, WindowSample,
+    open_loop, run_closed_loop, run_open_loop, run_open_loop_tenants, Clock, Disposition,
+    HealthConfig, ManualClock, MetricsSnapshot, OpenLoopConfig, OverloadPolicy, ServeObs, Server,
+    ServerConfig, SoakReport, TenantPolicy, TenantRegistry, WindowSample,
 };
 
 /// The soak shapes, in run order. `overload` is the robustness
@@ -269,14 +268,16 @@ pub fn run_soak_shape(shape: &str, seed: u64, n: usize) -> SoakOutcome {
             }
         }
         "tenant-skew" => {
-            let cache = Arc::new(JoinPathCache::new(256));
             let mut registry = TenantRegistry::new();
             let mut tenants = Vec::new();
             for (i, name) in DOMAIN_NAMES.iter().take(3).enumerate() {
                 let db = domain_database(name, seed.wrapping_add(i as u64));
                 let slots = derive_slots(&db);
-                let (fp, pipeline) = tenant_pipeline(&db, &cache);
-                registry.register(*name, pipeline, TenantPolicy::default());
+                let fp = registry.register(
+                    *name,
+                    Arc::new(NliPipeline::standard(&db)),
+                    TenantPolicy::default(),
+                );
                 tenants.push((
                     fp,
                     nlidb_benchdata::question_pool(&slots, seed.wrapping_add(i as u64), 16),

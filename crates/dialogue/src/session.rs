@@ -8,7 +8,7 @@ use nlidb_sqlir::Query;
 
 use crate::acts::{detect_act, DialogueAct};
 use crate::manager::ManagerKind;
-use crate::state::{DialogueState, TurnRecord};
+use crate::state::DialogueState;
 
 /// The outcome of one turn.
 #[derive(Debug, Clone)]
@@ -97,9 +97,14 @@ impl<'a> ConversationSession<'a> {
         &self.state
     }
 
-    /// Digest of the current dialogue state (see [`DialogueState::digest`]).
+    /// A stable digest of what steers this session's later turns: the
+    /// running OQL and the finite-state script stage. Two sessions that
+    /// processed the same turn sequence against the same schema
+    /// context have equal digests, so a replayed session can be
+    /// compared with the one it rebuilds.
     pub fn state_digest(&self) -> u64 {
-        self.state.digest()
+        let acc = format!("{:?}\u{1e}{}", self.state.oql, self.script_stage);
+        fnv1a(FNV1A_OFFSET, acc.as_bytes())
     }
 
     /// Which regime this session runs under.
@@ -133,11 +138,6 @@ impl<'a> ConversationSession<'a> {
             .accepts(&act, self.state.has_context(), self.script_stage);
 
         let applied = accepted && self.state.apply(&act, &prepared, self.ctx);
-        self.state.history.push(TurnRecord {
-            utterance: utterance.to_string(),
-            act_label: label,
-            accepted: applied,
-        });
         if !applied {
             let response = if accepted {
                 "I could not relate that to the current question.".to_string()
@@ -316,15 +316,20 @@ mod tests {
     }
 
     #[test]
-    fn history_recorded() {
+    fn rejected_turns_leave_the_state_digest_unchanged() {
         let db = db();
         let ctx = SchemaContext::build(&db);
-        let mut s = ConversationSession::new(&db, &ctx, ManagerKind::Agent);
-        s.turn("show customers in Austin");
-        s.turn("zzzz nonsense zzzz");
-        assert_eq!(s.state().history.len(), 2);
-        assert!(s.state().history[0].accepted);
-        assert!(!s.state().history[1].accepted);
+        // One turn the agent cannot apply, one the script refuses.
+        for (manager, rejected) in [
+            (ManagerKind::Agent, "zzzz nonsense zzzz"),
+            (ManagerKind::FiniteState, "what about Boston"),
+        ] {
+            let mut s = ConversationSession::new(&db, &ctx, manager);
+            assert!(s.turn("show customers in Austin").accepted);
+            let before = s.state_digest();
+            assert!(!s.turn(rejected).accepted, "{manager:?}: {rejected}");
+            assert_eq!(s.state_digest(), before, "{manager:?}: {rejected}");
+        }
     }
 
     #[test]

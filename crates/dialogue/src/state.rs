@@ -1,5 +1,5 @@
-//! Conversation state: the running OQL query plus history, and the
-//! act-application rules that edit it turn by turn.
+//! Conversation state: the running OQL query, and the act-application
+//! rules that edit it turn by turn.
 //!
 //! This is the "persist the context of conversation across multiple
 //! turns" capability the survey highlights — implemented at the
@@ -13,30 +13,16 @@ use nlidb_core::linking::{LinkKind, LinkedMention, PreparedQuestion};
 use nlidb_core::oql::{Oql, OqlExpr, OqlOrder, OqlPredicate, PropRef};
 use nlidb_core::pipeline::SchemaContext;
 use nlidb_core::signals;
-use nlidb_nlp::{fnv1a, FNV1A_OFFSET};
 use nlidb_ontology::PropertyRole;
 use nlidb_sqlir::ast::{AggFunc, Literal};
 
 use crate::acts::DialogueAct;
-
-/// One recorded turn.
-#[derive(Debug, Clone)]
-pub struct TurnRecord {
-    /// What the user said.
-    pub utterance: String,
-    /// The act it was classified as.
-    pub act_label: &'static str,
-    /// Whether the manager accepted it.
-    pub accepted: bool,
-}
 
 /// The running conversation state.
 #[derive(Debug, Clone, Default)]
 pub struct DialogueState {
     /// The current ontology-level query, if a query is in progress.
     pub oql: Option<Oql>,
-    /// Full turn history.
-    pub history: Vec<TurnRecord>,
 }
 
 impl DialogueState {
@@ -48,27 +34,6 @@ impl DialogueState {
     /// Is a query context active?
     pub fn has_context(&self) -> bool {
         self.oql.is_some()
-    }
-
-    /// A stable digest of the conversation state: the running OQL plus
-    /// every history record. Two sessions that processed the same turn
-    /// sequence against the same schema context have equal digests —
-    /// the divergence check replay-based crash recovery relies on.
-    pub fn digest(&self) -> u64 {
-        let mut acc = String::new();
-        if let Some(oql) = &self.oql {
-            acc.push_str(&format!("{oql:?}"));
-        }
-        acc.push('\u{1e}');
-        for r in &self.history {
-            acc.push_str(&r.utterance);
-            acc.push('\u{1f}');
-            acc.push_str(r.act_label);
-            acc.push('\u{1f}');
-            acc.push(if r.accepted { '+' } else { '-' });
-            acc.push('\u{1e}');
-        }
-        fnv1a(FNV1A_OFFSET, acc.as_bytes())
     }
 
     /// Apply an accepted act of a prepared turn to the state. Returns

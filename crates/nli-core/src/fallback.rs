@@ -24,21 +24,15 @@
 
 use crate::interpretation::InterpreterKind;
 
-/// The §4 degradation ladder starting at (and including) `preferred`:
-/// the order a serving layer tries families when the rungs above are
-/// faulted. Hybrid → entity → pattern → keyword is the paper's
-/// capability ordering; the neural family's nearest structural kin are
-/// the single-table families below it.
-pub fn degradation_ladder(preferred: InterpreterKind) -> &'static [InterpreterKind] {
-    use InterpreterKind::*;
-    match preferred {
-        Hybrid => &[Hybrid, Entity, Pattern, Keyword],
-        Entity => &[Entity, Pattern, Keyword],
-        Neural => &[Neural, Pattern, Keyword],
-        Pattern => &[Pattern, Keyword],
-        Keyword => &[Keyword],
-    }
-}
+/// The §4 degradation ladder: the order a serving layer tries families
+/// when the rungs above are faulted. Hybrid → entity → pattern →
+/// keyword is the paper's capability ordering.
+pub const DEGRADATION_LADDER: [InterpreterKind; 4] = [
+    InterpreterKind::Hybrid,
+    InterpreterKind::Entity,
+    InterpreterKind::Pattern,
+    InterpreterKind::Keyword,
+];
 
 #[cfg(test)]
 mod tests {
@@ -47,16 +41,12 @@ mod tests {
 
     #[test]
     fn ladder_descends_strictly() {
-        for preferred in InterpreterKind::all() {
-            let ladder = degradation_ladder(preferred);
-            assert_eq!(ladder[0], preferred, "ladder starts at the preferred");
-            for w in ladder.windows(2) {
-                // Each step down must not gain capability anywhere.
-                let (hi, lo) = (Capabilities::of(w[0]), Capabilities::of(w[1]));
-                assert!(!lo.aggregation || hi.aggregation, "{ladder:?}");
-                assert!(!lo.joins || hi.joins, "{ladder:?}");
-                assert!(!lo.nested || hi.nested, "{ladder:?}");
-            }
+        for w in DEGRADATION_LADDER.windows(2) {
+            // Each step down must not gain capability anywhere.
+            let (hi, lo) = (Capabilities::of(w[0]), Capabilities::of(w[1]));
+            assert!(!lo.aggregation || hi.aggregation, "{w:?}");
+            assert!(!lo.joins || hi.joins, "{w:?}");
+            assert!(!lo.nested || hi.nested, "{w:?}");
         }
     }
 }

@@ -49,7 +49,7 @@ pub mod validate;
 
 pub use candidates::{Candidate, CandidateSet, Grounding};
 pub use error::InterpretError;
-pub use fallback::degradation_ladder;
+pub use fallback::DEGRADATION_LADDER;
 pub use interpretation::{Interpretation, Interpreter, InterpreterKind};
 /// The workspace's FNV-1a, re-exported for `nlidb-serve`, which
 /// depends on this crate but not on `nlidb-nlp` directly.

@@ -159,9 +159,8 @@ impl NliPipeline {
         Self::with_context(db, SchemaContext::build(db))
     }
 
-    /// Build from a pre-built [`SchemaContext`]. This is the hook the
-    /// serving runtime uses to attach shared state — e.g. a join-path
-    /// cache on the context's graph — before the pipeline freezes it.
+    /// Build from a pre-built [`SchemaContext`], such as one whose
+    /// ontology the caller has edited, before the pipeline freezes it.
     pub fn with_context(db: &Database, ctx: SchemaContext) -> NliPipeline {
         NliPipeline {
             db: db.clone(),

@@ -9,9 +9,7 @@
 //! the nearest unconnected terminal by its shortest path.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 
-use crate::cache::JoinPathCache;
 use crate::model::Ontology;
 
 /// One traversable FK edge (stored in both directions).
@@ -41,16 +39,6 @@ pub struct JoinPlan {
 #[derive(Debug, Clone, Default)]
 pub struct JoinGraph {
     adjacency: HashMap<String, Vec<JoinEdge>>,
-    /// Optional shared memo for [`JoinGraph::steiner_plan`]; cloning
-    /// the graph shares the cache. Entries are keyed by
-    /// `(cache_scope, terminals)`, so sharing one cache across
-    /// *different* graphs is sound only when each graph carries a
-    /// distinct scope (see [`JoinGraph::with_scoped_cache`]).
-    cache: Option<Arc<JoinPathCache>>,
-    /// Namespace for this graph's entries in the shared cache.
-    /// `0` (the default) is the single-schema scope used by
-    /// [`JoinGraph::with_cache`].
-    cache_scope: u64,
 }
 
 impl JoinGraph {
@@ -78,30 +66,6 @@ impl JoinGraph {
             g.adjacency.entry(c.label.clone()).or_default();
         }
         g
-    }
-
-    /// Attach a shared plan cache; subsequent [`JoinGraph::steiner_plan`]
-    /// calls are memoized through it (in the default scope `0`).
-    pub fn with_cache(mut self, cache: Arc<JoinPathCache>) -> Self {
-        self.cache = Some(cache);
-        self.cache_scope = 0;
-        self
-    }
-
-    /// Attach a shared plan cache under an explicit namespace. Use this
-    /// when one [`JoinPathCache`] is shared across graphs of *different*
-    /// ontologies (multi-tenant serving keys each tenant's graph by its
-    /// schema fingerprint): entries from distinct scopes can never be
-    /// observed through each other's graphs.
-    pub fn with_scoped_cache(mut self, cache: Arc<JoinPathCache>, scope: u64) -> Self {
-        self.cache = Some(cache);
-        self.cache_scope = scope;
-        self
-    }
-
-    /// The attached plan cache, if any.
-    pub fn cache(&self) -> Option<&Arc<JoinPathCache>> {
-        self.cache.as_ref()
     }
 
     /// Neighbors of a concept.
@@ -149,19 +113,8 @@ impl JoinGraph {
     /// Grows from the first terminal; at each step attaches the
     /// unconnected terminal with the shortest path to any connected
     /// concept. Returns `None` if the terminals are not all connected
-    /// in the graph. When a [`JoinPathCache`] is attached via
-    /// [`JoinGraph::with_cache`], results (including `None`) are
-    /// memoized by the exact terminal sequence.
+    /// in the graph.
     pub fn steiner_plan(&self, terminals: &[&str]) -> Option<JoinPlan> {
-        match &self.cache {
-            Some(cache) => cache.get_or_compute_scoped(self.cache_scope, terminals, || {
-                self.steiner_plan_uncached(terminals)
-            }),
-            None => self.steiner_plan_uncached(terminals),
-        }
-    }
-
-    fn steiner_plan_uncached(&self, terminals: &[&str]) -> Option<JoinPlan> {
         let mut terminals: Vec<&str> = {
             let mut seen = std::collections::HashSet::new();
             terminals
@@ -361,66 +314,6 @@ mod tests {
         let plan = g.steiner_plan(&["patient", "doctor", "visit"]).unwrap();
         assert_eq!(plan.concepts.len(), 3);
         assert_eq!(plan.edges.len(), 2);
-    }
-
-    #[test]
-    fn cached_plans_match_uncached() {
-        let plain = JoinGraph::from_ontology(&star());
-        let cached = plain.clone().with_cache(Arc::new(JoinPathCache::new(16)));
-        let cases: [&[&str]; 4] = [
-            &["customer", "product", "region"],
-            &["order", "island"],
-            &["region", "customer"],
-            &["customer"],
-        ];
-        for terminals in cases {
-            // Twice: the second call is served from the memo.
-            assert_eq!(
-                cached.steiner_plan(terminals),
-                plain.steiner_plan(terminals)
-            );
-            assert_eq!(
-                cached.steiner_plan(terminals),
-                plain.steiner_plan(terminals)
-            );
-        }
-        let stats = cached.cache().unwrap().stats();
-        assert_eq!((stats.hits, stats.misses), (4, 4));
-    }
-
-    #[test]
-    fn scoped_graphs_share_one_cache_without_mixing() {
-        // Two structurally different graphs over one memo: the star
-        // schema and the clinic shape both ask for two-terminal plans,
-        // and each must see only its own answers.
-        let concept = |l: &str, t: &str| Concept {
-            label: l.into(),
-            table: t.into(),
-            primary_key: Some("id".into()),
-        };
-        let clinic = Ontology {
-            concepts: vec![concept("order", "visits"), concept("customer", "patients")],
-            data_properties: vec![],
-            object_properties: vec![ObjectProperty {
-                from: "order".into(),
-                to: "customer".into(),
-                from_column: "patient_id".into(),
-                to_column: "id".into(),
-                label: "customer".into(),
-            }],
-        };
-        let cache = Arc::new(JoinPathCache::new(16));
-        let a = JoinGraph::from_ontology(&star()).with_scoped_cache(Arc::clone(&cache), 1);
-        let b = JoinGraph::from_ontology(&clinic).with_scoped_cache(Arc::clone(&cache), 2);
-        let pa = a.steiner_plan(&["order", "customer"]).unwrap();
-        let pb = b.steiner_plan(&["order", "customer"]).unwrap();
-        // Same terminals, different schemas: different join columns.
-        assert_eq!(pa.edges[0].from_column, "customer_id");
-        assert_eq!(pb.edges[0].from_column, "patient_id");
-        // Both entries live in the one cache, and repeats hit.
-        assert_eq!(cache.stats().len, 2);
-        assert_eq!(b.steiner_plan(&["order", "customer"]).unwrap(), pb);
-        assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]

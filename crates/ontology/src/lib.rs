@@ -16,19 +16,15 @@
 //! * [`graph`] — the join graph plus ATHENA-style join-path inference:
 //!   BFS shortest paths for concept pairs and a Steiner-tree
 //!   approximation when a query touches three or more concepts,
-//! * [`cache`] — a bounded, thread-safe LRU memo for join plans,
-//!   shared by the serving runtime's workers (`nlidb-serve`),
 //! * [`relax`] — vocabulary matching of user terms against ontology
 //!   labels through a synonym/hypernym lexicon (the query-relaxation
 //!   technique of Lei et al.).
 
-pub mod cache;
 pub mod generate;
 pub mod graph;
 pub mod model;
 pub mod relax;
 
-pub use cache::{JoinCacheStats, JoinPathCache};
 pub use generate::generate_ontology;
 pub use graph::{JoinEdge, JoinGraph, JoinPlan};
 pub use model::{Concept, DataProperty, ObjectProperty, Ontology, PropertyRole};

@@ -9,8 +9,9 @@
 //! crash (`replay_divergence` stays zero in every experiment).
 //!
 //! What is journaled: every turn the dialogue manager *executed*,
-//! accepted or rejected — both mutate `DialogueState::history`, so
-//! both are part of the state a replay must reproduce. What is not:
+//! accepted or rejected. A rejected turn leaves the dialogue state as
+//! it was, but it still produced a reply, so journaling it gives every
+//! executed turn an outcome digest for replay to check. What is not:
 //! turns refused by injected faults before reaching the manager (no
 //! state was touched), single-shot questions (stateless), and degraded
 //! answers (never authoritative, per the fault-injection invariants).

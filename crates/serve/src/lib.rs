@@ -21,8 +21,6 @@
 //! * [`lru`] — the O(1) LRU interpretation cache, one per (worker,
 //!   tenant) and keyed by the normalized question, storing the fully
 //!   rendered answer so a hit skips interpretation *and* execution.
-//!   The join-path cache in front of Steiner-tree search lives in
-//!   [`nlidb_ontology::cache`] and is shared by all workers.
 //! * [`clock`] — injectable logical time ([`ManualClock`], re-exported
 //!   from [`nlidb_obs`]); deadlines are ticks of a clock the driver
 //!   advances, never a wall clock.
@@ -57,9 +55,9 @@
 //!   a [`Server`] started with [`Server::start_tenants`] routes
 //!   fingerprints ([`Server::submit_to`]) over one worker pool with
 //!   per-(worker, tenant) caches and sessions, per-tenant
-//!   metrics/journals, deterministic admission quotas, and
-//!   tenant-scoped join-path caching. [`Server::start_observed`] is
-//!   the one-tenant case, byte-identical to the pre-tenancy runtime.
+//!   metrics/journals, and deterministic admission quotas.
+//!   [`Server::start_observed`] is the one-tenant case,
+//!   byte-identical to the pre-tenancy runtime.
 //! * [`health`] — windowed telemetry + SLO tracking: a [`HealthHub`]
 //!   (attached via [`ServeObs::with_health`](obs::ServeObs::with_health))
 //!   buckets every drained completion into per-tenant logical-tick
@@ -110,10 +108,7 @@ pub use server::{
     normalize_question, Admission, Completion, Disposition, OverloadPolicy, RequestHook, Server,
     ServerConfig,
 };
-pub use tenant::{
-    schema_fingerprint, schema_fingerprint_of, tenant_pipeline, TenantEntry, TenantPolicy,
-    TenantRegistry,
-};
+pub use tenant::{schema_fingerprint, TenantEntry, TenantPolicy, TenantRegistry};
 
 /// Compile-time proof of the sharing model: the server handle moves
 /// between threads, and everything workers touch is `Send + Sync`.

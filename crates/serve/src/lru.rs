@@ -28,8 +28,6 @@ pub struct LruCache<K, V> {
     head: usize,
     tail: usize,
     capacity: usize,
-    hits: u64,
-    misses: u64,
 }
 
 impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
@@ -43,8 +41,6 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
             head: NIL,
             tail: NIL,
             capacity,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -56,16 +52,6 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Configured bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// `(hits, misses)` counted across [`LruCache::get`] calls.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 
     fn slot(&self, idx: usize) -> &Slot<K, V> {
@@ -113,23 +99,15 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
 
     /// Look up `key`, promoting it to most-recent on a hit.
     pub fn get(&mut self, key: &K) -> Option<&V> {
-        match self.map.get(key).copied() {
-            Some(idx) => {
-                self.hits += 1;
-                if self.head != idx {
-                    self.unlink(idx);
-                    self.push_front(idx);
-                }
-                Some(&self.slot(idx).value)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let idx = self.map.get(key).copied()?;
+        if self.head != idx {
+            self.unlink(idx);
+            self.push_front(idx);
         }
+        Some(&self.slot(idx).value)
     }
 
-    /// Look up `key` without touching recency or counters.
+    /// Look up `key` without touching recency.
     pub fn peek(&self, key: &K) -> Option<&V> {
         self.map.get(key).map(|&idx| &self.slot(idx).value)
     }
@@ -190,9 +168,7 @@ mod tests {
         let mut c = LruCache::new(2);
         assert!(c.put("a", 1).is_none());
         assert_eq!(c.get(&"a"), Some(&1));
-        assert_eq!(c.counters(), (1, 0));
         assert_eq!(c.get(&"b"), None);
-        assert_eq!(c.counters(), (1, 1));
     }
 
     #[test]
@@ -226,7 +202,6 @@ mod tests {
     #[test]
     fn capacity_one_thrashes_correctly() {
         let mut c = LruCache::new(1);
-        assert_eq!(c.capacity(), 1);
         c.put(1, "one");
         assert_eq!(c.put(2, "two"), Some((1, "one")));
         assert_eq!(c.get(&2), Some(&"two"));

@@ -325,20 +325,6 @@ impl MetricsSnapshot {
                 .store(*value);
         }
     }
-
-    /// Export the scalar counters under `serve.tenant.<label>.<name>`,
-    /// overwriting prior values. Per-worker counts are deliberately
-    /// skipped: worker placement is runtime-global, not per-tenant.
-    /// [`crate::Server::export_metrics`] calls this once per
-    /// tenant next to the global [`MetricsSnapshot::export_into`], so
-    /// one registry report breaks the workload down by tenant.
-    pub fn export_labelled_into(&self, registry: &nlidb_obs::MetricsRegistry, label: &str) {
-        for (name, value) in self.scalar_fields() {
-            registry
-                .counter(&format!("serve.tenant.{label}.{name}"))
-                .store(value);
-        }
-    }
 }
 
 impl fmt::Display for MetricsSnapshot {
@@ -490,75 +476,6 @@ mod tests {
         assert_eq!(b.snapshot().quota_refused, 0);
         assert_eq!(b.snapshot().max_queue_depth, 2);
         assert_eq!(a.snapshot().per_worker, vec![0, 1]);
-    }
-
-    #[test]
-    fn labelled_export_mirrors_plain_export_byte_for_byte() {
-        let m = ServeMetrics::new(2, false);
-        m.submitted.fetch_add(9, Ordering::Relaxed);
-        m.quota_refused.fetch_add(2, Ordering::Relaxed);
-        m.per_worker[0].fetch_add(4, Ordering::Relaxed);
-        let snap = m.snapshot();
-
-        let plain = nlidb_obs::MetricsRegistry::new();
-        snap.export_into(&plain);
-        let labelled = nlidb_obs::MetricsRegistry::new();
-        snap.export_labelled_into(&labelled, "retail");
-
-        // Same counters, same values — only the prefix differs, and
-        // per-worker rows are global-only.
-        let plain_text = plain.report().export_text();
-        let labelled_text = labelled.report().export_text();
-        let rebuilt: String = plain_text
-            .lines()
-            .filter(|l| !l.starts_with("counter serve.per_worker."))
-            .map(|l| {
-                format!(
-                    "counter serve.tenant.retail.{}\n",
-                    l.trim_start_matches("counter serve.")
-                )
-            })
-            .collect();
-        assert_eq!(labelled_text, rebuilt);
-        assert!(labelled_text.contains("serve.tenant.retail.quota_refused 2"));
-        assert!(!labelled_text.contains("per_worker"));
-        // Re-export overwrites rather than accumulates.
-        snap.export_labelled_into(&labelled, "retail");
-        assert_eq!(labelled.report().export_text(), labelled_text);
-    }
-
-    #[test]
-    fn labelled_export_order_is_independent_of_insertion_order() {
-        // The perf-drift gate byte-compares the registry's export, so
-        // tenant scopes must render sorted by name no matter which
-        // tenant exported first (or how the snapshots interleave with
-        // global export).
-        let snap_a = {
-            let m = ServeMetrics::new(1, false);
-            m.answered.fetch_add(3, Ordering::Relaxed);
-            m.snapshot()
-        };
-        let snap_b = {
-            let m = ServeMetrics::new(1, false);
-            m.refused.fetch_add(1, Ordering::Relaxed);
-            m.snapshot()
-        };
-        let forward = nlidb_obs::MetricsRegistry::new();
-        snap_a.export_into(&forward);
-        snap_a.export_labelled_into(&forward, "alpha");
-        snap_b.export_labelled_into(&forward, "zed");
-        let backward = nlidb_obs::MetricsRegistry::new();
-        snap_b.export_labelled_into(&backward, "zed");
-        snap_a.export_labelled_into(&backward, "alpha");
-        snap_a.export_into(&backward);
-        let text = forward.report().export_text();
-        assert_eq!(text, backward.report().export_text());
-        // Scope blocks land in sorted order: global serve.* rows
-        // between the alphabetically-smaller and -larger tenants.
-        let alpha = text.find("serve.tenant.alpha.answered 3").unwrap();
-        let global = text.find("counter serve.answered 3").unwrap();
-        let zed = text.find("serve.tenant.zed.refused 1").unwrap();
-        assert!(global < alpha && alpha < zed);
     }
 
     #[test]

@@ -63,13 +63,12 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
 use nlidb_benchdata::RequestSpec;
-use nlidb_core::fallback::degradation_ladder;
-use nlidb_core::interpretation::InterpreterKind;
+use nlidb_core::fallback::DEGRADATION_LADDER;
 use nlidb_core::pipeline::NliPipeline;
 use nlidb_core::{fnv1a, FNV1A_OFFSET};
 use nlidb_dialogue::{ConversationSession, ManagerKind};
 use nlidb_engine::ResultSet;
-use nlidb_obs::{MetricsRegistry, SpanId, TraceBuilder};
+use nlidb_obs::{SpanId, TraceBuilder};
 
 use crate::clock::Clock;
 use crate::fault::{HookCtx, InjectedFault};
@@ -1055,17 +1054,6 @@ impl Server {
         )
     }
 
-    /// Export the global counters (`serve.*`, via
-    /// [`MetricsSnapshot::export_into`]) plus every tenant's breakdown
-    /// (`serve.tenant.<name>.*`, via
-    /// [`MetricsSnapshot::export_labelled_into`]) into `registry`.
-    pub fn export_metrics(&self, registry: &MetricsRegistry) {
-        self.metrics().export_into(registry);
-        for t in &self.shared.tenants {
-            t.metrics.snapshot().export_labelled_into(registry, &t.name);
-        }
-    }
-
     /// The schema fingerprint of tenant 0, the tenant
     /// [`Server::submit`] and [`Server::route`] address.
     pub fn fingerprint(&self) -> u64 {
@@ -1223,10 +1211,7 @@ fn interpret_single(
     mut tracer: Option<&mut TraceBuilder>,
 ) -> (Disposition, Option<CachedAnswer>) {
     let mut last_refusal: Option<String> = None;
-    for (rung, &kind) in degradation_ladder(InterpreterKind::Hybrid)
-        .iter()
-        .enumerate()
-    {
+    for (rung, &kind) in DEGRADATION_LADDER.iter().enumerate() {
         let span = tracer.as_deref_mut().map(|tb| {
             let s = tb.open("rung");
             tb.annotate(s, "rung", rung.to_string());
@@ -1351,7 +1336,7 @@ fn worker_loop(
         .tenants
         .iter()
         .map(|_| {
-            degradation_ladder(InterpreterKind::Hybrid)
+            DEGRADATION_LADDER
                 .iter()
                 .map(|_| CircuitBreaker::new())
                 .collect()

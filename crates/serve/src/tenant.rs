@@ -6,9 +6,9 @@
 //! of everything that determines interpretations (concept labels,
 //! table names, data-property labels, and the full join structure).
 //! The fingerprint is the tenant's identity everywhere — routing salt,
-//! join-path-cache scope, journal namespace, and metrics label — and
-//! each worker keeps one interpretation cache per tenant, so isolation
-//! falls out of keying rather than out of locks.
+//! journal namespace, and metrics label — and each worker keeps one
+//! interpretation cache per tenant, so isolation falls out of keying
+//! rather than out of locks.
 //!
 //! # Collision hygiene
 //!
@@ -22,9 +22,8 @@
 
 use std::sync::Arc;
 
-use nlidb_core::pipeline::{NliPipeline, SchemaContext};
-use nlidb_engine::Database;
-use nlidb_ontology::{JoinPathCache, Ontology};
+use nlidb_core::pipeline::NliPipeline;
+use nlidb_ontology::Ontology;
 
 /// Per-tenant serving policy: how much this tenant may consume.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -145,11 +144,7 @@ impl TenantRegistry {
 /// In multi-tenant serving this digest *is* the tenant identity (see
 /// the module docs).
 pub fn schema_fingerprint(pipeline: &NliPipeline) -> u64 {
-    schema_fingerprint_of(&pipeline.context().ontology)
-}
-
-/// [`schema_fingerprint`] over a bare ontology.
-pub fn schema_fingerprint_of(onto: &Ontology) -> u64 {
+    let onto = &pipeline.context().ontology;
     let mut acc = String::new();
     for c in &onto.concepts {
         acc.push_str(&c.label);
@@ -173,21 +168,6 @@ pub fn schema_fingerprint_of(onto: &Ontology) -> u64 {
     nlidb_core::fnv1a(nlidb_core::FNV1A_OFFSET, acc.as_bytes())
 }
 
-/// Build a tenant-ready pipeline over `db`: derive the schema context,
-/// scope its join graph into the shared `join_cache` under the schema
-/// fingerprint, and return `(fingerprint, pipeline)`. This is how one
-/// [`JoinPathCache`] serves every tenant without ever mixing plans
-/// (see [`nlidb_ontology::JoinPathCache::get_or_compute_scoped`]).
-pub fn tenant_pipeline(db: &Database, join_cache: &Arc<JoinPathCache>) -> (u64, Arc<NliPipeline>) {
-    let mut ctx = SchemaContext::build(db);
-    let fingerprint = schema_fingerprint_of(&ctx.ontology);
-    ctx.graph = ctx
-        .graph
-        .clone()
-        .with_scoped_cache(Arc::clone(join_cache), fingerprint);
-    (fingerprint, Arc::new(NliPipeline::with_context(db, ctx)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,22 +179,6 @@ mod tests {
         let a = schema_fingerprint(&NliPipeline::standard(&db));
         let b = schema_fingerprint(&NliPipeline::standard(&retail_database(7)));
         assert_eq!(a, b, "same schema, same identity");
-    }
-
-    #[test]
-    fn tenant_pipeline_scopes_the_shared_cache() {
-        let cache = Arc::new(JoinPathCache::new(64));
-        let db = retail_database(7);
-        let (fp, pipeline) = tenant_pipeline(&db, &cache);
-        assert_eq!(fp, schema_fingerprint(&pipeline));
-        // The pipeline's graph writes into the shared cache under the
-        // fingerprint scope.
-        pipeline
-            .context()
-            .graph
-            .steiner_plan(&["order", "customer"]);
-        assert_eq!(cache.len_in_scope(fp), 1);
-        assert_eq!(cache.len_in_scope(0), 0, "nothing in the default scope");
     }
 
     #[test]

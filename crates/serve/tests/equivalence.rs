@@ -1,14 +1,13 @@
 //! Serving equivalence: the semantic outcome stream of a concurrent
 //! server must be identical to a serial one — same seeded workload,
-//! 1 worker vs N workers, caches hot or disabled, join-path cache on
-//! or off. This is the tentpole invariant experiment E12 reports; the
-//! test here is the fast gate.
+//! 1 worker vs N workers, interpretation cache hot or disabled. This
+//! is the tentpole invariant experiment E12 reports; the test here is
+//! the fast gate.
 
 use std::sync::Arc;
 
 use nlidb_benchdata::{derive_slots, request_stream, retail_database};
-use nlidb_core::pipeline::{NliPipeline, SchemaContext};
-use nlidb_ontology::JoinPathCache;
+use nlidb_core::pipeline::NliPipeline;
 use nlidb_serve::{run_closed_loop, Clock, ManualClock, Server, ServerConfig};
 
 /// Run one workload through a fresh server and return the signature
@@ -16,20 +15,12 @@ use nlidb_serve::{run_closed_loop, Clock, ManualClock, Server, ServerConfig};
 fn serve_once(
     workers: usize,
     interp_cache: usize,
-    join_cache: bool,
     n: usize,
     session_share: f64,
 ) -> (Vec<String>, u64, u64) {
     let db = retail_database(7);
     let slots = derive_slots(&db);
-    let mut ctx = SchemaContext::build(&db);
-    if join_cache {
-        ctx.graph = ctx
-            .graph
-            .clone()
-            .with_cache(Arc::new(JoinPathCache::new(64)));
-    }
-    let pipeline = Arc::new(NliPipeline::with_context(&db, ctx));
+    let pipeline = Arc::new(NliPipeline::standard(&db));
     let stream = request_stream(&slots, 42, n, session_share);
     let clock = Arc::new(ManualClock::new());
     let mut server = Server::start_observed(
@@ -52,9 +43,9 @@ fn serve_once(
 
 #[test]
 fn concurrent_equals_serial_across_worker_counts() {
-    let (serial, _, _) = serve_once(1, 128, true, 80, 0.25);
+    let (serial, _, _) = serve_once(1, 128, 80, 0.25);
     for workers in [2, 4] {
-        let (concurrent, _, _) = serve_once(workers, 128, true, 80, 0.25);
+        let (concurrent, _, _) = serve_once(workers, 128, 80, 0.25);
         assert_eq!(
             serial, concurrent,
             "{workers}-worker run diverged from serial"
@@ -64,8 +55,8 @@ fn concurrent_equals_serial_across_worker_counts() {
 
 #[test]
 fn caches_do_not_change_answers() {
-    let (cached, hits, _) = serve_once(2, 128, true, 80, 0.0);
-    let (uncached, no_hits, no_misses) = serve_once(2, 0, false, 80, 0.0);
+    let (cached, hits, _) = serve_once(2, 128, 80, 0.0);
+    let (uncached, no_hits, no_misses) = serve_once(2, 0, 80, 0.0);
     assert!(hits > 0, "hot workload must actually hit the cache");
     assert_eq!(no_hits, 0, "disabled cache can never hit");
     assert_eq!(
@@ -77,7 +68,7 @@ fn caches_do_not_change_answers() {
 
 #[test]
 fn repeated_runs_are_bitwise_reproducible() {
-    let a = serve_once(4, 64, true, 60, 0.3);
-    let b = serve_once(4, 64, true, 60, 0.3);
+    let a = serve_once(4, 64, 60, 0.3);
+    let b = serve_once(4, 64, 60, 0.3);
     assert_eq!(a, b, "same seed, same everything");
 }

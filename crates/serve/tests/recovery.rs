@@ -391,7 +391,6 @@ fn two_tenants_on_one_dead_worker_both_recover_without_leakage() {
     // tenant 1's salt (the odd golden-ratio constant) flips the low
     // bit, so session 7 → worker 0 too.
     use nlidb_benchdata::all_domains;
-    use nlidb_ontology::JoinPathCache;
     use nlidb_serve::{TenantPolicy, TenantRegistry};
 
     silence_worker_panics();
@@ -401,12 +400,17 @@ fn two_tenants_on_one_dead_worker_both_recover_without_leakage() {
         "show all departments",
     ];
     let run = |plan: FaultPlan| {
-        let cache = Arc::new(JoinPathCache::new(256));
         let mut registry = TenantRegistry::new();
-        let (fp_retail, p_retail) = nlidb_serve::tenant_pipeline(&retail_database(7), &cache);
-        let (fp_hr, p_hr) = nlidb_serve::tenant_pipeline(&all_domains(42)[1], &cache);
-        registry.register("retail", p_retail, TenantPolicy::default());
-        registry.register("hr", p_hr, TenantPolicy::default());
+        let fp_retail = registry.register(
+            "retail",
+            Arc::new(NliPipeline::standard(&retail_database(7))),
+            TenantPolicy::default(),
+        );
+        let fp_hr = registry.register(
+            "hr",
+            Arc::new(NliPipeline::standard(&all_domains(42)[1])),
+            TenantPolicy::default(),
+        );
         let clock = Arc::new(ManualClock::new());
         let mut server = Server::start_tenants(
             &registry,

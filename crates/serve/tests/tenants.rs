@@ -9,11 +9,9 @@ use std::sync::Arc;
 
 use nlidb_benchdata::{all_domains, retail_database, RequestSpec, DOMAIN_NAMES};
 use nlidb_core::pipeline::NliPipeline;
-use nlidb_obs::MetricsRegistry;
-use nlidb_ontology::JoinPathCache;
 use nlidb_serve::{
-    run_closed_loop_tenants, schema_fingerprint_of, tenant_pipeline, Clock, Disposition,
-    ManualClock, MetricsSnapshot, ServeObs, Server, ServerConfig, TenantPolicy, TenantRegistry,
+    run_closed_loop_tenants, schema_fingerprint, Clock, Disposition, ManualClock, MetricsSnapshot,
+    ServeObs, Server, ServerConfig, TenantPolicy, TenantRegistry,
 };
 
 fn config(workers: usize) -> ServerConfig {
@@ -24,16 +22,14 @@ fn config(workers: usize) -> ServerConfig {
     }
 }
 
-/// Register the first `n` benchdata domains as tenants over one shared
-/// join-path cache, all under `policy`.
+/// Register the first `n` benchdata domains as tenants, all under
+/// `policy`.
 fn registry_of(n: usize, policy: TenantPolicy) -> (TenantRegistry, Vec<u64>) {
-    let cache = Arc::new(JoinPathCache::new(256));
     let mut registry = TenantRegistry::new();
     let mut fps = Vec::with_capacity(n);
     for (i, db) in all_domains(42).into_iter().take(n).enumerate() {
-        let (fp, pipeline) = tenant_pipeline(&db, &cache);
-        registry.register(DOMAIN_NAMES[i], pipeline, policy.clone());
-        fps.push(fp);
+        let pipeline = Arc::new(NliPipeline::standard(&db));
+        fps.push(registry.register(DOMAIN_NAMES[i], pipeline, policy.clone()));
     }
     (registry, fps)
 }
@@ -46,10 +42,7 @@ fn registry_of(n: usize, policy: TenantPolicy) -> (TenantRegistry, Vec<u64>) {
 fn schema_fingerprints_are_pairwise_distinct_across_domains() {
     let fps: Vec<u64> = all_domains(42)
         .iter()
-        .map(|db| {
-            let p = NliPipeline::standard(db);
-            schema_fingerprint_of(&p.context().ontology)
-        })
+        .map(|db| schema_fingerprint(&NliPipeline::standard(db)))
         .collect();
     for i in 0..fps.len() {
         for j in (i + 1)..fps.len() {
@@ -64,10 +57,7 @@ fn schema_fingerprints_are_pairwise_distinct_across_domains() {
     // data, same identity.
     let a = NliPipeline::standard(&retail_database(7));
     let b = NliPipeline::standard(&retail_database(900));
-    assert_eq!(
-        schema_fingerprint_of(&a.context().ontology),
-        schema_fingerprint_of(&b.context().ontology)
-    );
+    assert_eq!(schema_fingerprint(&a), schema_fingerprint(&b));
 }
 
 /// The interpretation cache never leaks across tenants: tenant A
@@ -106,19 +96,19 @@ fn interpretation_cache_is_tenant_scoped() {
 #[test]
 fn admission_budget_refuses_deterministically_per_tenant() {
     let run = || {
-        let cache = Arc::new(JoinPathCache::new(256));
         let mut registry = TenantRegistry::new();
-        let (fp_a, p_a) = tenant_pipeline(&retail_database(7), &cache);
-        let domains = all_domains(42);
-        let (fp_b, p_b) = tenant_pipeline(&domains[1], &cache);
-        registry.register(
+        let fp_a = registry.register(
             "retail",
-            p_a,
+            Arc::new(NliPipeline::standard(&retail_database(7))),
             TenantPolicy {
                 admission_budget: Some(2),
             },
         );
-        registry.register("hr", p_b, TenantPolicy::default());
+        let fp_b = registry.register(
+            "hr",
+            Arc::new(NliPipeline::standard(&all_domains(42)[1])),
+            TenantPolicy::default(),
+        );
         let clock = Arc::new(ManualClock::new());
         let mut server =
             Server::start_tenants(&registry, config(2), Arc::clone(&clock) as _, None, None);
@@ -230,11 +220,9 @@ fn single_tenant_global_and_tenant_scopes_agree() {
 }
 
 /// Multi-tenant bookkeeping closes: every global counter is the sum of
-/// its per-tenant scopes (no unknown-tenant traffic here), and
-/// [`Server::export_metrics`] publishes both the `serve.*`
-/// aggregate and a `serve.tenant.<name>.*` breakdown.
+/// its per-tenant scopes (no unknown-tenant traffic here).
 #[test]
-fn tenant_scopes_sum_to_the_global_scope_and_export_labelled() {
+fn tenant_scopes_sum_to_the_global_scope() {
     let (registry, fps) = registry_of(3, TenantPolicy::default());
     let clock = Arc::new(ManualClock::new());
     let mut server =
@@ -256,17 +244,5 @@ fn tenant_scopes_sum_to_the_global_scope_and_export_labelled() {
     assert_eq!(global.refused, sum(|m| m.refused));
     assert_eq!(global.interp_misses, sum(|m| m.interp_misses));
     assert_eq!(global.interp_hits, sum(|m| m.interp_hits));
-    // Exported breakdown: aggregate plus one labelled family per tenant.
-    let reg = MetricsRegistry::new();
-    server.export_metrics(&reg);
-    let text = reg.report().export_text();
-    assert!(text.contains(&format!("counter serve.submitted {}\n", global.submitted)));
-    for (i, m) in per.iter().enumerate() {
-        let line = format!(
-            "counter serve.tenant.{}.submitted {}\n",
-            DOMAIN_NAMES[i], m.submitted
-        );
-        assert!(text.contains(&line), "missing {line:?}");
-    }
     server.shutdown();
 }

@@ -12,24 +12,21 @@ use std::sync::Arc;
 use nlidb::benchdata::{
     derive_slots, domain_database, interleave_streams, request_stream, DOMAIN_NAMES,
 };
-use nlidb::ontology::JoinPathCache;
+use nlidb::core::pipeline::NliPipeline;
 use nlidb::serve::{
-    run_closed_loop_tenants, tenant_pipeline, Clock, ManualClock, Server, ServerConfig,
-    TenantPolicy, TenantRegistry,
+    run_closed_loop_tenants, Clock, ManualClock, Server, ServerConfig, TenantPolicy, TenantRegistry,
 };
 
 fn main() {
-    // One join-path cache serves every tenant: each tenant's plans are
-    // keyed under its schema fingerprint, so sharing never mixes them.
-    let join_cache = Arc::new(JoinPathCache::new(256));
+    // Each tenant is identified by its schema fingerprint, which
+    // `register` returns.
     let mut registry = TenantRegistry::new();
 
     // Tenant 1: retail, on a metered plan — at most 20 admissions.
     let retail = domain_database("retail", 42);
-    let (fp_retail, retail_pipeline) = tenant_pipeline(&retail, &join_cache);
-    registry.register(
+    let fp_retail = registry.register(
         "retail",
-        retail_pipeline,
+        Arc::new(NliPipeline::standard(&retail)),
         TenantPolicy {
             admission_budget: Some(20),
         },
@@ -37,8 +34,11 @@ fn main() {
 
     // Tenant 2: HR, unmetered.
     let hr = domain_database("hr", 43);
-    let (fp_hr, hr_pipeline) = tenant_pipeline(&hr, &join_cache);
-    registry.register("hr", hr_pipeline, TenantPolicy::default());
+    let fp_hr = registry.register(
+        "hr",
+        Arc::new(NliPipeline::standard(&hr)),
+        TenantPolicy::default(),
+    );
 
     // One pool for both tenants; routing salts spread each tenant's
     // traffic over the workers independently.

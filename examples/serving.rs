@@ -1,5 +1,5 @@
 //! Stand up the concurrent serving runtime over a retail pipeline,
-//! replay a seeded request stream, and show what the caches did.
+//! replay a seeded request stream, and show what the cache did.
 //!
 //! ```bash
 //! cargo run --release --example serving
@@ -8,18 +8,13 @@
 use std::sync::Arc;
 
 use nlidb::benchdata::{derive_slots, request_stream, retail_database};
-use nlidb::core::pipeline::{NliPipeline, SchemaContext};
-use nlidb::ontology::JoinPathCache;
+use nlidb::core::pipeline::NliPipeline;
 use nlidb::serve::{run_closed_loop, Clock, Disposition, ManualClock, Server, ServerConfig};
 
 fn main() {
-    // One pipeline, shared immutably by every worker; the join-path
-    // cache is attached to the schema context before it freezes.
+    // One pipeline, shared immutably by every worker.
     let db = retail_database(42);
-    let join_cache = Arc::new(JoinPathCache::new(128));
-    let mut ctx = SchemaContext::build(&db);
-    ctx.graph = ctx.graph.clone().with_cache(Arc::clone(&join_cache));
-    let pipeline = Arc::new(NliPipeline::with_context(&db, ctx));
+    let pipeline = Arc::new(NliPipeline::standard(&db));
 
     // A deterministic clock: time advances only when we say so.
     let clock = Arc::new(ManualClock::new());
@@ -57,11 +52,4 @@ fn main() {
 
     let metrics = server.shutdown();
     println!("\n{metrics}");
-    let join = join_cache.stats();
-    println!(
-        "join-path cache: {} hits / {} misses ({:.1}% hit rate)",
-        join.hits,
-        join.misses,
-        join.hit_rate() * 100.0
-    );
 }

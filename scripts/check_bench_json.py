@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Validate a BENCH_soak.json trajectory file.
+"""Validate a BENCH_soak.json trajectory file, or check that a fresh
+soak run reproduces its last line.
 
 Usage: python3 scripts/check_bench_json.py [<path>]   (default: BENCH_soak.json)
+       python3 scripts/check_bench_json.py --reproduced-by <fresh.json>
 
 The `soak` binary appends one JSON line per invocation (schema
 `nlidb-soak-v1`): run metadata (seed, request count, the producing
@@ -23,6 +25,14 @@ file honest as it grows:
     non-negative ints, window indices strictly increasing, and the
     retained windows' served sum never exceeding the shape's total
     (the ring evicts, so retained ≤ cumulative).
+
+With --reproduced-by, both BENCH_soak.json and <fresh.json> must pass
+the checks above, and the last line of each must agree on every
+top-level field except `index` and `git` (position and provenance), and
+on every field of each committed shape. Soak runs count logical ticks
+only, so a run at the committed seed and request count reproduces the
+committed line exactly. A field only the fresh run has (the per-window
+`windows` series, newer than the committed line) is not compared.
 """
 
 import json
@@ -125,7 +135,10 @@ def check_windows(lineno: int, name: str, shape: dict) -> None:
         )
 
 
-def main() -> None:
+def validate(path: str) -> dict:
+    """Check every line of `path`; return its last run."""
+    global PATH
+    PATH = path
     try:
         with open(PATH) as f:
             lines = [l for l in f.read().splitlines() if l.strip()]
@@ -167,11 +180,43 @@ def main() -> None:
         if extra:
             fail(lineno, f"unknown fields {sorted(extra)}")
     print(f"{PATH}: {len(lines)} trajectory line(s) valid ({SCHEMA})")
+    return run
+
+
+def reproduced(committed: dict, fresh: dict) -> list:
+    """Every committed field the fresh run does not reproduce."""
+    diffs = []
+    for field in sorted(set(committed) - {"index", "git", "shapes"}):
+        if fresh.get(field) != committed[field]:
+            diffs.append(f"{field}: committed {committed[field]!r}, fresh {fresh.get(field)!r}")
+    for old, new in zip(committed["shapes"], fresh["shapes"]):
+        for field, value in old.items():
+            if new.get(field) != value:
+                diffs.append(
+                    f"shape {old['shape']!r} {field}: committed {value!r}, fresh {new.get(field)!r}"
+                )
+    return diffs
+
+
+def main() -> None:
+    args = sys.argv[1:]
+    if len(args) == 2 and args[0] == "--reproduced-by":
+        committed = validate("BENCH_soak.json")
+        fresh = validate(args[1])
+        diffs = reproduced(committed, fresh)
+        if diffs:
+            print(f"{args[1]} does not reproduce the last line of BENCH_soak.json:")
+            for d in diffs:
+                print(f"  {d}")
+            sys.exit(1)
+        print(f"{args[1]} reproduces the last line of BENCH_soak.json")
+    elif len(args) <= 1 and args[:1] != ["--reproduced-by"]:
+        validate(args[0] if args else "BENCH_soak.json")
+    else:
+        print("usage: python3 scripts/check_bench_json.py [<path>]")
+        print("       python3 scripts/check_bench_json.py --reproduced-by <fresh.json>")
+        sys.exit(2)
 
 
 if __name__ == "__main__":
-    PATH = sys.argv[1] if len(sys.argv) > 1 else "BENCH_soak.json"
-    if len(sys.argv) > 2:
-        print("usage: python3 scripts/check_bench_json.py [<path>]")
-        sys.exit(2)
     main()

@@ -6,10 +6,12 @@
 # Mirrors the acceptance bar for every PR: release build, full test
 # suite, the perfbench self-test, clippy at zero warnings, rustfmt
 # check, warning-free rustdoc, no public function without a non-test
-# caller, no clock in library code, every example run to completion. The workspace vendors its two
-# dependencies (crates/compat/*), so everything runs with --offline and
-# no registry access, and with --locked, so a dependency edge that
-# leaves Cargo.lock stale fails the gate instead of rewriting the lock.
+# caller, no clock in library code, every example run to completion,
+# BENCH_soak.json reproduced by a fresh soak run. The workspace vendors
+# its two dependencies (crates/compat/*), so everything runs with
+# --offline and no registry access, and with --locked, so a dependency
+# edge that leaves Cargo.lock stale fails the gate instead of rewriting
+# the lock.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -76,6 +78,16 @@ cargo run --release --offline --locked -q -p nlidb-bench --bin soak -- \
   2> /dev/null
 python3 scripts/check_bench_json.py target/soak-smoke.json
 python3 scripts/check_bench_json.py BENCH_soak.json
+
+# The schema check above cannot see a moved digest. Soak runs count
+# logical ticks only, so a fresh run at the committed seed and scale
+# must reproduce BENCH_soak.json's last line field for field.
+echo "== soak reproduction (10^5 @ seed 42 vs BENCH_soak.json) =="
+rm -f target/soak-fresh.json
+cargo run --release --offline --locked -q -p nlidb-bench --bin soak -- \
+  --seed 42 --requests 100000 --out target/soak-fresh.json --git ci-fresh \
+  2> /dev/null
+python3 scripts/check_bench_json.py --reproduced-by target/soak-fresh.json
 
 echo "== perf-drift gate (perfgate @ seed 42 vs scripts/perf_baseline_seed42.txt) =="
 python3 scripts/check_perf_drift.py

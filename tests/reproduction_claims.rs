@@ -141,7 +141,7 @@ fn claim_paraphrase_brittleness() {
 #[test]
 fn claim_degraded_answers_respect_capability_ceilings() {
     use nlidb::core::entity::Capabilities;
-    use nlidb::core::fallback::degradation_ladder;
+    use nlidb::core::fallback::DEGRADATION_LADDER;
 
     let db = nlidb::benchdata::retail_database(42);
     let slots = derive_slots(&db);
@@ -149,7 +149,7 @@ fn claim_degraded_answers_respect_capability_ceilings() {
     let suite = spider_like(&slots, 31, 48);
     let mut served = 0;
     for pair in &suite {
-        for &kind in &degradation_ladder(InterpreterKind::Hybrid)[1..] {
+        for &kind in &DEGRADATION_LADDER[1..] {
             if let Ok(answer) = nli.ask_bounded(&pair.question, kind, None) {
                 served += 1;
                 let class = classify(&answer.query);
